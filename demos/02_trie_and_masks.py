@@ -5,8 +5,8 @@ Byte tries and compatibility masks
 The trie answers: which tokens are compatible with a partial-token
 prefix?  A token is compatible when it starts with the prefix, or when
 it is itself a prefix of it (a shorter token that consumes part of the
-bytes).  Masks come back as boolean vectors ready to zero out a
-probability distribution in one pass.
+bytes).  Answers come back as ascending arrays of token ids, so masking
+a probability distribution touches only the compatible entries.
 """
 
 import numpy as np
@@ -17,10 +17,10 @@ vocab = Vocabulary([bytes([i]) for i in range(256)] + [b"re", b"ret", b"return",
 trie = build_trie(vocab)
 
 for prefix in (b"re", b"ret", b"retu", b"x"):
-    mask = matching_tokens(trie, prefix)
-    names = [vocab.tokens[i] for i in np.flatnonzero(mask) if len(vocab.tokens[i]) > 1]
-    single = sum(1 for i in np.flatnonzero(mask) if len(vocab.tokens[i]) == 1)
-    print(f"prefix {prefix!r}: {int(mask.sum())} tokens ({single} single-byte), multi: {names}")
+    ids = matching_tokens(trie, prefix)
+    names = [vocab.tokens[i] for i in ids if len(vocab.tokens[i]) > 1]
+    single = sum(1 for i in ids if len(vocab.tokens[i]) == 1)
+    print(f"prefix {prefix!r}: {len(ids)} tokens ({single} single-byte), multi: {names}")
 
 # the mask cache keeps hot prefixes around; the single space is
 # pre-seeded because completion requests end with it constantly

@@ -114,24 +114,22 @@ def backtrack_split(
     return list(ids[:-b]), decode(vocab, ids[-b:])
 
 
-def mask_distribution(dist: np.ndarray, mask: TokenMask) -> np.ndarray:
-    """Zero all probabilities outside ``mask`` and renormalize.
+def mask_distribution(dist: np.ndarray, ids: TokenMask) -> np.ndarray:
+    """Probabilities of the compatible ``ids``, renormalized over them.
 
-    When the model assigns zero mass to every compatible token, the
-    result is uniform over the compatible set: alignment promises a
-    prompt-consistent continuation whenever one exists, even under toy
-    providers that emit hard zeros.
+    Position ``k`` of the result belongs to token ``ids[k]``; everything
+    outside ``ids`` is implicitly zero.  When the model assigns zero mass
+    to every compatible token, the result is uniform over the compatible
+    set: alignment promises a prompt-consistent continuation whenever one
+    exists, even under toy providers that emit hard zeros.
     """
-    masked = np.where(mask, dist, 0.0)
-    total = masked.sum()
-    if total > 0.0:
-        return masked / total
-    n = int(np.count_nonzero(mask))
-    if n == 0:
+    if len(ids) == 0:
         raise EmptyMaskError(b"")
-    uniform = np.zeros_like(masked, dtype=np.float64)
-    uniform[mask] = 1.0 / n
-    return uniform
+    subset = dist[ids]
+    total = subset.sum()
+    if total > 0.0:
+        return subset / total
+    return np.full(len(ids), 1.0 / len(ids))
 
 
 def align_step(
@@ -139,17 +137,19 @@ def align_step(
     dist: np.ndarray,
     trie: ByteTrie,
     cache: MaskCache | None,
-) -> np.ndarray:
-    """Constrain one next-token distribution to the tokens compatible with the prefix."""
+) -> tuple[TokenMask, np.ndarray]:
+    """Constrain one next-token distribution to the tokens compatible with the prefix.
+
+    Returns the ascending compatible ids and their renormalized
+    probabilities (see :func:`mask_distribution`).  ``dist`` is trusted
+    to meet the provider contract; the caller checks it once.
+    """
     if not state.prefix:
         raise ValueError("alignment prefix is already empty")
-    dist = np.asarray(dist, dtype=np.float64)
-    if __debug__:
-        check_distribution(dist)
-    mask = cached_mask(cache, trie, state.prefix)
-    if not mask.any():
+    ids = cached_mask(cache, trie, state.prefix)
+    if len(ids) == 0:
         raise EmptyMaskError(state.prefix)
-    return mask_distribution(dist, mask)
+    return ids, mask_distribution(dist, ids)
 
 
 def advance(state: AlignmentState, chosen: int, vocab: Vocabulary) -> AlignmentState:
@@ -205,26 +205,28 @@ def aligned_generate(
                 f"alignment exceeded {align_cfg.max_alignment_steps} steps; "
                 "provider/vocabulary mismatch?"
             )
-        dist = provider.next_distribution(state.context)
-        t_lookup = time.perf_counter_ns()
-        mask = cached_mask(cache, trie, state.prefix)
-        per_lookup_max_us = max(
-            per_lookup_max_us, (time.perf_counter_ns() - t_lookup) / 1000.0
-        )
-        if not mask.any():
+        dist = np.asarray(provider.next_distribution(state.context), dtype=np.float64)
+        check_distribution(dist, len(vocab))
+        t_step = time.perf_counter_ns()
+        try:
+            ids, probs = align_step(state, dist, trie, cache)
+        except EmptyMaskError:
             dead_end = True
             if align_cfg.fallback_policy == "error":
-                raise DeadEndError(state.prefix, state.context, state.steps_taken)
+                raise DeadEndError(state.prefix, state.context, state.steps_taken) from None
             state = _emit_raw_bytes(state, vocab)
             break
-        mask_sizes.append(int(np.count_nonzero(mask)))
-        masked = mask_distribution(np.asarray(dist, dtype=np.float64), mask)
-        chosen = sample(masked, sampler_cfg, rng)
+        per_lookup_max_us = max(
+            per_lookup_max_us, (time.perf_counter_ns() - t_step) / 1000.0
+        )
+        mask_sizes.append(len(ids))
+        chosen = int(ids[sample(probs, sampler_cfg, rng)])
         state = advance(state, chosen, vocab)
     alignment_us = (time.perf_counter_ns() - t_align) / 1000.0
 
     produced = decode(vocab, state.context)
-    assert produced.startswith(prompt), "alignment lost prompt bytes"
+    if not produced.startswith(prompt):
+        raise AlignmentError("alignment lost prompt bytes")
     generated = bytearray(produced[len(prompt):])
 
     t_free = time.perf_counter_ns()

@@ -30,12 +30,17 @@ class LogitsProvider(Protocol):
     def next_distribution(self, context: Sequence[int]) -> np.ndarray: ...
 
 
-def check_distribution(dist: np.ndarray) -> None:
-    """Assert the provider contract: non-negative, sums to 1 within 1e-6."""
-    if dist.ndim != 1:
-        raise ValueError(f"distribution must be 1-D, got shape {dist.shape}")
-    if np.any(dist < 0):
-        raise ValueError("distribution has negative entries")
+def check_distribution(dist: np.ndarray, size: int) -> None:
+    """Enforce the provider contract on one provider output.
+
+    The contract: shape ``(size,)``, no negative or NaN entries, sum 1
+    within 1e-6.  Callers run it once on every provider output.  ``min``
+    propagates NaN and ``sum`` propagates inf, so two passes catch both.
+    """
+    if dist.shape != (size,):
+        raise ValueError(f"distribution must have shape ({size},), got {dist.shape}")
+    if not dist.min() >= 0.0:
+        raise ValueError("distribution has negative or NaN entries")
     total = float(dist.sum())
     if abs(total - 1.0) > DIST_SUM_TOLERANCE:
         raise ValueError(f"distribution sums to {total}, not 1")
@@ -76,13 +81,25 @@ def nucleus_keep_set(dist: np.ndarray, top_p: float, temperature: float = 1.0) -
     token is included, so the kept set is never empty.  Returned ids are
     ascending.
     """
-    w = _apply_temperature(dist, temperature)
-    order = np.argsort(-w, kind="stable")
-    cum = np.cumsum(w[order])
-    cut = int(np.searchsorted(cum, top_p, side="left"))
-    cut = min(cut, len(order) - 1)
-    kept = order[: cut + 1]
-    return np.sort(kept)
+    return _keep_set(_apply_temperature(dist, temperature), top_p)
+
+
+def _keep_set(w: np.ndarray, top_p: float) -> np.ndarray:
+    """:func:`nucleus_keep_set` of already-tempered weights, without an id sort.
+
+    The cumulative sums run over the values in descending order, which is
+    the same float sequence a stable descending argsort would add.  The
+    cut value ``v`` then selects every id above it, plus the lowest-id
+    ties at ``v`` up to the cut count.
+    """
+    descending = np.sort(w)[::-1]
+    cum = np.cumsum(descending)
+    cut = min(int(np.searchsorted(cum, top_p, side="left")), len(w) - 1)
+    v = descending[cut]
+    kept = w > v
+    ties = cut + 1 - int(np.count_nonzero(kept))
+    kept[np.flatnonzero(w == v)[:ties]] = True
+    return np.flatnonzero(kept)
 
 
 def _apply_temperature(dist: np.ndarray, temperature: float) -> np.ndarray:
@@ -96,17 +113,22 @@ def _apply_temperature(dist: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> int:
-    """Draw one token id from ``dist`` under the configured policy."""
-    if __debug__:
-        check_distribution(np.asarray(dist))
-    total = float(np.sum(dist))
-    if total <= 0.0:
-        raise ValueError("cannot sample from an all-zero distribution")
+    """Draw one index of ``dist`` under the configured policy.
+
+    ``dist`` is trusted to meet the provider contract (see
+    :func:`check_distribution`); only an all-zero vector is rejected.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
     if cfg.mode == "greedy":
-        # np.argmax returns the first maximum: lowest-id tie-break
-        return int(np.argmax(dist))
-    kept = nucleus_keep_set(np.asarray(dist, dtype=np.float64), cfg.top_p, cfg.temperature)
-    w = _apply_temperature(np.asarray(dist, dtype=np.float64), cfg.temperature)
+        # np.argmax returns the first maximum: lowest-index tie-break
+        best = int(np.argmax(dist))
+        if not dist[best] > 0.0:
+            raise ValueError("cannot sample from an all-zero distribution")
+        return best
+    if not dist.max() > 0.0:
+        raise ValueError("cannot sample from an all-zero distribution")
+    w = _apply_temperature(dist, cfg.temperature)
+    kept = _keep_set(w, cfg.top_p)
     probs = w[kept]
     cum = np.cumsum(probs / probs.sum())
     u = rng.random()
@@ -125,7 +147,8 @@ class GenerationResult:
     ``output`` always begins with the prompt bytes (absent a dead end) and
     may be truncated at the first stop-sequence occurrence; ``token_ids``
     lists every token the session emitted, untruncated.  Timings are
-    microseconds; ``per_lookup_max`` is the slowest single mask lookup.
+    microseconds; ``per_lookup_max`` is the slowest single alignment
+    step's mask lookup plus renormalization over the compatible ids.
     """
 
     prompt: bytes
@@ -201,7 +224,8 @@ def run_free_phase(
             return stop_at
         if steps >= cfg.max_new_tokens:
             return None
-        dist = provider.next_distribution(context)
+        dist = np.asarray(provider.next_distribution(context), dtype=np.float64)
+        check_distribution(dist, len(vocab))
         chosen = sample(dist, cfg, rng)
         context.append(chosen)
         generated += vocab.tokens[chosen]
@@ -283,8 +307,6 @@ class NGramModel:
         for token, count in counter.items():
             dist[token] += count
         dist /= dist.sum()
-        if __debug__:
-            check_distribution(dist)
         return dist
 
 
@@ -323,9 +345,7 @@ class ScriptedModel:
         self.vocab = vocab
         self.vocab_size = len(vocab)
         self.default = np.asarray(default, dtype=np.float64)
-        check_distribution(self.default)
-        if len(self.default) != self.vocab_size:
-            raise ValueError("default row length does not match vocabulary")
+        check_distribution(self.default, self.vocab_size)
         seen: set[bytes] = set()
         prepared: list[tuple[bytes, np.ndarray]] = []
         for suffix, probs in rows:
@@ -334,9 +354,7 @@ class ScriptedModel:
                 raise ValueError(f"duplicate scripted suffix {suffix!r}")
             seen.add(suffix)
             arr = np.asarray(probs, dtype=np.float64)
-            check_distribution(arr)
-            if len(arr) != self.vocab_size:
-                raise ValueError(f"row {suffix!r} length does not match vocabulary")
+            check_distribution(arr, self.vocab_size)
             prepared.append((suffix, arr))
         # longest suffix first so the first match wins
         self._rows = sorted(prepared, key=lambda r: len(r[0]), reverse=True)

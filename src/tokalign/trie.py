@@ -2,8 +2,9 @@
 
 The trie answers one question fast: given a byte prefix ``P``, which
 tokens either *start with* ``P`` or *are a prefix of* ``P``?  The answer
-comes back as a boolean mask over the full vocabulary so it can be
-applied to a probability vector in a single vectorized pass.
+comes back as the ascending array of compatible token ids, so applying
+it to a probability vector costs O(number of compatible tokens), not
+O(vocabulary size).
 
 Token ids are stored in byte-lexicographic order in one flat array;
 every trie node keeps the half-open range of that array covered by its
@@ -20,8 +21,8 @@ import numpy as np
 
 from .vocab import Vocabulary
 
-# A TokenMask is a length-V boolean ndarray; bit i set <=> token i is
-# compatible with the query prefix.  Special tokens are never set.
+# A TokenMask is a read-only, strictly ascending int64 ndarray of the token
+# ids compatible with the query prefix.  Special tokens never appear.
 TokenMask = np.ndarray
 
 TRIE_MAGIC = b"BTRI"
@@ -74,25 +75,28 @@ class ByteTrie:
             self.check_structure(vocab)
 
     def matching_tokens(self, prefix: bytes) -> TokenMask:
-        """Mask of tokens t with ``t.startswith(prefix) or prefix.startswith(t)``.
+        """Ascending ids of tokens t with ``t.startswith(prefix) or prefix.startswith(t)``.
 
-        Cost: at most ``len(prefix)`` node hops plus one subtree range fill.
-        An all-clear mask is a legal result; callers decide what a dead end
-        means.
+        Cost: at most ``len(prefix)`` node hops plus one sort of the
+        subtree range.  An empty array is a legal result; callers decide
+        what a dead end means.
         """
-        mask = np.zeros(self.vocab_size, dtype=bool)
+        exact: list[int] = []  # tokens that are proper prefixes of ``prefix``
         node = self.root
-        fell_off = False
         for b in prefix:
             node = node.children.get(b)
             if node is None:
-                fell_off = True
+                ids = np.array(sorted(exact), dtype=np.int64)
                 break
             if node.end_id is not None:
-                mask[node.end_id] = True
-        if not fell_off:
-            mask[self._sorted_ids[node.lo : node.hi]] = True
-        return mask
+                exact.append(node.end_id)
+        else:
+            if node.end_id is not None:
+                exact.pop()  # the prefix itself lies in its own subtree range
+            subtree = self._sorted_ids[node.lo : node.hi]
+            ids = np.sort(np.concatenate((np.array(exact, dtype=np.int64), subtree)))
+        ids.setflags(write=False)
+        return ids
 
     def _walk_exact(self, token: bytes) -> int | None:
         node = self.root
@@ -122,7 +126,7 @@ def matching_tokens(trie: ByteTrie, prefix: bytes) -> TokenMask:
 
 
 class MaskCache:
-    """Bounded LRU cache of compatibility masks keyed by prefix bytes.
+    """Bounded LRU cache of compatible-id arrays keyed by prefix bytes.
 
     Pre-seeded with the single-space mask, the hot key in completion
     workloads.  Purely an accelerator: hits are bit-identical to fresh
@@ -141,7 +145,6 @@ class MaskCache:
             self._insert(b" ", trie.matching_tokens(b" "))
 
     def _insert(self, key: bytes, mask: TokenMask) -> None:
-        mask.setflags(write=False)
         self._store[key] = mask
         self._store.move_to_end(key)
         while len(self._store) > self.capacity:
@@ -168,7 +171,7 @@ class MaskCache:
 
 
 def cached_mask(cache: MaskCache | None, trie: ByteTrie, prefix: bytes) -> TokenMask:
-    """Same bits as :func:`matching_tokens`; records a hit or miss when cached."""
+    """Same ids as :func:`matching_tokens`; records a hit or miss when cached."""
     if cache is None:
         return trie.matching_tokens(prefix)
     return cache.lookup(trie, prefix)

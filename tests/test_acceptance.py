@@ -93,7 +93,7 @@ def test_criterion_1_trie_oracle_equivalence():
                 prefix = base + extra
             else:
                 prefix = bytes(rng.integers(97, 102, size=rng.integers(0, 9), dtype="uint8"))
-            got = set(np.flatnonzero(trie.matching_tokens(prefix)).tolist())
+            got = set(trie.matching_tokens(prefix).tolist())
             want = {
                 i
                 for i, t in enumerate(tokens)

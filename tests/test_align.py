@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +34,13 @@ from tokalign import (
 )
 
 from conftest import byte_vocab
+
+
+def densify(ids, probs, size):
+    # the sparse (ids, probs) step result as a length-V vector
+    dense = np.zeros(size)
+    dense[ids] = probs
+    return dense
 
 
 class TestBacktrackSplit:
@@ -85,8 +97,9 @@ class TestAlignStep:
         trie = build_trie(vocab)
         state = AlignmentState(context=[], prefix=b"re")
         dist = np.full(4, 0.25)
-        out = align_step(state, dist, trie, None)
-        assert np.allclose(out, [0.5, 0.0, 0.5, 0.0])
+        ids, probs = align_step(state, dist, trie, None)
+        assert ids.tolist() == [0, 2]
+        assert np.allclose(densify(ids, probs, 4), [0.5, 0.0, 0.5, 0.0])
 
     def test_empty_mask_raised(self):
         vocab = self._vocab()
@@ -98,8 +111,11 @@ class TestAlignStep:
     def test_preseeded_cache_transparent(self, trained_vocab, trained_trie):
         state = AlignmentState(context=[], prefix=b" ")
         dist = np.full(len(trained_vocab), 1.0 / len(trained_vocab))
-        warm = align_step(state, dist, trained_trie, MaskCache(trained_trie))
-        cold = align_step(state, dist, trained_trie, MaskCache(trained_trie, capacity=0))
+        warm_ids, warm = align_step(state, dist, trained_trie, MaskCache(trained_trie))
+        cold_ids, cold = align_step(
+            state, dist, trained_trie, MaskCache(trained_trie, capacity=0)
+        )
+        assert np.array_equal(warm_ids, cold_ids)
         assert np.array_equal(warm, cold)
 
     def test_zero_mass_on_mask_goes_uniform(self):
@@ -107,8 +123,9 @@ class TestAlignStep:
         trie = build_trie(vocab)
         state = AlignmentState(context=[], prefix=b"re")
         dist = np.array([0.0, 0.6, 0.0, 0.4])  # all mass on incompatible tokens
-        out = align_step(state, dist, trie, None)
-        assert np.allclose(out, [0.5, 0.0, 0.5, 0.0])
+        ids, probs = align_step(state, dist, trie, None)
+        assert ids.tolist() == [0, 2]
+        assert np.allclose(densify(ids, probs, 4), [0.5, 0.0, 0.5, 0.0])
 
     def test_empty_prefix_rejected(self):
         vocab = self._vocab()
@@ -154,8 +171,7 @@ class TestAdvance:
         rng = make_rng(4)
         state = AlignmentState(context=[], prefix=b"    return value")
         while state.prefix:
-            mask = trained_trie.matching_tokens(state.prefix)
-            candidates = np.flatnonzero(mask)
+            candidates = trained_trie.matching_tokens(state.prefix)
             chosen = int(candidates[int(rng.integers(len(candidates)))])
             before = len(state.prefix)
             state = advance(state, chosen, trained_vocab)
@@ -296,9 +312,9 @@ class TestMaskBeforeSample:
             dist = np.array(probs)
             for prefix in (b"a", b"ab", b"b", b"baa"):
                 state = AlignmentState(context=[], prefix=prefix)
-                masked = align_step(state, dist, trie, None)
-                chosen = sample(masked, cfg, make_rng(0))
-                compatible = np.flatnonzero(trie.matching_tokens(prefix))
+                ids, probs = align_step(state, dist, trie, None)
+                chosen = ids[sample(probs, cfg, make_rng(0))]
+                compatible = trie.matching_tokens(prefix)
                 expected = compatible[np.argmax(dist[compatible])]
                 assert chosen == expected
 
@@ -312,16 +328,16 @@ class TestMaskBeforeSample:
             raw = rng.random(5)
             dist = raw / raw.sum()
             for prefix in (b"a", b"ab", b"b", b"bc", b"abcd"):
-                mask = trie.matching_tokens(prefix)
+                mask = np.isin(np.arange(5), trie.matching_tokens(prefix))
                 state = AlignmentState(context=[], prefix=prefix)
-                masked = align_step(state, dist, trie, None)
+                masked = densify(*align_step(state, dist, trie, None), 5)
                 conditional = np.where(mask, dist, 0.0)
                 conditional /= conditional.sum()
                 assert np.allclose(masked, conditional)
 
     def test_mask_distribution_rejects_empty_mask(self):
         with pytest.raises(EmptyMaskError):
-            mask_distribution(np.array([0.5, 0.5]), np.array([False, False]))
+            mask_distribution(np.array([0.5, 0.5]), np.array([], dtype=np.int64))
 
 
 class TestSafetyBound:
@@ -346,3 +362,124 @@ class TestSafetyBound:
             align_module.aligned_generate(
                 provider, vocab, trie, None, b"ab", AlignConfig(backtrack_tokens=1), cfg
             )
+
+
+class TestAlwaysOnChecks:
+    def test_lost_prompt_raises_alignment_error(self, monkeypatch):
+        vocab = Vocabulary([b"a", b"b"])
+        trie = build_trie(vocab)
+        provider = ScriptedModel(vocab, [], np.full(2, 0.5))
+        cfg = SamplerConfig(mode="greedy", max_new_tokens=1)
+
+        import tokalign.align as align_module
+
+        real_advance = align_module.advance
+
+        def forgetful_advance(state, chosen, vocab_arg):
+            out = real_advance(state, chosen, vocab_arg)
+            return AlignmentState(state.context, out.prefix, out.steps_taken)
+
+        monkeypatch.setattr(align_module, "advance", forgetful_advance)
+        with pytest.raises(align_module.AlignmentError, match="lost prompt"):
+            align_module.aligned_generate(
+                provider, vocab, trie, None, b"ab", AlignConfig(backtrack_tokens=1), cfg
+            )
+
+    def test_contract_checked_once_per_provider_call(
+        self, monkeypatch, trained_vocab, ngram_provider, trained_trie
+    ):
+        import tokalign.align as align_module
+        import tokalign.decoding as decoding_module
+
+        calls = {"provider": 0, "check": 0}
+        real_check = decoding_module.check_distribution
+
+        def counting_check(dist, size):
+            calls["check"] += 1
+            real_check(dist, size)
+
+        monkeypatch.setattr(align_module, "check_distribution", counting_check)
+        monkeypatch.setattr(decoding_module, "check_distribution", counting_check)
+
+        class CountingProvider:
+            vocab_size = ngram_provider.vocab_size
+
+            def next_distribution(self, context):
+                calls["provider"] += 1
+                return ngram_provider.next_distribution(context)
+
+        for mode in ("greedy", "nucleus"):
+            cfg = SamplerConfig(mode=mode, top_p=0.9, seed=3, max_new_tokens=5)
+            result = aligned_generate(
+                CountingProvider(), trained_vocab, trained_trie, None,
+                b"def get_total(items):\n    re", AlignConfig(), cfg,
+            )
+            assert result.alignment_steps > 0
+            assert calls["check"] == calls["provider"] == result.alignment_steps + 5
+            calls.update(provider=0, check=0)
+
+    def test_wrong_length_provider_output_is_value_error(self):
+        vocab = Vocabulary([b"a", b"b", b"ab"])
+        trie = build_trie(vocab)
+        cfg = SamplerConfig(mode="greedy", max_new_tokens=2)
+        for row in ([1.0], [0.0, 0.0, 0.0, 1.0]):
+
+            class WrongLength:
+                vocab_size = 3
+
+                def next_distribution(self, context, row=row):
+                    return np.array(row)
+
+            with pytest.raises(ValueError, match="shape"):
+                aligned_generate(
+                    WrongLength(), vocab, trie, None, b"ab", AlignConfig(backtrack_tokens=1), cfg
+                )
+            with pytest.raises(ValueError, match="shape"):
+                generate(WrongLength(), vocab, b"ab", cfg)
+
+    def test_provider_contract_enforced_under_optimize_flag(self):
+        # a negative entry that still sums to 1 must raise ValueError in
+        # both phases even when assert statements are compiled away
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from tokalign import (
+                AlignConfig, SamplerConfig, Vocabulary, aligned_generate, build_trie, generate,
+            )
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+            vocab = Vocabulary([b"a", b"b"])
+
+            class Negative:
+                vocab_size = 2
+
+                def next_distribution(self, context):
+                    return np.array([1.5, -0.5])
+
+            cfg = SamplerConfig(mode="greedy", max_new_tokens=2)
+            runs = {
+                "aligned": lambda: aligned_generate(
+                    Negative(), vocab, build_trie(vocab), None, b"ab",
+                    AlignConfig(backtrack_tokens=1), cfg,
+                ),
+                "plain": lambda: generate(Negative(), vocab, b"ab", cfg),
+            }
+            for name, run in runs.items():
+                try:
+                    run()
+                except ValueError:
+                    print(name, "ValueError")
+                else:
+                    print(name, "accepted")
+            """
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["aligned", "ValueError", "plain", "ValueError"]

@@ -48,9 +48,17 @@ class TestSample:
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError):
-            check_distribution(np.array([0.5, 0.6]))
+            check_distribution(np.array([0.5, 0.6]), 2)
         with pytest.raises(ValueError):
-            check_distribution(np.array([1.1, -0.1]))
+            check_distribution(np.array([1.1, -0.1]), 2)
+        with pytest.raises(ValueError):
+            check_distribution(np.array([0.5, np.nan, 0.5]), 3)
+        with pytest.raises(ValueError):
+            check_distribution(np.array([0.5, np.inf, 0.5]), 3)
+        with pytest.raises(ValueError, match="shape"):
+            check_distribution(np.array([0.5, 0.5]), 3)
+        with pytest.raises(ValueError, match="shape"):
+            check_distribution(np.full((2, 2), 0.25), 4)
 
     def test_nucleus_empirical_frequencies(self):
         # top_p=0.8 keeps {0.6, 0.3}; renormalized to (2/3, 1/3)

@@ -17,8 +17,8 @@ def oracle_ids(vocab, prefix):
     }
 
 
-def mask_ids(mask):
-    return set(np.flatnonzero(mask).tolist())
+def mask_ids(ids):
+    return set(ids.tolist())
 
 
 def random_vocab(rng, size):
@@ -99,6 +99,13 @@ class TestMatching:
             for _ in range(30):
                 prefix = bytes(rng.integers(97, 101, size=rng.integers(0, 8), dtype="uint8"))
                 assert mask_ids(trie.matching_tokens(prefix)) == oracle_ids(vocab, prefix)
+
+    def test_ids_ascending_int64_read_only(self, trained_trie):
+        for prefix in (b"", b" ", b"    re", b"re", b"\xff", b"zzzz"):
+            ids = trained_trie.matching_tokens(prefix)
+            assert ids.dtype == np.int64
+            assert not ids.flags.writeable
+            assert np.all(np.diff(ids) > 0)
 
     def test_monotonicity_on_extension(self):
         rng = make_rng(23)
