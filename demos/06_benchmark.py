@@ -3,7 +3,7 @@ Lookup latency and alignment step counts
 ========================================
 
 Masking every decoding step is only viable if the compatibility query
-is far cheaper than the model call.  On a 50k-token vocabulary the trie
+is far cheaper than the model call.  On a 50k-token vocabulary the index
 answers in microseconds where a linear scan takes milliseconds, and the
 pre-seeded cache answers the hottest key in fractions of a microsecond.
 

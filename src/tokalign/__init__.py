@@ -2,7 +2,7 @@
 
 The pipeline: tokenize the prompt, back off the last few tokens into an
 alignment prefix, then decode with the next-token distribution masked to
-tokens compatible with that prefix (via a byte trie and a mask cache)
+tokens compatible with that prefix (via a sorted-token index and a mask cache)
 until the prefix is consumed; free decoding follows.  The package also
 generates partial-token evaluation datasets and scores paired
 with/without-alignment runs.
@@ -32,7 +32,6 @@ from .decoding import (
     make_rng,
     nucleus_keep_set,
     sample,
-    scripted_model,
 )
 from .metrics import (
     EvalRecord,
@@ -62,7 +61,7 @@ from .scenarios import (
     generate_dataset,
     validate_example,
 )
-from .trie import ByteTrie, MaskCache, TokenMask, build_trie, cached_mask, matching_tokens
+from .trie import ByteTrie, MaskCache, TokenMask, build_trie
 from .vocab import (
     EncodingError,
     PretokenizeOptions,

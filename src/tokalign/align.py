@@ -1,4 +1,4 @@
-"""Prompt backtracking and trie-masked decoding.
+"""Prompt backtracking and prefix-masked decoding.
 
 A prompt that ends mid-token is out-of-distribution for the model.  The
 fix: drop the last B tokens from the model context, keep their bytes as
@@ -26,7 +26,7 @@ from .decoding import (
     run_free_phase,
     sample,
 )
-from .trie import ByteTrie, MaskCache, TokenMask, cached_mask
+from .trie import ByteTrie, MaskCache, TokenMask
 from .vocab import Vocabulary, decode, encode
 
 
@@ -146,7 +146,7 @@ def align_step(
     """
     if not state.prefix:
         raise ValueError("alignment prefix is already empty")
-    ids = cached_mask(cache, trie, state.prefix)
+    ids = trie.matching_tokens(state.prefix) if cache is None else cache.lookup(trie, state.prefix)
     if len(ids) == 0:
         raise EmptyMaskError(state.prefix)
     return ids, mask_distribution(dist, ids)

@@ -1,4 +1,4 @@
-"""Micro-benchmarks: trie lookup vs naive scan vs cached masks, and
+"""Micro-benchmarks: index lookup vs naive scan vs cached masks, and
 alignment step-count statistics over boundary-aligned prompts.
 
 Lookup cost depends on prefix length, so results report percentiles,
@@ -16,7 +16,7 @@ import numpy as np
 
 from .align import AlignConfig, aligned_generate
 from .decoding import LogitsProvider, SamplerConfig, make_rng
-from .trie import ByteTrie, MaskCache, build_trie
+from .trie import MaskCache, build_trie
 from .vocab import Vocabulary, decode, encode
 
 _WORD_BYTES = b"abcdefghijklmnopqrstuvwxyz"
@@ -89,15 +89,13 @@ def _percentiles(samples_us: list[float]) -> dict:
 
 def bench_lookup(
     vocab: Vocabulary,
-    trie: ByteTrie | None = None,
     queries: int = 10_000,
     warmup: int = 1_000,
     naive_queries: int = 200,
     seed: int = 0,
 ) -> dict:
-    """Per-query latency of trie lookup, naive scan, and cached single-space mask."""
-    if trie is None:
-        trie = build_trie(vocab)
+    """Per-query latency of index lookup, naive scan, and cached single-space mask."""
+    trie = build_trie(vocab)
     prefixes = _query_prefixes(vocab, queries + warmup, seed)
 
     for p in prefixes[:warmup]:
@@ -124,7 +122,6 @@ def bench_lookup(
 
     return {
         "vocab_size": len(vocab),
-        "trie_nodes": trie.node_count,
         "queries": queries,
         "warmup": warmup,
         "trie_us": _percentiles(trie_us),

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import base64
 import json
-import os
 import sys
 
 import numpy as np
@@ -27,11 +26,13 @@ from . import align as align_mod
 from . import bench as bench_mod
 from . import fixtures, metrics, scenarios
 from .decoding import SamplerConfig, ScriptedModel, build_ngram_model, generate
-from .trie import MaskCache, build_trie, load_trie, save_trie
+from .trie import MaskCache, build_trie
 from .vocab import (
     PretokenizeOptions,
     Vocabulary,
+    json_field,
     load_vocabulary,
+    read_json_lines,
     save_vocabulary,
     train_tiny_bpe,
 )
@@ -65,8 +66,12 @@ def _load_provider(args, vocab: Vocabulary):
     if spec is None:
         raise ValueError("a --provider is required (scripted:<table.json> or ngram:<corpus>)")
     if spec.startswith("scripted:"):
-        with open(_resolve(spec[len("scripted:"):]), "r", encoding="utf-8") as fh:
-            return ScriptedModel.from_json_dict(vocab, json.load(fh))
+        path = _resolve(spec[len("scripted:"):])
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                return ScriptedModel.from_json_dict(vocab, json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
     if spec.startswith("ngram:"):
         path = _resolve(spec[len("ngram:"):])
         if path.endswith(".jsonl"):
@@ -111,21 +116,19 @@ def _align_config(args) -> align_mod.AlignConfig:
 
 
 def _read_prompts(path: str | None):
-    fh = sys.stdin if path in (None, "-") else open(path, "r", encoding="utf-8")
-    try:
-        for n, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if "prompt_b64" in doc:
-                prompt = base64.b64decode(doc["prompt_b64"])
-            else:
-                prompt = doc["text"].encode("utf-8")
-            yield str(doc.get("id", n)), prompt
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
+    if path in (None, "-"):
+        yield from read_json_lines(sys.stdin, "<stdin>", _prompt_doc)
+        return
+    with open(path, "r", encoding="utf-8") as fh:
+        yield from read_json_lines(fh, path, _prompt_doc)
+
+
+def _prompt_doc(doc: dict, index: int) -> tuple[str, bytes]:
+    if "prompt_b64" in doc:
+        prompt = base64.b64decode(json_field(doc, "prompt_b64", str))
+    else:
+        prompt = json_field(doc, "text", str).encode("utf-8")
+    return str(doc.get("id", index)), prompt
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +273,6 @@ def _emit_eval_report(args, records, wanted, vocab, label) -> int:
     return EXIT_OK
 
 
-def _bench_trie(args, vocab):
-    path = args.trie_cache
-    if path and os.path.exists(path):
-        return load_trie(path)
-    trie = build_trie(vocab)
-    if path:
-        save_trie(trie, path, vocab)
-    return trie
-
-
 def cmd_bench(args) -> int:
     _merge_config(args)
     seed = args.seed if args.seed is not None else 0
@@ -291,7 +284,6 @@ def cmd_bench(args) -> int:
             vocab = bench_mod.make_synthetic_vocabulary(args.vocab_size, seed)
         report["lookup"] = bench_mod.bench_lookup(
             vocab,
-            trie=_bench_trie(args, vocab),
             queries=args.queries,
             warmup=args.warmup,
             naive_queries=args.naive_queries,
@@ -415,8 +407,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="lookup latency and alignment-step stats")
     p.add_argument("--vocab", default=None, help="vocabulary file (default: synthetic)")
-    p.add_argument("--trie-cache", default=None,
-                   help="binary trie file; loaded when present, written otherwise")
     p.add_argument("--vocab-size", type=int, default=50_000)
     p.add_argument("--queries", type=int, default=10_000)
     p.add_argument("--warmup", type=int, default=1_000)

@@ -17,7 +17,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .vocab import Vocabulary, decode, encode
+from .vocab import Vocabulary, decode, encode, json_field
 
 DIST_SUM_TOLERANCE = 1e-6
 
@@ -380,15 +380,20 @@ class ScriptedModel:
 
     @classmethod
     def from_json_dict(cls, vocab: Vocabulary, doc: dict) -> "ScriptedModel":
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected an object, got {type(doc).__name__}")
         if "default" not in doc:
             raise ValueError("scripted model file is missing the default row")
-        rows = [
-            (base64.b64decode(row["suffix_b64"]), np.asarray(row["probs"], dtype=np.float64))
-            for row in doc.get("rows", [])
-        ]
-        return cls(vocab, rows, np.asarray(doc["default"], dtype=np.float64))
+        rows = []
+        for n, row in enumerate(json_field(doc, "rows", list) if "rows" in doc else []):
+            if not isinstance(row, dict):
+                raise ValueError(f"rows[{n}]: expected an object, got {type(row).__name__}")
+            suffix = base64.b64decode(json_field(row, "suffix_b64", str))
+            rows.append((suffix, _float_row(json_field(row, "probs", list), f"rows[{n}]")))
+        return cls(vocab, rows, _float_row(json_field(doc, "default", list), "default"))
 
 
-def scripted_model(vocab: Vocabulary, table: dict) -> ScriptedModel:
-    """Build a scripted provider from its JSON-shaped table."""
-    return ScriptedModel.from_json_dict(vocab, table)
+def _float_row(values: list, where: str) -> np.ndarray:
+    if not all(isinstance(v, (int, float)) for v in values):
+        raise ValueError(f"{where}: probabilities must be numbers")
+    return np.asarray(values, dtype=np.float64)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import Vocabulary, encode
+from .vocab import Vocabulary, encode, json_field, read_json_lines
 
 
 def levenshtein(a: bytes, b: bytes) -> int:
@@ -186,11 +186,14 @@ class EvalRecord:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EvalRecord":
+        references = json_field(doc, "references_b64", list)
+        if not all(isinstance(r, str) for r in references):
+            raise ValueError("field 'references_b64' must hold strings")
         return cls(
-            example_id=str(doc["example_id"]),
-            generated=base64.b64decode(doc["generated_b64"]),
-            references=[base64.b64decode(r) for r in doc["references_b64"]],
-            arm=doc["arm"],
+            example_id=str(json_field(doc, "example_id", (str, int))),
+            generated=base64.b64decode(json_field(doc, "generated_b64", str)),
+            references=[base64.b64decode(r) for r in references],
+            arm=json_field(doc, "arm", str),
         )
 
 
@@ -202,13 +205,8 @@ def write_eval_records(path: str, records: Sequence[EvalRecord]) -> None:
 
 
 def read_eval_records(path: str) -> list[EvalRecord]:
-    records = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(EvalRecord.from_json_dict(json.loads(line)))
-    return records
+        return list(read_json_lines(fh, path, lambda doc, _: EvalRecord.from_json_dict(doc)))
 
 
 def score_record(record: EvalRecord, metrics: Sequence[str], vocab: Vocabulary | None) -> dict:

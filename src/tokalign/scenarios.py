@@ -23,6 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .vocab import json_field, read_json_lines
+
 SCENARIOS = ("subword", "punctuation", "prefix_sep", "prefix_indent", "contiguous_space")
 
 _WS = frozenset(b" \n\t")
@@ -87,12 +89,12 @@ class ScenarioExample:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScenarioExample":
         return cls(
-            scenario=doc["scenario"],
-            source_id=doc["source_id"],
-            prompt=base64.b64decode(doc["prompt_b64"]),
-            baseline_prompt=base64.b64decode(doc["baseline_prompt_b64"]),
-            ground_truth=base64.b64decode(doc["ground_truth_b64"]),
-            cut_offset=int(doc["cut_offset"]),
+            scenario=json_field(doc, "scenario", str),
+            source_id=json_field(doc, "source_id", str),
+            prompt=base64.b64decode(json_field(doc, "prompt_b64", str)),
+            baseline_prompt=base64.b64decode(json_field(doc, "baseline_prompt_b64", str)),
+            ground_truth=base64.b64decode(json_field(doc, "ground_truth_b64", str)),
+            cut_offset=json_field(doc, "cut_offset", int),
         )
 
 
@@ -367,17 +369,15 @@ def load_corpus(path: str) -> list[tuple[str, bytes]]:
                     docs.append((name, fh.read()))
         return docs
     with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if "text_b64" in doc:
-                text = base64.b64decode(doc["text_b64"])
-            else:
-                text = doc["text"].encode("utf-8")
-            docs.append((str(doc.get("id", n)), text))
-    return docs
+        return list(read_json_lines(fh, path, _corpus_doc))
+
+
+def _corpus_doc(doc: dict, index: int) -> tuple[str, bytes]:
+    if "text_b64" in doc:
+        text = base64.b64decode(json_field(doc, "text_b64", str))
+    else:
+        text = json_field(doc, "text", str).encode("utf-8")
+    return str(doc.get("id", index)), text
 
 
 def write_dataset(path: str, examples: Iterable[ScenarioExample], stats: dict | None = None) -> None:
@@ -393,10 +393,5 @@ def write_dataset(path: str, examples: Iterable[ScenarioExample], stats: dict | 
 
 
 def read_dataset(path: str) -> list[ScenarioExample]:
-    examples = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                examples.append(ScenarioExample.from_json_dict(json.loads(line)))
-    return examples
+        return list(read_json_lines(fh, path, lambda doc, _: ScenarioExample.from_json_dict(doc)))

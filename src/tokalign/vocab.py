@@ -18,7 +18,7 @@ import base64
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 VOCAB_FILE_VERSION = 1
 
@@ -340,6 +340,37 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(vocabulary_to_dict(vocab), fh, indent=1, ensure_ascii=True)
         fh.write("\n")
+
+
+def read_json_lines(fh: Iterable[str], name: str, convert: Callable[[dict, int], object]) -> Iterator:
+    """Yield ``convert(doc, index)`` for each non-blank JSON line of ``fh``.
+
+    ``index`` counts lines from 0.  A line that is not a JSON object, or
+    that ``convert`` rejects with a ValueError, raises a ValueError that
+    names ``name`` and the line number.
+    """
+    for index, line in enumerate(fh):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise ValueError(f"expected an object, got {type(doc).__name__}")
+            item = convert(doc, index)
+        except ValueError as exc:
+            raise ValueError(f"{name}: line {index + 1}: {exc}") from exc
+        yield item
+
+
+def json_field(doc: dict, key: str, kind: type | tuple[type, ...]):
+    """``doc[key]``; a ValueError when it is missing or not of type ``kind``."""
+    if key not in doc:
+        raise ValueError(f"missing field {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"field {key!r} has the wrong type {type(value).__name__}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,46 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "kind, content",
+        [
+            ("prompts", "[1, 2]"),
+            ("prompts", '"abc"'),
+            ("prompts", '{"text": 5}'),
+            ("prompts", '{"prompt_b64": 5}'),
+            ("table", '{"rows": ["x"], "default": []}'),
+            ("table", '{"rows": 5, "default": []}'),
+            ("dataset", "[1]"),
+            ("dataset", '"x"'),
+            ("records", "[1]"),
+            ("records", '{"example_id": "e", "generated_b64": "", "references_b64": 5, '
+                        '"arm": "aligned"}'),
+            ("corpus", "[1]"),
+            ("corpus", '{"text": 5}'),
+        ],
+    )
+    def test_wrong_shape_json_is_two(
+        self, capsys, tmp_path, demo_paths, demo_prompt_file, kind, content
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(content + "\n")
+        table = f"scripted:{demo_paths['table']}"
+        argv = {
+            "prompts": ["align", "--vocab", demo_paths["vocab"], "--provider", table,
+                        "--prompt-file", str(bad)],
+            "table": ["align", "--vocab", demo_paths["vocab"], "--provider", f"scripted:{bad}",
+                      "--prompt-file", demo_prompt_file],
+            "dataset": ["eval", "--dataset", str(bad), "--validate-only"],
+            "records": ["eval", "--records", str(bad), "--metrics", "em"],
+            "corpus": ["align", "--vocab", demo_paths["vocab"], "--provider", f"ngram:{bad}",
+                       "--prompt-file", demo_prompt_file],
+        }[kind]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("tokalign: error: ")
+        assert str(bad) in lines[0]
+
     def test_dead_end_is_three(self, capsys, tmp_path):
         vocab = Vocabulary([b"a", b"ac", b"acd", b"cd"])
         vocab_path = tmp_path / "v.json"
@@ -338,20 +378,6 @@ class TestBench:
         )
         assert code == 0
         assert "lookup" not in json.loads(out)
-
-    def test_trie_cache_written_then_reused(self, capsys, tmp_path):
-        cache_path = tmp_path / "trie.bin"
-        argv = [
-            "bench", "--vocab-size", "1000", "--queries", "50", "--warmup", "10",
-            "--naive-queries", "5", "--skip-steps", "--trie-cache", str(cache_path),
-        ]
-        code, _, _ = run(capsys, *argv)
-        assert code == 0
-        assert cache_path.exists()
-        stamp = cache_path.stat().st_mtime_ns
-        code, _, _ = run(capsys, *argv)
-        assert code == 0
-        assert cache_path.stat().st_mtime_ns == stamp  # loaded, not rebuilt
 
 
 class TestVocabTools:

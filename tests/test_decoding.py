@@ -13,7 +13,6 @@ from tokalign import (
     make_rng,
     nucleus_keep_set,
     sample,
-    scripted_model,
 )
 from tokalign.decoding import check_distribution, first_stop_index
 
@@ -160,13 +159,13 @@ class TestScripted:
     def test_default_only(self):
         vocab = byte_vocab()
         uniform = [1.0 / len(vocab)] * len(vocab)
-        model = scripted_model(vocab, {"rows": [], "default": uniform})
+        model = ScriptedModel.from_json_dict(vocab, {"rows": [], "default": uniform})
         assert np.allclose(model.next_distribution([1, 2, 3]), uniform)
 
     def test_missing_default_rejected(self):
         vocab = byte_vocab()
         with pytest.raises(ValueError, match="default"):
-            scripted_model(vocab, {"rows": []})
+            ScriptedModel.from_json_dict(vocab, {"rows": []})
 
     def test_longest_suffix_wins(self):
         vocab = byte_vocab()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tokalign import MaskCache, Vocabulary, build_trie, cached_mask, matching_tokens
+from tokalign import MaskCache, Vocabulary, build_trie
 from tokalign.decoding import make_rng
-from tokalign.trie import TrieError, load_trie, save_trie
+from tokalign.trie import TrieError
 
 from conftest import byte_vocab
 
@@ -33,12 +33,16 @@ class TestBuild:
     def test_hand_constructed_nodes(self):
         vocab = Vocabulary([b"a", b"ab", b"abc", b"b"])
         trie = build_trie(vocab)
-        assert sorted(trie.root.children) == [ord("a"), ord("b")]
-        node_ab = trie.root.children[ord("a")].children[ord("b")]
-        assert node_ab.end_id == 1
-        subtree = set(trie._sorted_ids[node_ab.lo : node_ab.hi].tolist())
-        assert subtree == {1, 2}
-        trie.check_structure(vocab)
+        assert trie.node_count == 4
+        assert trie.matching_tokens(b"").tolist() == [0, 1, 2, 3]
+        assert trie.matching_tokens(b"a").tolist() == [0, 1, 2]
+        assert trie.matching_tokens(b"ab").tolist() == [0, 1, 2]
+        assert trie.matching_tokens(b"abc").tolist() == [0, 1, 2]
+        assert trie.matching_tokens(b"abcd").tolist() == [0, 1, 2]
+        assert trie.matching_tokens(b"abd").tolist() == [0, 1]
+        assert trie.matching_tokens(b"b").tolist() == [3]
+        assert trie.matching_tokens(b"ba").tolist() == [3]
+        assert trie.matching_tokens(b"c").tolist() == []
 
     def test_all_special_vocabulary_rejected(self):
         vocab = Vocabulary([b"x"], specials=[0])
@@ -48,9 +52,11 @@ class TestBuild:
     def test_single_byte_vocab_depth_one(self):
         vocab = Vocabulary([bytes([i]) for i in range(256)])
         trie = build_trie(vocab)
-        assert len(trie.root.children) == 256
-        assert all(not child.children for child in trie.root.children.values())
-        assert trie.node_count == 257
+        assert trie.node_count == 256
+        assert trie.matching_tokens(b"").tolist() == list(range(256))
+        for i in range(256):
+            assert trie.matching_tokens(bytes([i])).tolist() == [i]
+            assert trie.matching_tokens(bytes([i, 0xFF, 0])).tolist() == [i]
 
     def test_build_deterministic(self, trained_vocab):
         t1 = build_trie(trained_vocab)
@@ -63,18 +69,18 @@ class TestMatching:
     def test_two_way_condition(self):
         vocab = Vocabulary([b"a", b"ab", b"abc", b"b"])
         trie = build_trie(vocab)
-        assert mask_ids(matching_tokens(trie, b"ab")) == {0, 1, 2}
-        assert mask_ids(matching_tokens(trie, b"ab")) == oracle_ids(vocab, b"ab")
+        assert mask_ids(trie.matching_tokens(b"ab")) == {0, 1, 2}
+        assert mask_ids(trie.matching_tokens(b"ab")) == oracle_ids(vocab, b"ab")
 
     def test_empty_prefix_selects_all_non_special(self):
         vocab = byte_vocab(extra=[b"<eos>"], specials=[256])
         trie = build_trie(vocab)
-        assert mask_ids(matching_tokens(trie, b"")) == set(range(256))
+        assert mask_ids(trie.matching_tokens(b"")) == set(range(256))
 
     def test_partial_word_reaches_full_token(self):
         vocab = byte_vocab(extra=[b"return", b"turn"])
         trie = build_trie(vocab)
-        ids = mask_ids(matching_tokens(trie, b"re"))
+        ids = mask_ids(trie.matching_tokens(b"re"))
         assert vocab.id_of(b"return") in ids
         assert vocab.id_of(b"turn") not in ids
 
@@ -82,14 +88,14 @@ class TestMatching:
         vocab = Vocabulary([b"a", b"ab", b"abc"])
         trie = build_trie(vocab)
         # walk dies at 'z'; "a" and "ab" were collected on the way
-        assert mask_ids(matching_tokens(trie, b"abz")) == {0, 1}
-        assert mask_ids(matching_tokens(trie, b"zz")) == set()
+        assert mask_ids(trie.matching_tokens(b"abz")) == {0, 1}
+        assert mask_ids(trie.matching_tokens(b"zz")) == set()
 
     def test_specials_never_set(self, trained_vocab):
         vocab = byte_vocab(extra=[b" x"], specials=[255])
         trie = build_trie(vocab)
         for prefix in (b"", b" ", b"\xff"):
-            assert 255 not in mask_ids(matching_tokens(trie, prefix))
+            assert 255 not in mask_ids(trie.matching_tokens(prefix))
 
     def test_oracle_equivalence_randomized(self):
         rng = make_rng(17)
@@ -121,15 +127,15 @@ class TestMatching:
 class TestMaskCache:
     def test_repeat_query_hits(self, trained_trie):
         cache = MaskCache(trained_trie)
-        first = cached_mask(cache, trained_trie, b"  x")
+        first = cache.lookup(trained_trie, b"  x")
         hits_before = cache.hits
-        second = cached_mask(cache, trained_trie, b"  x")
+        second = cache.lookup(trained_trie, b"  x")
         assert cache.hits == hits_before + 1
         assert np.array_equal(first, second)
 
     def test_single_space_preseeded(self, trained_trie):
         cache = MaskCache(trained_trie)
-        assert cached_mask(cache, trained_trie, b" ") is not None
+        assert cache.lookup(trained_trie, b" ") is not None
         assert cache.hits == 1 and cache.misses == 0
 
     def test_cached_equals_fresh_randomized(self, trained_trie):
@@ -138,22 +144,22 @@ class TestMaskCache:
         for _ in range(2000):
             prefix = bytes(rng.integers(0, 256, size=rng.integers(0, 6), dtype="uint8"))
             assert np.array_equal(
-                cached_mask(cache, trained_trie, prefix),
+                cache.lookup(trained_trie, prefix),
                 trained_trie.matching_tokens(prefix),
             )
 
     def test_lru_eviction(self, trained_trie):
         cache = MaskCache(trained_trie, capacity=2)
-        cached_mask(cache, trained_trie, b"a")  # evicts nothing: " " + "a"
-        cached_mask(cache, trained_trie, b"b")  # evicts " "
+        cache.lookup(trained_trie, b"a")  # evicts nothing: " " + "a"
+        cache.lookup(trained_trie, b"b")  # evicts " "
         assert len(cache) == 2
-        cached_mask(cache, trained_trie, b" ")
+        cache.lookup(trained_trie, b" ")
         assert cache.misses == 3  # the pre-seeded entry was evicted
 
     def test_capacity_zero_stores_nothing(self, trained_trie):
         cache = MaskCache(trained_trie, capacity=0)
-        cached_mask(cache, trained_trie, b" ")
-        cached_mask(cache, trained_trie, b" ")
+        cache.lookup(trained_trie, b" ")
+        cache.lookup(trained_trie, b" ")
         assert len(cache) == 0
         assert cache.hits == 0 and cache.misses == 2
 
@@ -167,30 +173,5 @@ class TestMaskCache:
         for capacity in (0, 1, 1024):
             cache = MaskCache(trained_trie, capacity=capacity)
             for p, expected in zip(prefixes, baseline):
-                assert np.array_equal(cached_mask(cache, trained_trie, p), expected)
+                assert np.array_equal(cache.lookup(trained_trie, p), expected)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path, trained_vocab, trained_trie):
-        path = tmp_path / "trie.bin"
-        save_trie(trained_trie, str(path), trained_vocab)
-        loaded = load_trie(str(path))
-        for prefix in (b"", b" ", b"    re", b"\xff\xff"):
-            assert np.array_equal(
-                loaded.matching_tokens(prefix), trained_trie.matching_tokens(prefix)
-            )
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(TrieError, match="magic"):
-            load_trie(str(path))
-
-    def test_specials_preserved_as_holes(self, tmp_path):
-        vocab = byte_vocab(extra=[b"<eos>"], specials=[256])
-        trie = build_trie(vocab)
-        path = tmp_path / "t.bin"
-        save_trie(trie, str(path), vocab)
-        loaded = load_trie(str(path))
-        assert loaded.vocab_size == 257
-        assert 256 not in mask_ids(loaded.matching_tokens(b""))
