@@ -125,7 +125,7 @@ def _read_prompts(path: str | None):
 
 def _prompt_doc(doc: dict, index: int) -> tuple[str, bytes]:
     if "prompt_b64" in doc:
-        prompt = base64.b64decode(json_field(doc, "prompt_b64", str))
+        prompt = base64.b64decode(json_field(doc, "prompt_b64", str), validate=True)
     else:
         prompt = json_field(doc, "text", str).encode("utf-8")
     return str(doc.get("id", index)), prompt

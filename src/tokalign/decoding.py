@@ -5,6 +5,17 @@ renormalization downstream are then unambiguous.  All stochasticity
 lives in the sampler, which draws from an explicit seeded generator
 (NumPy PCG64) via inverse-CDF over the kept set in token-id order, so
 identical seeds reproduce identical outputs byte for byte.
+
+A nucleus draw never sorts ids, and each of its three size regimes keeps
+the ids, and makes the draw, that a stable descending argsort over every
+id would:
+
+- up to 7 weights (most alignment steps): plain Python floats, because
+  NumPy adds that few float64 values left to right, as Python does;
+- up to 4096 weights: one sort of the values;
+- more: a partial selection of the k largest values (k = V/4, grown 4x
+  while the cut lies past them), whose running sums are the first k
+  running sums of the full descending order.
 """
 
 from __future__ import annotations
@@ -84,22 +95,78 @@ def nucleus_keep_set(dist: np.ndarray, top_p: float, temperature: float = 1.0) -
     return _keep_set(_apply_temperature(dist, temperature), top_p)
 
 
+# Up to this many entries a nucleus draw sorts every value: below it a
+# partial selection saves little (about 5 us of 21 at 4096 entries).
+_FULL_SORT_MAX = 4096
+# NumPy sums at most this many float64 values as a left fold, the order
+# plain Python adds them in (tests/test_dense_reference.py checks it).
+_LEFT_FOLD_MAX = 7
+
+
 def _keep_set(w: np.ndarray, top_p: float) -> np.ndarray:
     """:func:`nucleus_keep_set` of already-tempered weights, without an id sort.
 
-    The cumulative sums run over the values in descending order, which is
-    the same float sequence a stable descending argsort would add.  The
-    cut value ``v`` then selects every id above it, plus the lowest-id
-    ties at ``v`` up to the cut count.
+    The running sums of the ``k`` largest values in descending order are
+    the first ``k`` running sums of the whole descending vector, so when
+    the cut falls among them it and its value ``v`` are those of a full
+    sort; otherwise ``k`` grows until it does, or until it is the whole
+    vector.  The result never depends on ``k``.  The kept ids are those
+    above ``v`` plus the lowest-id ties at ``v`` up to the cut count.
     """
-    descending = np.sort(w)[::-1]
-    cum = np.cumsum(descending)
-    cut = min(int(np.searchsorted(cum, top_p, side="left")), len(w) - 1)
-    v = descending[cut]
-    kept = w > v
-    ties = cut + 1 - int(np.count_nonzero(kept))
-    kept[np.flatnonzero(w == v)[:ties]] = True
-    return np.flatnonzero(kept)
+    n = len(w)
+    k = n if n <= _FULL_SORT_MAX else n // 4
+    while True:
+        top = np.sort(w) if k == n else np.sort(np.partition(w, n - k)[n - k:])
+        cum = np.cumsum(top[::-1])
+        cut = int(np.searchsorted(cum, top_p, side="left"))
+        if cut < k or k == n:
+            break
+        k = min(4 * k, n)
+    cut = min(cut, n - 1)
+    v = top[k - 1 - cut]
+    kept = (w >= v).nonzero()[0]
+    if len(kept) > cut + 1:
+        # more ids reach v than the cut holds: keep the lowest-id ties
+        above = w[kept] > v
+        above[np.flatnonzero(~above)[: cut + 1 - int(np.count_nonzero(above))]] = True
+        kept = kept[above]
+    return kept
+
+
+def _draw_small(w: list[float], top_p: float, rng: np.random.Generator) -> int:
+    """The nucleus draw of :func:`sample` for at most ``_LEFT_FOLD_MAX`` weights.
+
+    The same IEEE operations in the same order as the NumPy path: a
+    descending running sum to the cut, the lowest-id ties, the kept mass
+    added left to right, then the inverse CDF walked with one draw.
+    """
+    if not w:
+        raise ValueError("cannot sample from an empty distribution")
+    desc = sorted(w, reverse=True)
+    acc = 0.0
+    for cut, x in enumerate(desc):
+        acc += x
+        if acc >= top_p:
+            break
+    v = desc[cut]
+    room = cut + 1 - desc.index(v)
+    kept = []
+    total = 0.0
+    for i, x in enumerate(w):
+        if x > v or (x == v and room):
+            if x == v:
+                room -= 1
+            kept.append(i)
+            total += x
+    if not total > 0.0:
+        raise ValueError("cannot sample from an all-zero distribution")
+    u = rng.random()
+    acc = 0.0
+    for i in kept:
+        acc += w[i] / total
+        if acc > u:
+            return i
+    return kept[-1]
 
 
 def _apply_temperature(dist: np.ndarray, temperature: float) -> np.ndarray:
@@ -109,7 +176,9 @@ def _apply_temperature(dist: np.ndarray, temperature: float) -> np.ndarray:
     positive = dist > 0
     # p^(1/T) == exp(log(p)/T); zero probabilities are never resurrected
     w[positive] = np.exp(np.log(dist[positive]) / temperature)
-    return w / w.sum()
+    total = w.sum()
+    # all zero, or every entry underflowed: left zero for the draw to reject
+    return w / total if total > 0.0 else w
 
 
 def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> int:
@@ -117,6 +186,7 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
 
     ``dist`` is trusted to meet the provider contract (see
     :func:`check_distribution`); only an all-zero vector is rejected.
+    A nucleus draw takes exactly one ``rng.random()``.
     """
     dist = np.asarray(dist, dtype=np.float64)
     if cfg.mode == "greedy":
@@ -125,12 +195,16 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
         if not dist[best] > 0.0:
             raise ValueError("cannot sample from an all-zero distribution")
         return best
-    if not dist.max() > 0.0:
-        raise ValueError("cannot sample from an all-zero distribution")
     w = _apply_temperature(dist, cfg.temperature)
+    if len(w) <= _LEFT_FOLD_MAX:
+        return _draw_small(w.tolist(), cfg.top_p, rng)
     kept = _keep_set(w, cfg.top_p)
     probs = w[kept]
-    cum = np.cumsum(probs / probs.sum())
+    # the kept set holds a maximum, so zero kept mass means an all-zero vector
+    total = probs.sum()
+    if not total > 0.0:
+        raise ValueError("cannot sample from an all-zero distribution")
+    cum = np.cumsum(probs / total)
     u = rng.random()
     idx = min(int(np.searchsorted(cum, u, side="right")), len(kept) - 1)
     return int(kept[idx])
@@ -180,8 +254,8 @@ class GenerationResult:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GenerationResult":
         return cls(
-            prompt=base64.b64decode(doc["prompt_b64"]),
-            output=base64.b64decode(doc["output_b64"]),
+            prompt=base64.b64decode(doc["prompt_b64"], validate=True),
+            output=base64.b64decode(doc["output_b64"], validate=True),
             token_ids=list(doc["token_ids"]),
             alignment_steps=int(doc["alignment_steps"]),
             mask_sizes=list(doc.get("mask_sizes", [])),
@@ -190,13 +264,13 @@ class GenerationResult:
         )
 
 
-def first_stop_index(data: bytes, stop_sequences: Sequence[bytes]) -> int | None:
-    """Byte index of the earliest stop-sequence occurrence, or None."""
+def first_stop_index(data: bytes, stop_sequences: Sequence[bytes], start: int = 0) -> int | None:
+    """Byte index of the earliest stop-sequence occurrence at or after ``start``, or None."""
     best: int | None = None
     for stop in stop_sequences:
         if not stop:
             continue
-        j = data.find(stop)
+        j = data.find(stop, start)
         if j != -1 and (best is None or j < best):
             best = j
     return best
@@ -217,19 +291,24 @@ def run_free_phase(
     alignment overshot).  Returns the truncation index into ``generated``
     when a stop sequence fired, else None.
     """
+    stops = cfg.stop_sequences
+    longest = max((len(s) for s in stops), default=0)
+    stop_at = first_stop_index(generated, stops)
     steps = 0
-    while True:
-        stop_at = first_stop_index(bytes(generated), cfg.stop_sequences)
-        if stop_at is not None:
-            return stop_at
+    while stop_at is None:
         if steps >= cfg.max_new_tokens:
             return None
         dist = np.asarray(provider.next_distribution(context), dtype=np.float64)
         check_distribution(dist, len(vocab))
         chosen = sample(dist, cfg, rng)
         context.append(chosen)
+        end = len(generated)
         generated += vocab.tokens[chosen]
         steps += 1
+        if stops:
+            # the buffer before this token held no stop, so a new one ends past ``end``
+            stop_at = first_stop_index(generated, stops, max(0, end - longest + 1))
+    return stop_at
 
 
 def generate(
@@ -388,7 +467,7 @@ class ScriptedModel:
         for n, row in enumerate(json_field(doc, "rows", list) if "rows" in doc else []):
             if not isinstance(row, dict):
                 raise ValueError(f"rows[{n}]: expected an object, got {type(row).__name__}")
-            suffix = base64.b64decode(json_field(row, "suffix_b64", str))
+            suffix = base64.b64decode(json_field(row, "suffix_b64", str), validate=True)
             rows.append((suffix, _float_row(json_field(row, "probs", list), f"rows[{n}]")))
         return cls(vocab, rows, _float_row(json_field(doc, "default", list), "default"))
 

@@ -191,8 +191,8 @@ class EvalRecord:
             raise ValueError("field 'references_b64' must hold strings")
         return cls(
             example_id=str(json_field(doc, "example_id", (str, int))),
-            generated=base64.b64decode(json_field(doc, "generated_b64", str)),
-            references=[base64.b64decode(r) for r in references],
+            generated=base64.b64decode(json_field(doc, "generated_b64", str), validate=True),
+            references=[base64.b64decode(r, validate=True) for r in references],
             arm=json_field(doc, "arm", str),
         )
 

@@ -91,9 +91,9 @@ class ScenarioExample:
         return cls(
             scenario=json_field(doc, "scenario", str),
             source_id=json_field(doc, "source_id", str),
-            prompt=base64.b64decode(json_field(doc, "prompt_b64", str)),
-            baseline_prompt=base64.b64decode(json_field(doc, "baseline_prompt_b64", str)),
-            ground_truth=base64.b64decode(json_field(doc, "ground_truth_b64", str)),
+            prompt=base64.b64decode(json_field(doc, "prompt_b64", str), validate=True),
+            baseline_prompt=base64.b64decode(json_field(doc, "baseline_prompt_b64", str), validate=True),
+            ground_truth=base64.b64decode(json_field(doc, "ground_truth_b64", str), validate=True),
             cut_offset=json_field(doc, "cut_offset", int),
         )
 
@@ -374,7 +374,7 @@ def load_corpus(path: str) -> list[tuple[str, bytes]]:
 
 def _corpus_doc(doc: dict, index: int) -> tuple[str, bytes]:
     if "text_b64" in doc:
-        text = base64.b64decode(json_field(doc, "text_b64", str))
+        text = base64.b64decode(json_field(doc, "text_b64", str), validate=True)
     else:
         text = json_field(doc, "text", str).encode("utf-8")
     return str(doc.get("id", index)), text

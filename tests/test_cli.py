@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from tokalign import ScriptedModel, Vocabulary, fixtures, save_vocabulary
+from tokalign import (
+    EvalRecord,
+    ScenarioExample,
+    ScriptedModel,
+    Vocabulary,
+    fixtures,
+    save_vocabulary,
+)
 from tokalign.cli import main
 
 
@@ -137,6 +144,45 @@ class TestAlign:
         assert len(read_results(out)[0]["token_ids"]) > 0
 
 
+def reader_argv(kind, path, demo_paths, demo_prompt_file):
+    """A command that reads ``path`` with the reader named by ``kind``."""
+    table = f"scripted:{demo_paths['table']}"
+    return {
+        "prompts": ["align", "--vocab", demo_paths["vocab"], "--provider", table,
+                    "--prompt-file", str(path)],
+        "table": ["align", "--vocab", demo_paths["vocab"], "--provider", f"scripted:{path}",
+                  "--prompt-file", demo_prompt_file],
+        "dataset": ["eval", "--dataset", str(path), "--validate-only"],
+        "records": ["eval", "--records", str(path), "--metrics", "em"],
+        "corpus": ["align", "--vocab", demo_paths["vocab"], "--provider", f"ngram:{path}",
+                   "--prompt-file", demo_prompt_file],
+    }[kind]
+
+
+def valid_reader_doc(kind, demo_paths):
+    """One document that the reader named by ``kind`` accepts."""
+    def b64(data):
+        return base64.b64encode(data).decode("ascii")
+
+    if kind == "table":
+        with open(demo_paths["table"]) as fh:
+            return json.load(fh)
+    return {
+        "prompts": {"prompt_b64": b64(b"return")},
+        "dataset": ScenarioExample("subword", "s", b"retu", b"retu", b"rn x", 4).to_json_dict(),
+        "records": EvalRecord("e", b"return", [b"return"], "aligned").to_json_dict(),
+        "corpus": {"text_b64": b64(b"return x\n")},
+    }[kind]
+
+
+def assert_one_error_line(capsys, argv, path):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tokalign: error: ")
+    assert str(path) in lines[0]
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         code = main(["align"])  # missing --vocab
@@ -175,22 +221,38 @@ class TestExitCodes:
     ):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(content + "\n")
-        table = f"scripted:{demo_paths['table']}"
-        argv = {
-            "prompts": ["align", "--vocab", demo_paths["vocab"], "--provider", table,
-                        "--prompt-file", str(bad)],
-            "table": ["align", "--vocab", demo_paths["vocab"], "--provider", f"scripted:{bad}",
-                      "--prompt-file", demo_prompt_file],
-            "dataset": ["eval", "--dataset", str(bad), "--validate-only"],
-            "records": ["eval", "--records", str(bad), "--metrics", "em"],
-            "corpus": ["align", "--vocab", demo_paths["vocab"], "--provider", f"ngram:{bad}",
-                       "--prompt-file", demo_prompt_file],
-        }[kind]
-        code, _, err = run(capsys, *argv)
-        assert code == 2
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("tokalign: error: ")
-        assert str(bad) in lines[0]
+        assert_one_error_line(capsys, reader_argv(kind, bad, demo_paths, demo_prompt_file), bad)
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("prompts", "prompt_b64"),
+            ("table", "suffix_b64"),
+            ("dataset", "prompt_b64"),
+            ("dataset", "baseline_prompt_b64"),
+            ("dataset", "ground_truth_b64"),
+            ("records", "generated_b64"),
+            ("records", "references_b64"),
+            ("corpus", "text_b64"),
+        ],
+    )
+    def test_corrupt_base64_is_two(
+        self, capsys, tmp_path, demo_paths, demo_prompt_file, kind, field
+    ):
+        # a lenient decoder drops the "!" and reads the rest as valid data
+        def corrupt(value):
+            return value[:4] + "!" + value[4:]
+
+        doc = valid_reader_doc(kind, demo_paths)
+        if kind == "table":
+            doc["rows"][0][field] = corrupt(doc["rows"][0][field])
+        elif field == "references_b64":
+            doc[field] = [corrupt(doc[field][0])]
+        else:
+            doc[field] = corrupt(doc[field])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(doc) + "\n")
+        assert_one_error_line(capsys, reader_argv(kind, bad, demo_paths, demo_prompt_file), bad)
 
     def test_dead_end_is_three(self, capsys, tmp_path):
         vocab = Vocabulary([b"a", b"ac", b"acd", b"cd"])

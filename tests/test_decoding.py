@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from tokalign import (
     NGramModel,
     SamplerConfig,
     ScriptedModel,
+    Vocabulary,
     build_ngram_model,
     generate,
     make_rng,
     nucleus_keep_set,
     sample,
 )
-from tokalign.decoding import check_distribution, first_stop_index
+from tokalign.decoding import check_distribution, first_stop_index, run_free_phase
 
 from conftest import byte_vocab
 
@@ -44,6 +46,19 @@ class TestSample:
         cfg = SamplerConfig(mode="greedy")
         with pytest.raises(ValueError):
             sample(np.array([0.0, 0.0]), cfg, make_rng(0))
+
+    @pytest.mark.parametrize("size", [3, 5000])
+    @pytest.mark.parametrize("temperature", [1.0, 0.5, 1e-4])
+    def test_nucleus_all_zero_rejected_without_warnings(self, size, temperature):
+        cfg = SamplerConfig(mode="nucleus", top_p=0.9, temperature=temperature)
+        dist = np.zeros(size)
+        if temperature == 1e-4:
+            # every (1/size)^(1/T) underflows to zero
+            dist = np.full(size, 1.0 / size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^cannot sample from an all-zero"):
+                sample(dist, cfg, make_rng(0))
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError):
@@ -240,6 +255,9 @@ class TestGenerate:
         doc = result.to_json_dict()
         back = GenerationResult.from_json_dict(doc)
         assert back == result
+        corrupt = {**doc, "output_b64": doc["output_b64"][:4] + "!" + doc["output_b64"][4:]}
+        with pytest.raises(ValueError):
+            GenerationResult.from_json_dict(corrupt)
 
 
 class TestStopIndex:
@@ -251,3 +269,71 @@ class TestStopIndex:
 
     def test_empty_stop_ignored(self):
         assert first_stop_index(b"abc", (b"",)) is None
+
+
+class ScriptedSequence:
+    """Provider that emits ``ids`` in order, one-hot, whatever the context."""
+
+    def __init__(self, vocab_size, ids):
+        self.vocab_size = vocab_size
+        self._ids = iter(ids)
+
+    def next_distribution(self, context):
+        dist = np.zeros(self.vocab_size)
+        dist[next(self._ids)] = 1.0
+        return dist
+
+
+def reference_stop_index(tokens, ids, generated, stops, max_new_tokens):
+    """Truncation index from a full-buffer scan before each step."""
+    buf = bytearray(generated)
+    for step in range(max_new_tokens + 1):
+        stop_at = first_stop_index(bytes(buf), stops)
+        if stop_at is not None or step == max_new_tokens:
+            return stop_at
+        buf += tokens[ids[step]]
+
+
+class TestFreePhaseStops:
+    TOKENS = [b"a", b"b", b"c", b"ab", b"bc", b"cab", b"\n", b"abc"]
+
+    def run(self, ids, stops, generated=b"", max_new_tokens=None):
+        vocab = Vocabulary(self.TOKENS)
+        n = len(ids) if max_new_tokens is None else max_new_tokens
+        cfg = SamplerConfig(mode="greedy", max_new_tokens=n, stop_sequences=stops)
+        buf = bytearray(generated)
+        got = run_free_phase(
+            ScriptedSequence(len(vocab), ids), vocab, [], buf, cfg, make_rng(0)
+        )
+        assert got == reference_stop_index(self.TOKENS, ids, generated, cfg.stop_sequences, n)
+        return got, bytes(buf)
+
+    def ids(self, *tokens):
+        return [self.TOKENS.index(t) for t in tokens]
+
+    def test_stop_straddles_two_tokens(self):
+        got, buf = self.run(self.ids(b"c", b"cab", b"c", b"a"), (b"bc",))
+        assert (got, buf) == (3, b"ccabc")
+
+    def test_stop_inside_overshoot_needs_no_provider_call(self):
+        got, buf = self.run([], (b"bc",), generated=b"abca", max_new_tokens=5)
+        assert (got, buf) == (1, b"abca")
+
+    def test_later_listed_stop_that_occurs_earlier_wins(self):
+        got, _ = self.run(self.ids(b"c", b"abc", b"a"), (b"bc", b"cab"))
+        assert got == 0
+        got, _ = self.run(self.ids(b"a", b"abc", b"a"), (b"bca", b"ab", b"aab"))
+        assert got == 0
+
+    def test_long_stop_ending_in_a_later_token(self):
+        got, _ = self.run(self.ids(b"a", b"b", b"c", b"c", b"a", b"b"), (b"a\n", b"bccab"))
+        assert got == 1
+
+    def test_two_hundred_tokens_match_full_scan(self):
+        rng = np.random.default_rng(7)
+        stop_sets = [(), (b"",), (b"\n",), (b"cc", b"bab"), (b"abcab", b"ccc", b"\n\n")]
+        for trial in range(40):
+            ids = rng.integers(0, len(self.TOKENS), 200).tolist()
+            got, buf = self.run(ids, stop_sets[trial % len(stop_sets)])
+            if got is None:
+                assert len(buf) == sum(len(self.TOKENS[i]) for i in ids)

@@ -3,8 +3,14 @@
 The reference functions below are the earlier dense implementations: a
 length-V boolean mask applied with ``np.where``, and a nucleus keep set
 built from a stable descending argsort over every id.  The sparse path
-must keep exactly the same ids and make exactly the same seeded draws.
+must keep exactly the same ids, make exactly the same seeded draws and
+leave the generator in the same state, for tiny vectors (the
+interpreter path), small ones (a full value sort) and large ones (a
+partial selection).
 """
+
+import functools
+import operator
 
 import numpy as np
 import pytest
@@ -19,7 +25,7 @@ from tokalign import (
     nucleus_keep_set,
     sample,
 )
-from tokalign.decoding import _apply_temperature
+from tokalign.decoding import _LEFT_FOLD_MAX, _apply_temperature
 
 PINNED = settings(max_examples=400, deadline=None, database=None)
 TOP_PS = (0.15, 0.5, 0.9, 1.0)
@@ -61,7 +67,8 @@ def reference_sample(dist, cfg, rng):
 
 
 # Weights drawn from a small pool make ties and hard zeros common.
-weight = st.one_of(st.sampled_from([0.0, 0.0, 0.1, 0.25, 1 / 3, 1.0, 2.0]), st.floats(0.0, 1.0))
+POOL = [0.0, 0.0, 0.1, 0.25, 1 / 3, 1.0, 2.0]
+weight = st.one_of(st.sampled_from(POOL), st.floats(0.0, 1.0))
 
 
 @st.composite
@@ -133,7 +140,76 @@ def test_sparse_step_draws_like_dense_reference(data, dist, mode, top_p, tempera
         want = reference_sample(dense, cfg, rng_dense)
         got = int(ids[sample(probs, cfg, rng_sparse)])
         assert got == want
+        assert rng_sparse.random() == rng_dense.random()
         seed_ += 1
+
+
+@st.composite
+def large_distributions(draw):
+    """5k-20k entries: the tie-and-zero pool, all equal, or 1% nonzero."""
+    kind = draw(st.sampled_from(["pool", "pool", "flat", "sparse"]))
+    n = draw(st.integers(5_000, 20_000))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "pool":
+        w = g.choice(POOL, n)
+        uniform = g.random(n) < 0.5
+        w[uniform] = g.random(int(uniform.sum()))
+    elif kind == "flat":
+        w = np.ones(n)
+    else:
+        w = np.zeros(n)
+        w[g.choice(n, n // 100, replace=False)] = g.random(n // 100) + 1e-3
+    return w / w.sum()
+
+
+@seed(240308688)
+@settings(max_examples=36, deadline=None, database=None)
+@given(
+    dist=large_distributions(),
+    top_p=st.sampled_from(TOP_PS),
+    temperature=st.sampled_from((1.0, 0.5)),
+    seed_=st.integers(0, 2**32 - 1),
+)
+def test_large_vectors_equal_argsort_reference(dist, top_p, temperature, seed_):
+    assert np.array_equal(
+        nucleus_keep_set(dist, top_p, temperature),
+        reference_keep_set(dist, top_p, temperature),
+    )
+    cfg = sampler("nucleus", top_p, temperature, seed_)
+    rng_dense, rng_sparse = make_rng(seed_), make_rng(seed_)
+    assert sample(dist, cfg, rng_sparse) == reference_sample(dist, cfg, rng_dense)
+    assert rng_sparse.random() == rng_dense.random()
+
+
+@seed(240308688)
+@PINNED
+@given(st.lists(weight, min_size=1, max_size=_LEFT_FOLD_MAX))
+def test_numpy_adds_few_values_left_to_right(values):
+    # the interpreter path of `sample` reproduces NumPy's sums with plain
+    # float additions; that holds only while NumPy adds this few values in
+    # order (longer arrays are summed pairwise)
+    fold = functools.reduce(operator.add, values)
+    assert np.add.reduce(np.array(values)) == fold
+    assert np.cumsum(values)[-1] == fold
+
+
+class FixedDraw:
+    """A generator stand-in whose draw is a chosen value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("n", [2, 8, 5000])
+def test_draw_exactly_on_a_cumulative_boundary(n):
+    # u equal to a running sum selects the next id, as searchsorted(side="right") does
+    dist = np.full(n, 1.0 / n)
+    cfg = sampler("nucleus", 1.0, 1.0, 0)
+    for u in (0.0, 1.0 / n, 0.5):
+        assert sample(dist, cfg, FixedDraw(u)) == reference_sample(dist, cfg, FixedDraw(u))
 
 
 def test_top_p_one_round_off_reaches_zero_probability_ids():
