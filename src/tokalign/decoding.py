@@ -12,10 +12,13 @@ id would:
 
 - up to 7 weights (most alignment steps): plain Python floats, because
   NumPy adds that few float64 values left to right, as Python does;
-- up to 4096 weights: one sort of the values;
-- more: a partial selection of the k largest values (k = V/4, grown 4x
-  while the cut lies past them), whose running sums are the first k
-  running sums of the full descending order.
+- up to 4096 weights, or ``top_p`` 1: one sort of the values;
+- more: a sort of only the values at or above an upper quartile
+  estimated from every 64th value.  They are the largest values with
+  all their ties, so their running sums are the first running sums of
+  the full descending order.  This pays when the largest quarter of
+  the values holds ``top_p`` of the mass (a peaked vector); otherwise
+  every value is sorted after one selection pass.
 """
 
 from __future__ import annotations
@@ -95,42 +98,74 @@ def nucleus_keep_set(dist: np.ndarray, top_p: float, temperature: float = 1.0) -
     return _keep_set(_apply_temperature(dist, temperature), top_p)
 
 
-# Up to this many entries a nucleus draw sorts every value: below it a
-# partial selection saves little (about 5 us of 21 at 4096 entries).
+# Up to this many entries a nucleus draw sorts every value: below it
+# sorting only the candidates saves little.
 _FULL_SORT_MAX = 4096
+# Every this-many-th value is sorted to estimate the upper quartile.
+_SAMPLE_STRIDE = 64
 # NumPy sums at most this many float64 values as a left fold, the order
 # plain Python adds them in (tests/test_dense_reference.py checks it).
 _LEFT_FOLD_MAX = 7
 
 
 def _keep_set(w: np.ndarray, top_p: float) -> np.ndarray:
-    """:func:`nucleus_keep_set` of already-tempered weights, without an id sort.
+    """:func:`nucleus_keep_set` of already-tempered weights, without an id sort."""
+    found = _candidates(w, top_p)
+    kept = None if found is None else _keep_among(w, *found, top_p)
+    return _keep_among(w, None, w, top_p) if kept is None else kept
 
-    The running sums of the ``k`` largest values in descending order are
-    the first ``k`` running sums of the whole descending vector, so when
-    the cut falls among them it and its value ``v`` are those of a full
-    sort; otherwise ``k`` grows until it does, or until it is the whole
-    vector.  The result never depends on ``k``.  The kept ids are those
-    above ``v`` plus the lowest-id ties at ``v`` up to the cut count.
+
+def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Ascending ids, and their values, of those at or above an estimated upper quartile.
+
+    None when sorting every value is as cheap or the candidates cannot
+    hold the cut: a small vector; ``top_p`` 1, whose cut falls near the
+    last positive value; candidates that are most of the vector (a long
+    run of equal values at the estimate); candidates holding less than
+    ``top_p`` of the mass (a flat vector, or one not peaked enough).
     """
     n = len(w)
-    k = n if n <= _FULL_SORT_MAX else n // 4
-    while True:
-        top = np.sort(w) if k == n else np.sort(np.partition(w, n - k)[n - k:])
-        cum = np.cumsum(top[::-1])
-        cut = int(np.searchsorted(cum, top_p, side="left"))
-        if cut < k or k == n:
-            break
-        k = min(4 * k, n)
-    cut = min(cut, n - 1)
-    v = top[k - 1 - cut]
-    kept = (w >= v).nonzero()[0]
-    if len(kept) > cut + 1:
+    if n <= _FULL_SORT_MAX or top_p >= 1.0:
+        return None
+    sample = np.sort(w[::_SAMPLE_STRIDE])
+    chosen = w >= sample[-(len(sample) // 4)]
+    count = np.count_nonzero(chosen)
+    # their mass is at most count * max: a flat vector is ruled out before the gather
+    if count > n // 2 or count * w.max() < top_p:
+        return None
+    ids = chosen.nonzero()[0]
+    vals = w[ids]
+    return (ids, vals) if vals.sum() >= top_p else None
+
+
+def _keep_among(
+    w: np.ndarray, ids: np.ndarray | None, vals: np.ndarray, top_p: float
+) -> np.ndarray | None:
+    """The keep set found by sorting ``vals = w[ids]`` (``ids`` None: all of ``w``).
+
+    ``ids`` holds every id whose value is at or above some threshold, so
+    ``vals`` are the largest values with all their ties, and their
+    descending running sums are the first running sums of the whole
+    vector.  When those reach ``top_p`` the cut and its value ``v`` are a
+    full sort's; otherwise this returns None.  The kept ids are those
+    above ``v`` plus the lowest-id ties at ``v`` up to the cut count.
+    """
+    top = np.sort(vals)
+    cum = np.cumsum(top[::-1])
+    cut = int(np.searchsorted(cum, top_p, side="left"))
+    if cut == len(top):
+        if ids is not None:
+            return None
+        cut -= 1
+    v = top[-1 - cut]
+    if len(top) - int(np.searchsorted(top, v, side="left")) == cut + 1:
+        pos = (vals >= v).nonzero()[0]
+    else:
         # more ids reach v than the cut holds: keep the lowest-id ties
-        above = w[kept] > v
-        above[np.flatnonzero(~above)[: cut + 1 - int(np.count_nonzero(above))]] = True
-        kept = kept[above]
-    return kept
+        keep = vals > v
+        keep[np.flatnonzero(vals == v)[: cut + 1 - int(np.count_nonzero(keep))]] = True
+        pos = np.flatnonzero(keep)
+    return pos if ids is None else ids[pos]
 
 
 def _draw_small(w: list[float], top_p: float, rng: np.random.Generator) -> int:
@@ -264,13 +299,13 @@ class GenerationResult:
         )
 
 
-def first_stop_index(data: bytes, stop_sequences: Sequence[bytes], start: int = 0) -> int | None:
-    """Byte index of the earliest stop-sequence occurrence at or after ``start``, or None."""
+def first_stop_index(data: bytes, stop_sequences: Sequence[bytes]) -> int | None:
+    """Byte index of the earliest stop-sequence occurrence, or None."""
     best: int | None = None
     for stop in stop_sequences:
         if not stop:
             continue
-        j = data.find(stop, start)
+        j = data.find(stop)
         if j != -1 and (best is None or j < best):
             best = j
     return best
@@ -292,23 +327,19 @@ def run_free_phase(
     when a stop sequence fired, else None.
     """
     stops = cfg.stop_sequences
-    longest = max((len(s) for s in stops), default=0)
-    stop_at = first_stop_index(generated, stops)
     steps = 0
-    while stop_at is None:
+    while True:
+        stop_at = first_stop_index(generated, stops) if stops else None
+        if stop_at is not None:
+            return stop_at
         if steps >= cfg.max_new_tokens:
             return None
         dist = np.asarray(provider.next_distribution(context), dtype=np.float64)
         check_distribution(dist, len(vocab))
         chosen = sample(dist, cfg, rng)
         context.append(chosen)
-        end = len(generated)
         generated += vocab.tokens[chosen]
         steps += 1
-        if stops:
-            # the buffer before this token held no stop, so a new one ends past ``end``
-            stop_at = first_stop_index(generated, stops, max(0, end - longest + 1))
-    return stop_at
 
 
 def generate(

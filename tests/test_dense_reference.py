@@ -5,8 +5,8 @@ length-V boolean mask applied with ``np.where``, and a nucleus keep set
 built from a stable descending argsort over every id.  The sparse path
 must keep exactly the same ids, make exactly the same seeded draws and
 leave the generator in the same state, for tiny vectors (the
-interpreter path), small ones (a full value sort) and large ones (a
-partial selection).
+interpreter path), small ones (a full value sort) and large ones (a sort
+of the values at or above an estimated upper quartile).
 """
 
 import functools
@@ -25,7 +25,8 @@ from tokalign import (
     nucleus_keep_set,
     sample,
 )
-from tokalign.decoding import _LEFT_FOLD_MAX, _apply_temperature
+from tokalign import decoding
+from tokalign.decoding import _LEFT_FOLD_MAX, _apply_temperature, _candidates
 
 PINNED = settings(max_examples=400, deadline=None, database=None)
 TOP_PS = (0.15, 0.5, 0.9, 1.0)
@@ -144,10 +145,16 @@ def test_sparse_step_draws_like_dense_reference(data, dist, mode, top_p, tempera
         seed_ += 1
 
 
+def zipf(n, exponent, g):
+    w = np.arange(1, n + 1, dtype=np.float64) ** -exponent
+    return g.permutation(w / w.sum())
+
+
 @st.composite
 def large_distributions(draw):
-    """5k-20k entries: the tie-and-zero pool, all equal, or 1% nonzero."""
-    kind = draw(st.sampled_from(["pool", "pool", "flat", "sparse"]))
+    """5k-20k entries: the tie-and-zero pool, all equal, 1% nonzero, a
+    smoothing floor under a few spikes, or Zipf (rounded: ties and zeros)."""
+    kind = draw(st.sampled_from(["pool", "flat", "sparse", "floor", "zipf", "zipf-rounded"]))
     n = draw(st.integers(5_000, 20_000))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "pool":
@@ -156,14 +163,21 @@ def large_distributions(draw):
         w[uniform] = g.random(int(uniform.sum()))
     elif kind == "flat":
         w = np.ones(n)
-    else:
+    elif kind == "sparse":
         w = np.zeros(n)
         w[g.choice(n, n // 100, replace=False)] = g.random(n // 100) + 1e-3
+    elif kind == "floor":
+        w = np.full(n, 0.1)
+        w[g.choice(n, 50, replace=False)] += g.integers(1, 200, 50)
+    else:
+        w = zipf(n, g.uniform(0.8, 2.0), g)
+        if kind == "zipf-rounded":
+            w = np.round(w, int(g.integers(4, 7)))
     return w / w.sum()
 
 
 @seed(240308688)
-@settings(max_examples=36, deadline=None, database=None)
+@settings(max_examples=60, deadline=None, database=None)
 @given(
     dist=large_distributions(),
     top_p=st.sampled_from(TOP_PS),
@@ -179,6 +193,72 @@ def test_large_vectors_equal_argsort_reference(dist, top_p, temperature, seed_):
     rng_dense, rng_sparse = make_rng(seed_), make_rng(seed_)
     assert sample(dist, cfg, rng_sparse) == reference_sample(dist, cfg, rng_dense)
     assert rng_sparse.random() == rng_dense.random()
+
+
+def vector_50k(kind):
+    g = np.random.default_rng(7)
+    n = 50_000
+    if kind == "zipf":
+        return zipf(n, 1.1, g)
+    if kind == "flat":
+        w = g.uniform(0.9, 1.1, n)
+    elif kind == "equal":
+        w = np.ones(n)
+    elif kind == "floor":
+        w = np.full(n, 0.1)
+        w[g.choice(n, 50, replace=False)] += g.integers(1, 200, 50)
+    else:
+        w = np.zeros(n)
+        w[g.choice(n, 500, replace=False)] = g.random(500) + 1e-3
+    return w / w.sum()
+
+
+@pytest.mark.parametrize(
+    "kind, top_p, selects",
+    [
+        ("zipf", 0.9, True),
+        ("zipf", 0.99, False),
+        ("zipf", 1.0, False),
+        ("flat", 0.9, False),
+        ("flat", 1.0, False),
+        ("equal", 0.9, False),
+        ("floor", 0.9, False),
+        ("sparse", 0.9, False),
+    ],
+)
+def test_candidate_selection_only_where_it_pays(kind, top_p, selects, monkeypatch):
+    # at top_p 0.99 the top quarter of this Zipf vector holds too little
+    # mass, top_p 1 cuts near the last positive value, a flat vector's top
+    # quarter holds a quarter of the mass, and a run of equal values at the
+    # quartile selects most ids: each sorts every value, and sorts it once
+    dist = vector_50k(kind)
+    assert (_candidates(dist, top_p) is not None) == selects
+    sorted_sets = []
+    keep_among = decoding._keep_among
+
+    def spy(w, ids, vals, p):
+        sorted_sets.append(len(vals))
+        return keep_among(w, ids, vals, p)
+
+    monkeypatch.setattr(decoding, "_keep_among", spy)
+    assert np.array_equal(nucleus_keep_set(dist, top_p), reference_keep_set(dist, top_p))
+    assert len(sorted_sets) == 1 and (sorted_sets[0] < len(dist)) == selects
+    cfg = sampler("nucleus", top_p, 1.0, 11)
+    rng_dense, rng_sparse = make_rng(11), make_rng(11)
+    assert sample(dist, cfg, rng_sparse) == reference_sample(dist, cfg, rng_dense)
+    assert rng_sparse.random() == rng_dense.random()
+
+
+def test_candidates_whose_running_sum_falls_short():
+    # top_p equal to the candidates' pairwise sum, which exceeds their
+    # running sum in the last bit: the cut lies past them, so every value
+    # is sorted
+    dist = zipf(8192, 1.5, np.random.default_rng(0))
+    _, vals = _candidates(dist, 0.5)
+    top_p = float(vals.sum())
+    assert np.cumsum(np.sort(vals)[::-1])[-1] < top_p
+    assert _candidates(dist, top_p) is not None
+    assert np.array_equal(nucleus_keep_set(dist, top_p), reference_keep_set(dist, top_p))
 
 
 @seed(240308688)
