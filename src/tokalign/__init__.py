@@ -52,11 +52,7 @@ from .scenarios import (
     DatasetError,
     NoCutPointError,
     ScenarioExample,
-    cut_contiguous_space,
-    cut_punctuation,
-    cut_space_prefix_indent,
-    cut_space_prefix_sep,
-    cut_subword,
+    cut,
     example_at,
     generate_dataset,
     validate_example,

@@ -43,7 +43,11 @@ class EmptyMaskError(AlignmentError):
 
 
 class DeadEndError(AlignmentError):
-    """A dead end was hit and the fallback policy is 'error'."""
+    """No token fits the leftover prefix, so alignment cannot continue.
+
+    A single-byte token for the prefix's first byte would itself be
+    compatible, so no fallback can recover from a dead end.
+    """
 
     def __init__(self, prefix: bytes, context: list[int], steps_taken: int):
         super().__init__(
@@ -64,24 +68,14 @@ class AlignConfig:
     """Backtracking parameters.
 
     ``backtrack_tokens`` defaults to 3; one token often under-backtracks
-    past multi-token artifacts like space-prefixed words.  The step bound
-    is pure defense in depth: termination is already guaranteed because
-    every accepted token consumes at least one prefix byte.
+    past multi-token artifacts like space-prefixed words.
     """
 
     backtrack_tokens: int = 3
-    fallback_policy: str = "error"  # "error" | "emit-raw-bytes"
-    max_alignment_steps: int | None = None
 
     def __post_init__(self):
         if self.backtrack_tokens < 1:
             raise ValueError("backtrack_tokens must be >= 1")
-        if self.fallback_policy not in ("error", "emit-raw-bytes"):
-            raise ValueError(f"unknown fallback policy {self.fallback_policy!r}")
-        if self.max_alignment_steps is None:
-            self.max_alignment_steps = 4 * self.backtrack_tokens + 16
-        if self.max_alignment_steps < self.backtrack_tokens:
-            raise ValueError("max_alignment_steps must be >= backtrack_tokens")
 
 
 @dataclass
@@ -193,17 +187,17 @@ def aligned_generate(
     ids = encode(vocab, prompt)
     context, prefix = backtrack_split(ids, vocab, align_cfg.backtrack_tokens)
     state = AlignmentState(context=context, prefix=prefix)
+    # every accepted token consumes at least one prefix byte
+    max_steps = len(prefix)
     rng = make_rng(sampler_cfg.seed)
     mask_sizes: list[int] = []
     per_lookup_max_us = 0.0
-    dead_end = False
 
     t_align = time.perf_counter_ns()
     while state.prefix:
-        if state.steps_taken >= align_cfg.max_alignment_steps:
+        if state.steps_taken >= max_steps:
             raise AlignmentError(
-                f"alignment exceeded {align_cfg.max_alignment_steps} steps; "
-                "provider/vocabulary mismatch?"
+                f"alignment exceeded {max_steps} steps without consuming the prefix"
             )
         dist = np.asarray(provider.next_distribution(state.context), dtype=np.float64)
         check_distribution(dist, len(vocab))
@@ -211,11 +205,7 @@ def aligned_generate(
         try:
             ids, probs = align_step(state, dist, trie, cache)
         except EmptyMaskError:
-            dead_end = True
-            if align_cfg.fallback_policy == "error":
-                raise DeadEndError(state.prefix, state.context, state.steps_taken) from None
-            state = _emit_raw_bytes(state, vocab)
-            break
+            raise DeadEndError(state.prefix, state.context, state.steps_taken) from None
         per_lookup_max_us = max(
             per_lookup_max_us, (time.perf_counter_ns() - t_step) / 1000.0
         )
@@ -245,16 +235,5 @@ def aligned_generate(
             "free": free_us,
             "per_lookup_max": per_lookup_max_us,
         },
-        dead_end=dead_end,
     )
 
-
-def _emit_raw_bytes(state: AlignmentState, vocab: Vocabulary) -> AlignmentState:
-    """Fallback: append the remaining prefix verbatim via single-byte tokens."""
-    context = list(state.context)
-    for b in state.prefix:
-        try:
-            context.append(vocab.id_of(bytes([b])))
-        except Exception:
-            raise DeadEndError(state.prefix, state.context, state.steps_taken) from None
-    return AlignmentState(context=context, prefix=b"", steps_taken=state.steps_taken)

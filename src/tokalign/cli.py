@@ -9,8 +9,8 @@ All byte-carrying I/O is JSONL with base64 fields so non-UTF-8 prompts
 survive end to end.  Paths may use ``bundled:<name>`` to reach the
 packaged fixtures (code, prose, demo-vocab, demo-table).
 
-Exit codes: 0 success, 1 usage, 2 data error, 3 dead end under the
-``error`` fallback policy.
+Exit codes: 0 success, 1 usage, 2 data error, 3 alignment failure (a
+dead end, or a broken alignment invariant).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .vocab import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-EXIT_DEAD_END = 3
+EXIT_ALIGNMENT = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,35 +83,15 @@ def _load_provider(args, vocab: Vocabulary):
     raise ValueError(f"unknown provider spec {spec!r}")
 
 
-def _merge_config(args) -> None:
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("--config must contain a JSON object")
-    for key, value in doc.items():
-        dest = key.replace("-", "_")
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
-
-
 def _sampler_config(args) -> SamplerConfig:
     stops = tuple(_escape_bytes(s) for s in (args.stop or []))
     return SamplerConfig(
-        mode=args.mode if args.mode is not None else "greedy",
-        top_p=args.top_p if args.top_p is not None else 1.0,
-        temperature=args.temperature if args.temperature is not None else 1.0,
-        seed=args.seed if args.seed is not None else 0,
-        max_new_tokens=args.max_new_tokens if args.max_new_tokens is not None else 64,
+        mode=args.mode,
+        top_p=args.top_p,
+        temperature=args.temperature,
+        seed=args.seed,
+        max_new_tokens=args.max_new_tokens,
         stop_sequences=stops,
-    )
-
-
-def _align_config(args) -> align_mod.AlignConfig:
-    return align_mod.AlignConfig(
-        backtrack_tokens=args.backtrack if args.backtrack is not None else 3,
-        fallback_policy=args.fallback if args.fallback is not None else "error",
     )
 
 
@@ -136,7 +116,6 @@ def _prompt_doc(doc: dict, index: int) -> tuple[str, bytes]:
 
 
 def cmd_align(args) -> int:
-    _merge_config(args)
     vocab = load_vocabulary(_resolve(args.vocab))
     provider = _load_provider(args, vocab)
     sampler = _sampler_config(args)
@@ -155,8 +134,8 @@ def cmd_align(args) -> int:
                 emit(prompt_id, generate(provider, vocab, prompt, sampler))
             return EXIT_OK
         trie = build_trie(vocab)
-        cache = MaskCache(trie, capacity=args.cache_size if args.cache_size is not None else 1024)
-        align_cfg = _align_config(args)
+        cache = MaskCache(trie, capacity=args.cache_size)
+        align_cfg = align_mod.AlignConfig(backtrack_tokens=args.backtrack)
         for prompt_id, prompt in _read_prompts(args.prompt_file):
             result = align_mod.aligned_generate(
                 provider, vocab, trie, cache, prompt, align_cfg, sampler
@@ -171,10 +150,9 @@ def cmd_align(args) -> int:
 def cmd_gen_dataset(args) -> int:
     corpus = scenarios.load_corpus(_resolve(args.corpus))
     names = list(scenarios.SCENARIOS) if args.scenario == "all" else [args.scenario]
-    seed = args.seed if args.seed is not None else 0
     all_stats = {}
     for name in names:
-        examples, stats = scenarios.generate_dataset(corpus, name, seed, args.per_doc)
+        examples, stats = scenarios.generate_dataset(corpus, name, args.seed, args.per_doc)
         path = args.out if (args.out and len(names) == 1) else f"{args.out_dir}/{name}.jsonl"
         scenarios.write_dataset(path, examples, stats)
         all_stats[name] = stats
@@ -201,7 +179,6 @@ def _validate_dataset(examples) -> int:
 
 
 def cmd_eval(args) -> int:
-    _merge_config(args)
     wanted = tuple(args.metrics.split(",")) if args.metrics else metrics.ALL_METRICS
 
     if args.records:
@@ -221,7 +198,7 @@ def cmd_eval(args) -> int:
     if provider.vocab_size != len(vocab):
         raise ValueError("provider and vocabulary disagree on vocabulary size")
     sampler = _sampler_config(args)
-    align_cfg = _align_config(args)
+    align_cfg = align_mod.AlignConfig(backtrack_tokens=args.backtrack)
     arms = ["aligned", "unaligned"] if args.arm == "both" else [args.arm]
 
     trie = build_trie(vocab)
@@ -274,20 +251,18 @@ def _emit_eval_report(args, records, wanted, vocab, label) -> int:
 
 
 def cmd_bench(args) -> int:
-    _merge_config(args)
-    seed = args.seed if args.seed is not None else 0
     report = {}
     if not args.skip_lookup:
         if args.vocab:
             vocab = load_vocabulary(_resolve(args.vocab))
         else:
-            vocab = bench_mod.make_synthetic_vocabulary(args.vocab_size, seed)
+            vocab = bench_mod.make_synthetic_vocabulary(args.vocab_size, args.seed)
         report["lookup"] = bench_mod.bench_lookup(
             vocab,
             queries=args.queries,
             warmup=args.warmup,
             naive_queries=args.naive_queries,
-            seed=seed,
+            seed=args.seed,
         )
     if not args.skip_steps:
         corpus = scenarios.load_corpus(_resolve(args.corpus))
@@ -296,10 +271,10 @@ def cmd_bench(args) -> int:
         provider = build_ngram_model(
             (t for _, t in corpus), train_vocab, args.ngram_order, args.ngram_alpha
         )
-        prompts = bench_mod.boundary_prompts(corpus, train_vocab, args.prompts, seed)
+        prompts = bench_mod.boundary_prompts(corpus, train_vocab, args.prompts, args.seed)
         report["alignment_steps"] = bench_mod.bench_alignment_steps(
             provider, train_vocab, prompts,
-            backtrack_tokens=args.backtrack if args.backtrack is not None else 3,
+            backtrack_tokens=args.backtrack,
         )
     text = json.dumps(report, indent=1, sort_keys=True)
     if args.out:
@@ -340,13 +315,13 @@ def cmd_vocab_inspect(args) -> int:
 
 
 def _add_sampler_flags(p: _Parser) -> None:
-    p.add_argument("--mode", choices=["greedy", "nucleus"], default=None)
-    p.add_argument("--top-p", type=float, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--max-new-tokens", type=int, default=None)
+    p.add_argument("--mode", choices=["greedy", "nucleus"], default=SamplerConfig.mode)
+    p.add_argument("--top-p", type=float, default=SamplerConfig.top_p)
+    p.add_argument("--temperature", type=float, default=SamplerConfig.temperature)
+    p.add_argument("--max-new-tokens", type=int, default=SamplerConfig.max_new_tokens)
     p.add_argument("--stop", action="append", default=None,
                    help="stop sequence (supports \\n style escapes); repeatable")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=SamplerConfig.seed)
 
 
 def _add_provider_flags(p: _Parser) -> None:
@@ -368,17 +343,15 @@ def build_parser() -> _Parser:
     p.add_argument("--no-align", action="store_true")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings_us in results (not bit-reproducible)")
-    p.add_argument("--backtrack", type=int, default=None)
-    p.add_argument("--fallback", choices=["error", "emit-raw-bytes"], default=None)
-    p.add_argument("--cache-size", type=int, default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--backtrack", type=int, default=align_mod.AlignConfig.backtrack_tokens)
+    p.add_argument("--cache-size", type=int, default=1024)
     _add_sampler_flags(p)
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("gen-dataset", help="cut a corpus into scenario datasets")
     p.add_argument("--corpus", required=True)
     p.add_argument("--scenario", choices=list(scenarios.SCENARIOS) + ["all"], required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--per-doc", type=int, default=1)
     p.add_argument("--out", default=None, help="output file (single scenario only)")
     p.add_argument("--out-dir", default=".")
@@ -397,11 +370,9 @@ def build_parser() -> _Parser:
     p.add_argument("--use-baseline", action="store_true")
     p.add_argument("--validate-only", action="store_true")
     p.add_argument("--label", default=None)
-    p.add_argument("--backtrack", type=int, default=None)
-    p.add_argument("--fallback", choices=["error", "emit-raw-bytes"], default=None)
+    p.add_argument("--backtrack", type=int, default=align_mod.AlignConfig.backtrack_tokens)
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
-    p.add_argument("--config", default=None)
     _add_sampler_flags(p)
     p.set_defaults(func=cmd_eval)
 
@@ -418,10 +389,9 @@ def build_parser() -> _Parser:
     p.add_argument("--ngram-order", type=int, default=3)
     p.add_argument("--ngram-alpha", type=float, default=0.1)
     p.add_argument("--prompts", type=int, default=200)
-    p.add_argument("--backtrack", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--backtrack", type=int, default=align_mod.AlignConfig.backtrack_tokens)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("vocab", help="vocabulary tools")
@@ -449,9 +419,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except align_mod.DeadEndError as exc:
-        print(f"tokalign: dead end: {exc}", file=sys.stderr)
-        return EXIT_DEAD_END
+    except align_mod.AlignmentError as exc:
+        print(f"tokalign: alignment failed: {exc}", file=sys.stderr)
+        return EXIT_ALIGNMENT
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"tokalign: error: {exc}", file=sys.stderr)
         return EXIT_DATA

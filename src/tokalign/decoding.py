@@ -253,10 +253,9 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
 class GenerationResult:
     """One completed generation session.
 
-    ``output`` always begins with the prompt bytes (absent a dead end) and
-    may be truncated at the first stop-sequence occurrence; ``token_ids``
-    lists every token the session emitted, untruncated.  Timings are
-    microseconds; ``per_lookup_max`` is the slowest single alignment
+    ``output`` always begins with the prompt bytes and may be truncated
+    at the first stop-sequence occurrence; ``token_ids`` lists every
+    token the session emitted, untruncated.  Timings are microseconds; ``per_lookup_max`` is the slowest single alignment
     step's mask lookup plus renormalization over the compatible ids.
     """
 
@@ -266,14 +265,6 @@ class GenerationResult:
     alignment_steps: int
     mask_sizes: list[int] = field(default_factory=list)
     timings_us: dict = field(default_factory=dict)
-    dead_end: bool = False
-
-    @property
-    def continuation(self) -> bytes:
-        """Generated bytes past the prompt (empty if a dead end truncated it)."""
-        if self.output.startswith(self.prompt):
-            return self.output[len(self.prompt):]
-        return b""
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,20 +274,7 @@ class GenerationResult:
             "alignment_steps": self.alignment_steps,
             "mask_sizes": list(self.mask_sizes),
             "timings_us": dict(self.timings_us),
-            "dead_end": self.dead_end,
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "GenerationResult":
-        return cls(
-            prompt=base64.b64decode(doc["prompt_b64"], validate=True),
-            output=base64.b64decode(doc["output_b64"], validate=True),
-            token_ids=list(doc["token_ids"]),
-            alignment_steps=int(doc["alignment_steps"]),
-            mask_sizes=list(doc.get("mask_sizes", [])),
-            timings_us=dict(doc.get("timings_us", {})),
-            dead_end=bool(doc.get("dead_end", False)),
-        )
 
 
 def first_stop_index(data: bytes, stop_sequences: Sequence[bytes]) -> int | None:

@@ -205,13 +205,14 @@ def _make_example(scenario: str, source: bytes, source_id: str, cut: int) -> Sce
     )
 
 
-def _cut(scenario: str, source: bytes, rng: np.random.Generator, source_id: str) -> ScenarioExample:
+def cut(scenario: str, source: bytes, rng: np.random.Generator, source_id: str = "") -> ScenarioExample:
+    """Cut ``source`` at an eligible position of ``scenario`` drawn from ``rng``."""
     source = bytes(source)
     positions = eligible_positions(scenario, source)
     if not positions:
         raise NoCutPointError(f"{scenario}: no eligible cut position in {source_id or 'document'}")
-    cut = positions[int(rng.integers(len(positions)))]
-    return _make_example(scenario, source, source_id, cut)
+    offset = positions[int(rng.integers(len(positions)))]
+    return _make_example(scenario, source, source_id, offset)
 
 
 def example_at(scenario: str, source: bytes, cut: int, source_id: str = "") -> ScenarioExample:
@@ -220,31 +221,6 @@ def example_at(scenario: str, source: bytes, cut: int, source_id: str = "") -> S
     if cut not in eligible_positions(scenario, source):
         raise NoCutPointError(f"{scenario}: offset {cut} is not an eligible cut position")
     return _make_example(scenario, source, source_id, cut)
-
-
-def cut_subword(source: bytes, rng: np.random.Generator, source_id: str = "") -> ScenarioExample:
-    """Cut strictly inside a word, leaving a dangling subword."""
-    return _cut("subword", source, rng, source_id)
-
-
-def cut_punctuation(source: bytes, rng: np.random.Generator, source_id: str = "") -> ScenarioExample:
-    """Cut strictly inside a run of two or more punctuation bytes."""
-    return _cut("punctuation", source, rng, source_id)
-
-
-def cut_space_prefix_sep(source: bytes, rng: np.random.Generator, source_id: str = "") -> ScenarioExample:
-    """Cut after a mid-line separator space, before the next word."""
-    return _cut("prefix_sep", source, rng, source_id)
-
-
-def cut_space_prefix_indent(source: bytes, rng: np.random.Generator, source_id: str = "") -> ScenarioExample:
-    """Cut right after a full leading-indentation block."""
-    return _cut("prefix_indent", source, rng, source_id)
-
-
-def cut_contiguous_space(source: bytes, rng: np.random.Generator, source_id: str = "") -> ScenarioExample:
-    """Cut strictly inside a run of two or more whitespace bytes."""
-    return _cut("contiguous_space", source, rng, source_id)
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def _randomized_runs(texts, capacity, seed=1234, total=1002):
             ids = encode(vocab, prompt)
             initial_prefix = decode(vocab, ids[-min(b, len(ids)):])
             outputs.append(
-                (prompt, result.output, result.dead_end, result.alignment_steps, len(initial_prefix))
+                (prompt, result.output, result.alignment_steps, len(initial_prefix))
             )
     return outputs
 
@@ -141,23 +141,25 @@ def randomized_runs(texts):
 
 
 def test_criterion_2_prompt_preservation(randomized_runs):
-    """>=1000 randomized aligned generations: output startswith prompt, no dead ends."""
+    """>=1000 randomized aligned generations: output startswith prompt.
+
+    A dead end raises while the runs are built, so it fails this test too.
+    """
     assert len(randomized_runs) >= 1000
-    dead = sum(1 for _, _, dead_end, _, _ in randomized_runs if dead_end)
     mismatched = sum(
-        1 for prompt, output, _, _, _ in randomized_runs if not output.startswith(prompt)
+        1 for prompt, output, _, _ in randomized_runs if not output.startswith(prompt)
     )
     _report(
         "criterion 2: prompt preservation",
-        dead == 0 and mismatched == 0,
-        f"{len(randomized_runs)} runs, {dead} dead ends, {mismatched} mismatches",
+        mismatched == 0,
+        f"{len(randomized_runs)} runs, {mismatched} mismatches",
     )
 
 
 def test_criterion_3_termination_and_step_mode(randomized_runs, corpus, assets):
     """Steps never exceed the prefix length; boundary-prompt step mode == 3."""
     bound_ok = all(
-        steps <= prefix_len for _, _, _, steps, prefix_len in randomized_runs
+        steps <= prefix_len for _, _, steps, prefix_len in randomized_runs
     )
     vocab, provider, _ = assets
     prompts = boundary_prompts(corpus, vocab, count=300, seed=11)
@@ -313,10 +315,10 @@ def test_criterion_7_metric_oracles():
 
 def test_criterion_8_mask_cache_transparency(texts, randomized_runs):
     """Cache capacities 0, 1, 1024 produce byte-identical generations."""
-    reference = [(p, o) for p, o, _, _, _ in randomized_runs]
+    reference = [(p, o) for p, o, _, _ in randomized_runs]
     ok = True
     for capacity in (0, 1):
-        other = [(p, o) for p, o, _, _, _ in _randomized_runs(texts, capacity=capacity)]
+        other = [(p, o) for p, o, _, _ in _randomized_runs(texts, capacity=capacity)]
         ok = ok and other == reference
     _report("criterion 8: mask-cache transparency", ok, "capacities 0/1/1024")
 

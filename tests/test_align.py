@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from tokalign import (
     decode,
     fixtures,
     generate,
+    load_vocabulary,
     make_rng,
     mask_distribution,
     sample,
@@ -228,7 +230,6 @@ class TestAlignedGenerate:
         )
         assert result.alignment_steps == len(result.mask_sizes) == 1
         assert result.mask_sizes[0] == 2  # {newline, indented return}
-        assert not result.dead_end
         assert result.timings_us["alignment"] > 0
         doc = result.to_json_dict()
         assert set(doc["timings_us"]) == {"alignment", "free", "per_lookup_max"}
@@ -264,21 +265,6 @@ class TestAlignedGenerate:
                 AlignConfig(backtrack_tokens=1), cfg,
             )
 
-    def test_dead_end_emit_raw_bytes_aborts_without_single_bytes(self):
-        # at a genuine dead end the needed single-byte tokens cannot exist,
-        # so the fallback path also surfaces DeadEndError
-        vocab = Vocabulary([b"a", b"ac", b"acd", b"cd"])
-        trie = build_trie(vocab)
-        forcing = np.zeros(4)
-        forcing[vocab.id_of(b"ac")] = 1.0
-        provider = ScriptedModel(vocab, [], forcing)
-        cfg = SamplerConfig(mode="greedy", max_new_tokens=2)
-        with pytest.raises(DeadEndError):
-            aligned_generate(
-                provider, vocab, trie, None, b"acd",
-                AlignConfig(backtrack_tokens=1, fallback_policy="emit-raw-bytes"), cfg,
-            )
-
     def test_no_dead_ends_with_full_byte_coverage(self, trained_vocab, ngram_provider, trained_trie):
         assert trained_vocab.has_all_byte_tokens()
         rng = make_rng(55)
@@ -294,7 +280,6 @@ class TestAlignedGenerate:
                 ngram_provider, trained_vocab, trained_trie, cache,
                 prompt_pool[start:end], AlignConfig(), cfg,
             )
-            assert not result.dead_end
             assert result.output.startswith(prompt_pool[start:end])
 
 
@@ -362,6 +347,25 @@ class TestSafetyBound:
             align_module.aligned_generate(
                 provider, vocab, trie, None, b"ab", AlignConfig(backtrack_tokens=1), cfg
             )
+
+    def test_long_single_token_prefix_completes(self):
+        # the demo's first line is one 59-byte token, so backtracking leaves
+        # an empty context; the table's default row is flat over the
+        # compatible tokens, so greedy takes the lowest id, a single byte,
+        # and alignment consumes the prefix one byte per step
+        vocab = load_vocabulary(fixtures.data_path(fixtures.DEMO_VOCAB_FILE))
+        with open(fixtures.data_path(fixtures.DEMO_TABLE_FILE)) as fh:
+            provider = ScriptedModel.from_json_dict(vocab, json.load(fh))
+        trie = build_trie(vocab)
+        prompt = b"# write a function to get three maximum numbers from a list"
+        ids = encode(vocab, prompt)
+        _, prefix = backtrack_split(ids, vocab, AlignConfig().backtrack_tokens)
+        cfg = SamplerConfig(mode="greedy", max_new_tokens=2)
+        result = aligned_generate(
+            provider, vocab, trie, MaskCache(trie), prompt, AlignConfig(), cfg
+        )
+        assert result.output.startswith(prompt)
+        assert 0 < result.alignment_steps <= len(prefix)
 
 
 class TestAlwaysOnChecks:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tokalign import (
+    AlignmentState,
     EvalRecord,
     ScenarioExample,
     ScriptedModel,
@@ -126,22 +127,6 @@ class TestAlign:
             "--out", str(no_timings),
         )
         assert "timings_us" not in read_results(no_timings)[0]
-
-    def test_config_file_supplies_flags(self, capsys, tmp_path, demo_paths, demo_prompt_file):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({
-            "vocab": demo_paths["vocab"],
-            "provider": f"scripted:{demo_paths['table']}",
-            "max_new_tokens": 2,
-        }))
-        out = tmp_path / "o.jsonl"
-        code, _, _ = run(
-            capsys, "align", "--vocab", demo_paths["vocab"],
-            "--config", str(config), "--prompt-file", demo_prompt_file,
-            "--out", str(out),
-        )
-        assert code == 0
-        assert len(read_results(out)[0]["token_ids"]) > 0
 
 
 def reader_argv(kind, path, demo_paths, demo_prompt_file):
@@ -272,7 +257,43 @@ class TestExitCodes:
             "--out", str(tmp_path / "o.jsonl"),
         )
         assert code == 3
-        assert "dead end" in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("tokalign: ")
+        assert "dead end" in lines[0]
+
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            # the context keeps growing but the prefix never shrinks
+            (lambda state, out: AlignmentState(out.context, state.prefix, out.steps_taken),
+             "exceeded"),
+            # the prefix is consumed but the token is never appended
+            (lambda state, out: AlignmentState(state.context, out.prefix, out.steps_taken),
+             "lost prompt"),
+        ],
+        ids=["stuck", "forgetful"],
+    )
+    def test_alignment_error_is_three(
+        self, capsys, monkeypatch, tmp_path, demo_paths, demo_prompt_file, broken, message
+    ):
+        import tokalign.align as align_module
+
+        real_advance = align_module.advance
+
+        def broken_advance(state, chosen, vocab):
+            return broken(state, real_advance(state, chosen, vocab))
+
+        monkeypatch.setattr(align_module, "advance", broken_advance)
+        code, _, err = run(
+            capsys, "align", "--vocab", demo_paths["vocab"],
+            "--provider", f"scripted:{demo_paths['table']}",
+            "--prompt-file", demo_prompt_file, "--max-new-tokens", "2",
+            "--out", str(tmp_path / "o.jsonl"),
+        )
+        assert code == 3
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("tokalign: ")
+        assert message in lines[0]
 
 
 class TestGenDataset:

@@ -6,11 +6,7 @@ from tokalign import (
     DatasetError,
     NoCutPointError,
     SCENARIOS,
-    cut_contiguous_space,
-    cut_punctuation,
-    cut_space_prefix_indent,
-    cut_space_prefix_sep,
-    cut_subword,
+    cut,
     example_at,
     fixtures,
     generate_dataset,
@@ -34,8 +30,8 @@ def assert_valid(ex):
 class TestSubword:
     def test_cut_inside_range(self):
         source = b"for i in range(len(l)):"
-        cut = source.index(b"range") + 4  # after "rang"
-        ex = example_at("subword", source, cut)
+        offset = source.index(b"range") + 4  # after "rang"
+        ex = example_at("subword", source, offset)
         assert ex.prompt.endswith(b"for i in rang")
         assert ex.baseline_prompt == b"for i in"
         assert ex.ground_truth == b"e(len(l)):"
@@ -51,20 +47,20 @@ class TestSubword:
         rng = make_rng(13)
         for _ in range(500):
             _, text = code_corpus[int(rng.integers(len(code_corpus)))]
-            ex = cut_subword(text, rng)
+            ex = cut("subword", text, rng)
             assert ex.prompt[-1:].isalnum() or ex.prompt[-1:] == b"_"
             assert_valid(ex)
 
     def test_no_eligible_word(self):
         with pytest.raises(NoCutPointError):
-            cut_subword(b"a b c !", make_rng(0))
+            cut("subword", b"a b c !", make_rng(0))
 
 
 class TestPunctuation:
     def test_brace_run(self):
         source = b"x = {};"
-        for cut in (source.index(b"{") + 1, source.index(b"{") + 2):
-            ex = example_at("punctuation", source, cut)
+        for offset in (source.index(b"{") + 1, source.index(b"{") + 2):
+            ex = example_at("punctuation", source, offset)
             assert ex.prompt.endswith(b"{") or ex.prompt.endswith(b"{}")
             assert_valid(ex)
 
@@ -77,14 +73,14 @@ class TestPunctuation:
 
     def test_no_adjacent_punctuation(self):
         with pytest.raises(NoCutPointError):
-            cut_punctuation(b"plain words only.", make_rng(0))
+            cut("punctuation", b"plain words only.", make_rng(0))
 
     def test_random_cuts_validate(self, code_corpus):
         rng = make_rng(29)
         for _ in range(200):
             _, text = code_corpus[int(rng.integers(len(code_corpus)))]
             try:
-                ex = cut_punctuation(text, rng)
+                ex = cut("punctuation", text, rng)
             except NoCutPointError:
                 continue
             assert_valid(ex)
@@ -106,13 +102,13 @@ class TestSpacePrefixSep:
     def test_indentation_never_eligible(self):
         #  the only spaces are line-leading: no cut position exists
         with pytest.raises(NoCutPointError):
-            cut_space_prefix_sep(b"\n    value\n        other", make_rng(0))
+            cut("prefix_sep", b"\n    value\n        other", make_rng(0))
 
     def test_random_cuts_validate(self, code_corpus):
         rng = make_rng(37)
         for _ in range(300):
             _, text = code_corpus[int(rng.integers(len(code_corpus)))]
-            ex = cut_space_prefix_sep(text, rng)
+            ex = cut("prefix_sep", text, rng)
             line = ex.prompt[ex.prompt.rfind(b"\n") + 1 :]
             assert line.strip()  # final line never all-whitespace
             assert_valid(ex)
@@ -139,7 +135,7 @@ class TestSpacePrefixIndent:
         rng = make_rng(41)
         for _ in range(300):
             _, text = code_corpus[int(rng.integers(len(code_corpus)))]
-            ex = cut_space_prefix_indent(text, rng)
+            ex = cut("prefix_indent", text, rng)
             next_byte = ex.ground_truth[:1]
             assert next_byte not in (b" ", b"\n", b"\t")
             assert_valid(ex)
@@ -165,7 +161,7 @@ class TestContiguousSpace:
         ws = (b" ", b"\n", b"\t")
         for _ in range(300):
             _, text = code_corpus[int(rng.integers(len(code_corpus)))]
-            ex = cut_contiguous_space(text, rng)
+            ex = cut("contiguous_space", text, rng)
             assert ex.prompt[-1:] in ws and ex.ground_truth[:1] in ws
             assert_valid(ex)
 
@@ -173,12 +169,10 @@ class TestContiguousSpace:
 class TestReconstruction:
     def test_prompt_plus_truth_is_source(self, code_corpus):
         rng = make_rng(47)
-        cuts = [cut_subword, cut_punctuation, cut_space_prefix_sep,
-                cut_space_prefix_indent, cut_contiguous_space]
         for _, text in code_corpus[:10]:
-            for cut in cuts:
+            for scenario in SCENARIOS:
                 try:
-                    ex = cut(text, rng)
+                    ex = cut(scenario, text, rng)
                 except NoCutPointError:
                     continue
                 assert ex.prompt + ex.ground_truth == text
@@ -227,7 +221,7 @@ class TestGenerateDataset:
 
     def test_non_utf8_source_survives_jsonl(self, tmp_path):
         source = b"alpha \xff\xfebeta gamma"
-        ex = cut_subword(source, make_rng(0), source_id="raw")
+        ex = cut("subword", source, make_rng(0), source_id="raw")
         path = tmp_path / "raw.jsonl"
         write_dataset(str(path), [ex])
         assert read_dataset(str(path))[0] == ex
