@@ -37,7 +37,11 @@ DIST_SUM_TOLERANCE = 1e-6
 
 
 class LogitsProvider(Protocol):
-    """Anything that maps a token-id context to a next-token distribution."""
+    """Anything that maps a token-id context to a next-token distribution.
+
+    tokalign never writes into a vector a provider returns, so a provider
+    may hand out the same read-only array on every call.
+    """
 
     vocab_size: int
 
@@ -352,6 +356,10 @@ def generate(
 # Desk-scale providers
 
 
+# Bytes of seen-context rows an n-gram model keeps (83 rows at 50k ids).
+_ROW_MEMO_BYTES = 32 << 20
+
+
 class NGramModel:
     """Seeded-corpus n-gram provider with add-alpha smoothing.
 
@@ -359,7 +367,12 @@ class NGramModel:
     order are left-padded with a before-start sentinel, which training
     also counts, so sequence-initial transitions are modeled instead of
     falling off a cliff.  Genuinely unseen contexts back off to the
-    uniform distribution over the vocabulary.  Immutable after build.
+    uniform distribution over the vocabulary.
+
+    Every returned row is read-only.  Unseen contexts share one uniform
+    row.  A seen context's row is built on first use and kept while the
+    kept rows fit in ``_ROW_MEMO_BYTES``; past that, rows are built per
+    call.  :meth:`observe` drops the kept rows.
     """
 
     _BEFORE_START = -1
@@ -373,6 +386,9 @@ class NGramModel:
         self.order = order
         self.alpha = alpha
         self._counts: dict[tuple[int, ...], Counter[int]] = {}
+        self._uniform = _frozen_row(np.full(vocab_size, 1.0 / vocab_size))
+        self._rows: dict[tuple[int, ...], np.ndarray] = {}
+        self._row_capacity = _ROW_MEMO_BYTES // self._uniform.nbytes
 
     def _key(self, context: Sequence[int]) -> tuple[int, ...]:
         if len(context) >= self.order:
@@ -386,15 +402,23 @@ class NGramModel:
         for i in range(k, len(padded)):
             ctx = padded[i - k : i]
             self._counts.setdefault(ctx, Counter())[padded[i]] += 1
+        self._rows.clear()
 
     def next_distribution(self, context: Sequence[int]) -> np.ndarray:
-        counter = self._counts.get(self._key(context))
+        key = self._key(context)
+        row = self._rows.get(key)
+        if row is not None:
+            return row
+        counter = self._counts.get(key)
         if counter is None:
-            return np.full(self.vocab_size, 1.0 / self.vocab_size)
+            return self._uniform
         dist = np.full(self.vocab_size, self.alpha, dtype=np.float64)
         for token, count in counter.items():
             dist[token] += count
         dist /= dist.sum()
+        dist.setflags(write=False)
+        if len(self._rows) < self._row_capacity:
+            self._rows[key] = dist
         return dist
 
 
@@ -419,7 +443,8 @@ class ScriptedModel:
     """Deterministic provider driven by a byte-suffix lookup table.
 
     The row whose suffix is the longest match against the decoded context
-    wins; the mandatory default row covers everything else.
+    wins; the mandatory default row covers everything else.  Rows are
+    read-only copies of the arrays passed in.
     """
 
     def __init__(
@@ -432,7 +457,7 @@ class ScriptedModel:
             raise ValueError("scripted model requires a default row")
         self.vocab = vocab
         self.vocab_size = len(vocab)
-        self.default = np.asarray(default, dtype=np.float64)
+        self.default = _frozen_row(default)
         check_distribution(self.default, self.vocab_size)
         seen: set[bytes] = set()
         prepared: list[tuple[bytes, np.ndarray]] = []
@@ -441,7 +466,7 @@ class ScriptedModel:
             if suffix in seen:
                 raise ValueError(f"duplicate scripted suffix {suffix!r}")
             seen.add(suffix)
-            arr = np.asarray(probs, dtype=np.float64)
+            arr = _frozen_row(probs)
             check_distribution(arr, self.vocab_size)
             prepared.append((suffix, arr))
         # longest suffix first so the first match wins
@@ -479,6 +504,13 @@ class ScriptedModel:
             suffix = base64.b64decode(json_field(row, "suffix_b64", str), validate=True)
             rows.append((suffix, _float_row(json_field(row, "probs", list), f"rows[{n}]")))
         return cls(vocab, rows, _float_row(json_field(doc, "default", list), "default"))
+
+
+def _frozen_row(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``."""
+    row = np.array(values, dtype=np.float64)
+    row.setflags(write=False)
+    return row
 
 
 def _float_row(values: list, where: str) -> np.ndarray:

@@ -61,6 +61,10 @@ class Vocabulary:
     with; when set, encoding applies merges within chunks (the behavior
     of real byte-level BPE deployments, and what makes space-prefix and
     indentation tokens canonical).  When None, merges apply globally.
+
+    A vocabulary with merges and ``pretokenize`` memoizes the ids of each
+    chunk it encodes successfully, up to ``_CHUNK_MEMO_ENTRIES`` chunks;
+    chunk ids depend only on the chunk and the immutable merge table.
     """
 
     def __init__(
@@ -86,6 +90,7 @@ class Vocabulary:
         )
         if self.merges is not None:
             self._merge_rank = {pair: r for r, pair in enumerate(self.merges)}
+        self._chunk_ids: dict[bytes, list[int]] = {}
 
     def _validate(self) -> None:
         if not self.tokens:
@@ -188,13 +193,24 @@ def _encode_greedy(vocab: Vocabulary, text: bytes) -> list[int]:
     return ids
 
 
+# Chunks whose ids a vocabulary memoizes; later new chunks are encoded per call.
+_CHUNK_MEMO_ENTRIES = 1 << 14
+
+
 def _encode_bpe(vocab: Vocabulary, text: bytes) -> list[int]:
     if vocab.pretokenize is None:
         return _bpe_chunk(vocab, text, 0)
+    memo = vocab._chunk_ids
     ids: list[int] = []
     offset = 0
     for chunk in pretokenize(text, vocab.pretokenize):
-        ids.extend(_bpe_chunk(vocab, chunk, offset))
+        chunk_ids = memo.get(chunk)
+        if chunk_ids is None:
+            # a failure raises here, so only successful encodes are kept
+            chunk_ids = _bpe_chunk(vocab, chunk, offset)
+            if len(memo) < _CHUNK_MEMO_ENTRIES:
+                memo[chunk] = chunk_ids
+        ids.extend(chunk_ids)
         offset += len(chunk)
     return ids
 

@@ -487,3 +487,50 @@ class TestAlwaysOnChecks:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["aligned", "ValueError", "plain", "ValueError"]
+
+
+class ReadOnlyRows:
+    """Provider handing out the same read-only Zipf rows, picked by the last id."""
+
+    def __init__(self, vocab_size, rows=4):
+        rng = np.random.default_rng(0)
+        zipf = np.arange(1, vocab_size + 1, dtype=np.float64) ** -1.1
+        zipf /= zipf.sum()
+        self.vocab_size = vocab_size
+        self.rows = [zipf[rng.permutation(vocab_size)] for _ in range(rows)]
+        self.saved = [row.copy() for row in self.rows]
+        for row in self.rows:
+            row.setflags(write=False)
+
+    def next_distribution(self, context):
+        return self.rows[context[-1] % len(self.rows) if context else 0]
+
+
+class TestProviderVectorsNeverWritten:
+    CONFIGS = {
+        "greedy": SamplerConfig(mode="greedy", max_new_tokens=8),
+        "nucleus": SamplerConfig(mode="nucleus", top_p=0.9, seed=5, max_new_tokens=8),
+        "nucleus-tempered-stop": SamplerConfig(
+            mode="nucleus", top_p=0.9, temperature=0.7, seed=5, max_new_tokens=8,
+            stop_sequences=(b"\n", b" "),
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(CONFIGS))
+    def test_read_only_rows(self, mode, trained_vocab, trained_trie):
+        from tokalign.bench import make_synthetic_vocabulary
+
+        synthetic = make_synthetic_vocabulary(5000)
+        cases = [
+            (trained_vocab, trained_trie, b"def get_total(items):\n    re"),
+            (synthetic, build_trie(synthetic), b"the quick brown fo"),
+        ]
+        cfg = self.CONFIGS[mode]
+        for vocab, trie, prompt in cases:
+            provider = ReadOnlyRows(len(vocab))
+            aligned = aligned_generate(
+                provider, vocab, trie, MaskCache(trie), prompt, AlignConfig(), cfg
+            )
+            plain = generate(provider, vocab, prompt, cfg)
+            assert aligned.output.startswith(prompt) and plain.output.startswith(prompt)
+            assert all(np.array_equal(r, s) for r, s in zip(provider.rows, provider.saved))

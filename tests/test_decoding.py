@@ -207,6 +207,23 @@ class TestScripted:
         with pytest.raises(ValueError):
             ScriptedModel(vocab, [], np.array([1.0]))
 
+    def test_rows_are_read_only_copies(self):
+        vocab = byte_vocab()
+        default = np.full(len(vocab), 1.0 / len(vocab))
+        row = np.zeros(len(vocab))
+        row[ord("x")] = 1.0
+        model = ScriptedModel(vocab, [(b"a", row)], default)
+        assert model.default is not default
+        default[:] = 0.0
+        row[:] = 0.0
+        after_a, other = model.next_distribution([ord("a")]), model.next_distribution([])
+        assert after_a[ord("x")] == 1.0
+        assert np.array_equal(other, np.full(len(vocab), 1.0 / len(vocab)))
+        for out in (after_a, other):
+            assert not out.flags.writeable
+            with pytest.raises(ValueError):
+                out[0] = 1.0
+
 
 class TestGenerate:
     def test_degenerate_continuation_without_alignment(self, demo_vocab, demo_model):
