@@ -4,7 +4,13 @@ Providers return full probability vectors (not logits): masking and
 renormalization downstream are then unambiguous.  All stochasticity
 lives in the sampler, which draws from an explicit seeded generator
 (NumPy PCG64) via inverse-CDF over the kept set in token-id order, so
-identical seeds reproduce identical outputs byte for byte.
+identical seeds reproduce identical outputs byte for byte.  A greedy
+draw takes the first maximum, so ties go to the lowest id.
+
+Per-token code calls ndarray methods (``argmax``, ``sort``, ``cumsum``,
+``searchsorted``, ``nonzero``) rather than the ``np.*`` functions that
+forward to them: the same C kernels with the same arguments, so draws
+are bit-identical, without the 1 to 1.6 µs a wrapper adds to each call.
 
 A nucleus draw never sorts ids, and each of its three size regimes keeps
 the ids, and makes the draw, that a stable descending argsort over every
@@ -131,7 +137,8 @@ def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | 
     n = len(w)
     if n <= _FULL_SORT_MAX or top_p >= 1.0:
         return None
-    sample = np.sort(w[::_SAMPLE_STRIDE])
+    sample = w[::_SAMPLE_STRIDE].copy()
+    sample.sort()
     chosen = w >= sample[-(len(sample) // 4)]
     count = np.count_nonzero(chosen)
     # their mass is at most count * max: a flat vector is ruled out before the gather
@@ -154,21 +161,21 @@ def _keep_among(
     full sort's; otherwise this returns None.  The kept ids are those
     above ``v`` plus the lowest-id ties at ``v`` up to the cut count.
     """
-    top = np.sort(vals)
-    cum = np.cumsum(top[::-1])
-    cut = int(np.searchsorted(cum, top_p, side="left"))
+    top = vals.copy()
+    top.sort()
+    cut = int(top[::-1].cumsum().searchsorted(top_p, side="left"))
     if cut == len(top):
         if ids is not None:
             return None
         cut -= 1
     v = top[-1 - cut]
-    if len(top) - int(np.searchsorted(top, v, side="left")) == cut + 1:
+    if len(top) - int(top.searchsorted(v, side="left")) == cut + 1:
         pos = (vals >= v).nonzero()[0]
     else:
         # more ids reach v than the cut holds: keep the lowest-id ties
         keep = vals > v
-        keep[np.flatnonzero(vals == v)[: cut + 1 - int(np.count_nonzero(keep))]] = True
-        pos = np.flatnonzero(keep)
+        keep[(vals == v).nonzero()[0][: cut + 1 - int(np.count_nonzero(keep))]] = True
+        pos = keep.nonzero()[0]
     return pos if ids is None else ids[pos]
 
 
@@ -229,8 +236,7 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
     """
     dist = np.asarray(dist, dtype=np.float64)
     if cfg.mode == "greedy":
-        # np.argmax returns the first maximum: lowest-index tie-break
-        best = int(np.argmax(dist))
+        best = int(dist.argmax())
         if not dist[best] > 0.0:
             raise ValueError("cannot sample from an all-zero distribution")
         return best
@@ -243,9 +249,9 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
     total = probs.sum()
     if not total > 0.0:
         raise ValueError("cannot sample from an all-zero distribution")
-    cum = np.cumsum(probs / total)
+    cum = (probs / total).cumsum()
     u = rng.random()
-    idx = min(int(np.searchsorted(cum, u, side="right")), len(kept) - 1)
+    idx = min(int(cum.searchsorted(u, side="right")), len(kept) - 1)
     return int(kept[idx])
 
 

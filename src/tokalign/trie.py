@@ -101,7 +101,8 @@ class ByteTrie:
             exact.sort()
             ids = np.array(exact, dtype=np.int64)
         else:
-            ids = np.sort(np.concatenate((np.array(exact, dtype=np.int64), self._ids[lo:hi])))
+            ids = np.concatenate((np.array(exact, dtype=np.int64), self._ids[lo:hi]))
+            ids.sort()
         ids.setflags(write=False)
         return ids
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -397,59 +398,51 @@ def json_field(doc: dict, key: str, kind: type | tuple[type, ...]):
 class PretokenizeOptions:
     """Chunking rules applied before pair counting.
 
-    ``space_prefix``: a single space preceding a word sticks to the word,
-    so `` like``-style tokens can form.  ``group_whitespace``: runs of
-    space/newline/tab stay in one chunk, so multi-whitespace tokens can
-    form; when off, whitespace is split into single bytes and never merges.
+    ``space_prefix``: the last space of a whitespace run sticks to the
+    word or punctuation run after it, so `` like``-style tokens can form.
+    ``group_whitespace``: runs of space/newline/tab stay in one chunk, so
+    multi-whitespace tokens can form; when off, whitespace-only chunks
+    are split into single bytes and never merge.  A space that joined the
+    next run stays there either way.  Earlier versions split `` like``
+    into single bytes when ``space_prefix`` was on and grouping off;
+    chunks changed only for that pair of options, so vocabularies trained
+    with it encode differently now.
     """
 
     space_prefix: bool = False
     group_whitespace: bool = False
 
 
-def _byte_class(b: int) -> int:
-    # 0 whitespace (space/newline/tab), 1 word (alnum, underscore, non-ASCII), 2 other
-    if b in (0x20, 0x0A, 0x09):
-        return 0
-    if b == 0x5F or 0x30 <= b <= 0x39 or 0x41 <= b <= 0x5A or 0x61 <= b <= 0x7A or b >= 0x80:
-        return 1
-    return 2
+# Byte classes: whitespace (space, newline, tab), word (ASCII letters and
+# digits, underscore, every byte >= 0x80) and other.  A chunk is a run of
+# one class.  With space_prefix the lookahead leaves a whitespace run's
+# last space, when a non-whitespace byte follows it, to the next chunk.
+_CHUNK_PATTERNS = {
+    False: re.compile(rb"[_0-9A-Za-z\x80-\xff]+|[^ \n\t_0-9A-Za-z\x80-\xff]+|[ \n\t]+"),
+    True: re.compile(
+        rb"[ \n\t]+(?= [^ \n\t])| ?[_0-9A-Za-z\x80-\xff]+| ?[^ \n\t_0-9A-Za-z\x80-\xff]+|[ \n\t]+"
+    ),
+}
 
 
 def pretokenize(text: bytes, options: PretokenizeOptions) -> list[bytes]:
-    """Split ``text`` into chunks; merges never cross chunk boundaries."""
-    if not text:
-        return []
-    runs: list[bytes] = []
-    start = 0
-    cls = _byte_class(text[0])
-    for i in range(1, len(text)):
-        c = _byte_class(text[i])
-        if c != cls:
-            runs.append(text[start:i])
-            start, cls = i, c
-    runs.append(text[start:])
+    """Split ``text`` into chunks; merges never cross chunk boundaries.
 
-    chunks: list[bytes] = []
-    for n, run in enumerate(runs):
-        if _byte_class(run[0]) != 0:
-            chunks.append(run)
-            continue
-        moved = b""
-        if (
-            options.space_prefix
-            and run.endswith(b" ")
-            and n + 1 < len(runs)
-        ):
-            run, moved = run[:-1], b" "
-        if run:
-            if options.group_whitespace:
-                chunks.append(run)
-            else:
-                chunks.extend(bytes([b]) for b in run)
-        if moved:
-            runs[n + 1] = moved + runs[n + 1]
-    return chunks
+    One precompiled pattern per ``space_prefix`` value finds every chunk
+    in a single ``findall``; only ungrouped whitespace is then split into
+    single bytes in Python.
+    """
+    chunks = _CHUNK_PATTERNS[options.space_prefix].findall(text)
+    if options.group_whitespace:
+        return chunks
+    out: list[bytes] = []
+    for chunk in chunks:
+        # only whitespace-only chunks end in whitespace
+        if chunk[-1] in WHITESPACE_BYTES:
+            out.extend(bytes((b,)) for b in chunk)
+        else:
+            out.append(chunk)
+    return out
 
 
 def _apply_merge(parts: tuple[bytes, ...], pair: tuple[bytes, bytes]) -> tuple[bytes, ...]:

@@ -214,6 +214,13 @@ class TestPretokenize:
         opts = PretokenizeOptions(space_prefix=False, group_whitespace=False)
         assert pretokenize(b"a  b", opts) == [b"a", b" ", b" ", b"b"]
 
+    def test_space_prefix_kept_when_grouping_off(self, code_texts):
+        opts = PretokenizeOptions(space_prefix=True, group_whitespace=False)
+        assert pretokenize(b"a like", opts) == [b"a", b" like"]
+        assert pretokenize(b"a  =\n", opts) == [b"a", b" ", b" =", b"\n"]
+        trained = train_tiny_bpe(code_texts, 400, opts)
+        assert any(t[:1] == b" " and t[1:2].isalpha() for t in trained.tokens)
+
 
 class TestTraining:
     def test_whitespace_token_emerges(self, trained_vocab):
