@@ -57,8 +57,14 @@ def _resolve(path: str) -> str:
 
 
 def _escape_bytes(text: str) -> bytes:
-    # allow \n, \t, \xNN escapes in flag values
-    return text.encode("utf-8").decode("unicode_escape").encode("latin-1")
+    """A flag value as bytes, with \\n, \\t and \\xNN escapes (an argparse ``type``)."""
+    try:
+        return text.encode("utf-8").decode("unicode_escape").encode("latin-1")
+    except UnicodeError as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad escape in {text!r} ({exc.reason}); use \\n, \\t or \\xNN,"
+            " or write the character itself"
+        ) from None
 
 
 def _load_provider(args, vocab: Vocabulary):
@@ -84,14 +90,13 @@ def _load_provider(args, vocab: Vocabulary):
 
 
 def _sampler_config(args) -> SamplerConfig:
-    stops = tuple(_escape_bytes(s) for s in (args.stop or []))
     return SamplerConfig(
         mode=args.mode,
         top_p=args.top_p,
         temperature=args.temperature,
         seed=args.seed,
         max_new_tokens=args.max_new_tokens,
-        stop_sequences=stops,
+        stop_sequences=tuple(args.stop or ()),
     )
 
 
@@ -289,7 +294,7 @@ def cmd_vocab_train(args) -> int:
     options = PretokenizeOptions(
         space_prefix=args.space_prefix, group_whitespace=args.group_whitespace
     )
-    specials = [_escape_bytes(s) for s in (args.special or [])]
+    specials = args.special or []
     vocab = train_tiny_bpe((t for _, t in corpus), args.target_size, options, specials)
     save_vocabulary(vocab, args.out)
     print(f"trained {len(vocab)} tokens ({len(vocab.merges or ())} merges) -> {args.out}")
@@ -319,7 +324,7 @@ def _add_sampler_flags(p: _Parser) -> None:
     p.add_argument("--top-p", type=float, default=SamplerConfig.top_p)
     p.add_argument("--temperature", type=float, default=SamplerConfig.temperature)
     p.add_argument("--max-new-tokens", type=int, default=SamplerConfig.max_new_tokens)
-    p.add_argument("--stop", action="append", default=None,
+    p.add_argument("--stop", action="append", type=_escape_bytes, default=None,
                    help="stop sequence (supports \\n style escapes); repeatable")
     p.add_argument("--seed", type=int, default=SamplerConfig.seed)
 
@@ -401,7 +406,8 @@ def build_parser() -> _Parser:
     pt.add_argument("--target-size", type=int, required=True)
     pt.add_argument("--space-prefix", action=argparse.BooleanOptionalAction, default=True)
     pt.add_argument("--group-whitespace", action=argparse.BooleanOptionalAction, default=True)
-    pt.add_argument("--special", action="append", default=None)
+    pt.add_argument("--special", action="append", type=_escape_bytes, default=None,
+                    help="special token (supports \\n style escapes); repeatable")
     pt.add_argument("--out", required=True)
     pt.set_defaults(func=cmd_vocab_train)
     pi = vocab_sub.add_parser("inspect", help="summarize a vocabulary file")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import base64
 import time
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
@@ -46,12 +47,29 @@ class LogitsProvider(Protocol):
     """Anything that maps a token-id context to a next-token distribution.
 
     tokalign never writes into a vector a provider returns, so a provider
-    may hand out the same read-only array on every call.
+    may hand out the same read-only array on every call.  Every returned
+    vector is checked (:func:`check_distribution`); a float64 row built
+    by ``np.frombuffer`` over a ``bytes`` object is scanned only the
+    first time it is returned, so a provider that hands out the same
+    such rows again and again pays the full check once per row.
     """
 
     vocab_size: int
 
     def next_distribution(self, context: Sequence[int]) -> np.ndarray: ...
+
+
+# Rows that passed both scans of check_distribution, by id.  Only exact
+# float64 ndarrays with strides (8,) whose base is a ``bytes`` object are
+# kept: bytes never change and NumPy refuses to make such an array
+# writeable, so a kept row's values are the values that passed.  Its
+# dtype, strides and shape can still be reassigned in place, so every
+# call tests them again.  An entry goes when its row is freed.  Sharing
+# the memo between callers changes no verdict, only how often a row is
+# scanned.
+_PASSED_ROWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_FLOAT64 = np.dtype(np.float64)
+_ROW_STRIDES = (_FLOAT64.itemsize,)
 
 
 def check_distribution(dist: np.ndarray, size: int) -> None:
@@ -60,7 +78,26 @@ def check_distribution(dist: np.ndarray, size: int) -> None:
     The contract: shape ``(size,)``, no negative or NaN entries, sum 1
     within 1e-6.  Callers run it once on every provider output.  ``min``
     propagates NaN and ``sum`` propagates inf, so two passes catch both.
+    A float64 row over immutable ``bytes`` memory that has passed them
+    is not scanned again: a later call with that same object re-checks
+    only its shape, dtype and strides.  Every other input is scanned on
+    every call, so the verdict and message are always the two scans'.
     """
+    immutable = (
+        type(dist) is np.ndarray
+        and type(dist.base) is bytes
+        and dist.dtype == _FLOAT64
+        and dist.strides == _ROW_STRIDES
+    )
+    if immutable and _PASSED_ROWS.get(id(dist)) is dist and dist.shape == (size,):
+        return
+    _scan_distribution(dist, size)
+    if immutable:
+        _PASSED_ROWS[id(dist)] = dist
+
+
+def _scan_distribution(dist: np.ndarray, size: int) -> None:
+    """The two full scans of :func:`check_distribution`."""
     if dist.shape != (size,):
         raise ValueError(f"distribution must have shape ({size},), got {dist.shape}")
     if not dist.min() >= 0.0:
@@ -378,7 +415,10 @@ class NGramModel:
     Every returned row is read-only.  Unseen contexts share one uniform
     row.  A seen context's row is built on first use and kept while the
     kept rows fit in ``_ROW_MEMO_BYTES``; past that, rows are built per
-    call.  :meth:`observe` drops the kept rows.
+    call.  :meth:`observe` drops the kept rows.  The uniform row and the
+    kept rows live in ``bytes`` (see :func:`_frozen_row`), so each is
+    scanned by :func:`check_distribution` once; a row built per call is
+    only flagged read-only, costs no extra copy, and is scanned each time.
     """
 
     _BEFORE_START = -1
@@ -422,9 +462,10 @@ class NGramModel:
         for token, count in counter.items():
             dist[token] += count
         dist /= dist.sum()
-        dist.setflags(write=False)
         if len(self._rows) < self._row_capacity:
-            self._rows[key] = dist
+            dist = self._rows[key] = _frozen_row(dist)
+        else:
+            dist.setflags(write=False)
         return dist
 
 
@@ -450,7 +491,7 @@ class ScriptedModel:
 
     The row whose suffix is the longest match against the decoded context
     wins; the mandatory default row covers everything else.  Rows are
-    read-only copies of the arrays passed in.
+    copies of the arrays passed in over ``bytes`` (see :func:`_frozen_row`).
     """
 
     def __init__(
@@ -513,10 +554,15 @@ class ScriptedModel:
 
 
 def _frozen_row(values) -> np.ndarray:
-    """A read-only float64 copy of ``values``."""
-    row = np.array(values, dtype=np.float64)
-    row.setflags(write=False)
-    return row
+    """A float64 copy of ``values`` over a ``bytes`` object, of the same shape.
+
+    Bytes are immutable and NumPy refuses to make an array over them
+    writeable, so the copy never changes and :func:`check_distribution`
+    scans it only the first time.  This is ``np.frombuffer`` that keeps
+    the shape, so a row of the wrong shape still fails on its shape.
+    """
+    row = np.asarray(values, dtype=np.float64)
+    return np.ndarray(row.shape, dtype=np.float64, buffer=row.tobytes())
 
 
 def _float_row(values: list, where: str) -> np.ndarray:

@@ -11,6 +11,7 @@ from tokalign import (
     ScriptedModel,
     Vocabulary,
     fixtures,
+    load_vocabulary,
     save_vocabulary,
 )
 from tokalign.cli import main
@@ -182,6 +183,50 @@ class TestExitCodes:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("value", ["\\x", "\\x4", "\\u20ac", "\\N{NO SUCH NAME}"])
+    @pytest.mark.parametrize("command", ["align", "eval", "vocab train"])
+    def test_bad_escape_in_flag_is_one(
+        self, capsys, tmp_path, demo_paths, demo_prompt_file, command, value
+    ):
+        # a malformed escape, or one past \xff, is a bad flag value, not bad data
+        provider = ["--vocab", demo_paths["vocab"], "--provider", f"scripted:{demo_paths['table']}"]
+        if command == "align":
+            argv = ["align", *provider, "--prompt-file", demo_prompt_file, "--stop", value]
+        elif command == "eval":
+            dataset = str(tmp_path / "subword.jsonl")
+            run(capsys, "gen-dataset", "--corpus", "bundled:code", "--scenario", "subword",
+                "--out", dataset, "--out-dir", str(tmp_path))
+            argv = ["eval", "--dataset", dataset, *provider, "--stop", value]
+        else:
+            argv = ["vocab", "train", "--corpus", "bundled:code", "--target-size", "300",
+                    "--out", str(tmp_path / "v.json"), "--special", value]
+        flag = argv[-2]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: bad escape" in errors[0]
+
+    def test_escapes_in_flags_still_parse(self, capsys, tmp_path, demo_paths, demo_prompt_file):
+        path = tmp_path / "v.json"
+        code, _, _ = run(
+            capsys, "vocab", "train", "--corpus", "bundled:code", "--target-size", "300",
+            "--out", str(path), "--special", "<\\xff\\n>", "--special", "\u20ac",
+        )
+        assert code == 0
+        vocab = load_vocabulary(str(path))
+        assert {b"<\xff\n>", "\u20ac".encode()} <= {vocab.tokens[i] for i in vocab.specials}
+
+        out = tmp_path / "aligned.jsonl"
+        code, _, _ = run(
+            capsys, "align", "--vocab", demo_paths["vocab"],
+            "--provider", f"scripted:{demo_paths['table']}", "--prompt-file", demo_prompt_file,
+            "--max-new-tokens", "6", "--stop", "\\x75rn", "--out", str(out),
+        )
+        assert code == 0
+        # the aligned continuation starts "turn"; the stop "urn" cuts it after "t"
+        assert base64.b64decode(read_results(out)[0]["output_b64"]) == fixtures.DEMO_PROMPT + b"t"
 
     @pytest.mark.parametrize(
         "kind, content",
