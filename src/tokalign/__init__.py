@@ -12,11 +12,9 @@ from .align import (
     AlignConfig,
     AlignmentContractError,
     AlignmentError,
-    AlignmentState,
     DeadEndError,
     EmptyMaskError,
     advance,
-    align_step,
     aligned_generate,
     backtrack_split,
     mask_distribution,

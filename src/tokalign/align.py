@@ -8,6 +8,11 @@ Each accepted token consumes its bytes from the prefix; once the prefix
 is empty, unconstrained decoding takes over.  The emitted bytes then
 reproduce the prompt exactly and continue from a tokenization the model
 has actually seen.
+
+The alignment loop in :func:`aligned_generate` keeps the context ids and
+the leftover prefix.  While it runs, ``decode(context) + prefix`` equals
+the prompt, and every step shrinks ``prefix``; the step that empties it
+may add surplus bytes past the prompt.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ class AlignmentError(RuntimeError):
 
 
 class EmptyMaskError(AlignmentError):
-    """No vocabulary token is compatible with the alignment prefix."""
+    """:func:`mask_distribution` was given no compatible ids."""
 
     def __init__(self, prefix: bytes):
         super().__init__(f"no token compatible with alignment prefix {prefix!r}")
@@ -78,20 +83,6 @@ class AlignConfig:
             raise ValueError("backtrack_tokens must be >= 1")
 
 
-@dataclass
-class AlignmentState:
-    """Loop variable of the alignment phase.
-
-    Invariant: decode(context) + prefix stays constant across advances
-    (the prompt bytes, plus any surplus generated past them), and prefix
-    strictly shrinks on every advance.
-    """
-
-    context: list[int]
-    prefix: bytes
-    steps_taken: int = 0
-
-
 def backtrack_split(
     ids: list[int], vocab: Vocabulary, backtrack_tokens: int
 ) -> tuple[list[int], bytes]:
@@ -126,45 +117,18 @@ def mask_distribution(dist: np.ndarray, ids: TokenMask) -> np.ndarray:
     return np.full(len(ids), 1.0 / len(ids))
 
 
-def align_step(
-    state: AlignmentState,
-    dist: np.ndarray,
-    trie: ByteTrie,
-    cache: MaskCache | None,
-) -> tuple[TokenMask, np.ndarray]:
-    """Constrain one next-token distribution to the tokens compatible with the prefix.
-
-    Returns the ascending compatible ids and their renormalized
-    probabilities (see :func:`mask_distribution`).  ``dist`` is trusted
-    to meet the provider contract; the caller checks it once.
-    """
-    if not state.prefix:
-        raise ValueError("alignment prefix is already empty")
-    ids = trie.matching_tokens(state.prefix) if cache is None else cache.lookup(trie, state.prefix)
-    if len(ids) == 0:
-        raise EmptyMaskError(state.prefix)
-    return ids, mask_distribution(dist, ids)
-
-
-def advance(state: AlignmentState, chosen: int, vocab: Vocabulary) -> AlignmentState:
-    """Consume the chosen token's bytes from the prefix.
+def advance(prefix: bytes, chosen: int, vocab: Vocabulary) -> bytes:
+    """The prefix left after the chosen token consumes its bytes.
 
     A token longer than the prefix empties it; the surplus bytes are
     ordinary generated output.
     """
     token = vocab.token_bytes(chosen)
-    if vocab.is_special(chosen) or not (
-        token.startswith(state.prefix) or state.prefix.startswith(token)
-    ):
+    if vocab.is_special(chosen) or not (token.startswith(prefix) or prefix.startswith(token)):
         raise AlignmentContractError(
-            f"token {chosen} ({token!r}) is not compatible with prefix {state.prefix!r}"
+            f"token {chosen} ({token!r}) is not compatible with prefix {prefix!r}"
         )
-    consumed = min(len(token), len(state.prefix))
-    return AlignmentState(
-        context=state.context + [chosen],
-        prefix=state.prefix[consumed:],
-        steps_taken=state.steps_taken + 1,
-    )
+    return prefix[len(token):]
 
 
 def aligned_generate(
@@ -178,57 +142,56 @@ def aligned_generate(
 ) -> GenerationResult:
     """Full pipeline: encode, backtrack, masked decoding, then free decoding."""
     prompt = bytes(prompt)
-    if not prompt:
-        raise ValueError("prompt must be non-empty")
     if provider.vocab_size != len(vocab):
         raise ValueError(
             f"provider vocab size {provider.vocab_size} != vocabulary size {len(vocab)}"
         )
-    ids = encode(vocab, prompt)
-    context, prefix = backtrack_split(ids, vocab, align_cfg.backtrack_tokens)
-    state = AlignmentState(context=context, prefix=prefix)
-    # every accepted token consumes at least one prefix byte
+    context, prefix = backtrack_split(encode(vocab, prompt), vocab, align_cfg.backtrack_tokens)
+    # Loop state: context, prefix and the step count len(mask_sizes).
+    # While the loop runs, decode(context) + prefix == prompt, and every
+    # step shrinks prefix, so len(prefix) bounds the step count.
     max_steps = len(prefix)
     rng = make_rng(sampler_cfg.seed)
     mask_sizes: list[int] = []
     per_lookup_max_us = 0.0
 
     t_align = time.perf_counter_ns()
-    while state.prefix:
-        if state.steps_taken >= max_steps:
+    while prefix:
+        if len(mask_sizes) >= max_steps:
             raise AlignmentError(
                 f"alignment exceeded {max_steps} steps without consuming the prefix"
             )
-        dist = np.asarray(provider.next_distribution(state.context), dtype=np.float64)
+        dist = np.asarray(provider.next_distribution(context), dtype=np.float64)
         check_distribution(dist, len(vocab))
         t_step = time.perf_counter_ns()
-        try:
-            ids, probs = align_step(state, dist, trie, cache)
-        except EmptyMaskError:
-            raise DeadEndError(state.prefix, state.context, state.steps_taken) from None
+        ids = trie.matching_tokens(prefix) if cache is None else cache.lookup(trie, prefix)
+        if len(ids) == 0:
+            raise DeadEndError(prefix, context, len(mask_sizes))
+        probs = mask_distribution(dist, ids)
         per_lookup_max_us = max(
             per_lookup_max_us, (time.perf_counter_ns() - t_step) / 1000.0
         )
         mask_sizes.append(len(ids))
         chosen = int(ids[sample(probs, sampler_cfg, rng)])
-        state = advance(state, chosen, vocab)
+        prefix = advance(prefix, chosen, vocab)
+        context.append(chosen)
     alignment_us = (time.perf_counter_ns() - t_align) / 1000.0
 
-    produced = decode(vocab, state.context)
+    produced = decode(vocab, context)
     if not produced.startswith(prompt):
         raise AlignmentError("alignment lost prompt bytes")
     generated = bytearray(produced[len(prompt):])
 
     t_free = time.perf_counter_ns()
-    stop_at = run_free_phase(provider, vocab, state.context, generated, sampler_cfg, rng)
+    stop_at = run_free_phase(provider, vocab, context, generated, sampler_cfg, rng)
     free_us = (time.perf_counter_ns() - t_free) / 1000.0
 
     out = bytes(generated) if stop_at is None else bytes(generated[:stop_at])
     return GenerationResult(
         prompt=prompt,
         output=prompt + out,
-        token_ids=state.context,
-        alignment_steps=state.steps_taken,
+        token_ids=context,
+        alignment_steps=len(mask_sizes),
         mask_sizes=mask_sizes,
         timings_us={
             "alignment": alignment_us,

@@ -139,7 +139,7 @@ def cmd_align(args) -> int:
                 emit(prompt_id, generate(provider, vocab, prompt, sampler))
             return EXIT_OK
         trie = build_trie(vocab)
-        cache = MaskCache(trie, capacity=args.cache_size)
+        cache = MaskCache(trie)
         align_cfg = align_mod.AlignConfig(backtrack_tokens=args.backtrack)
         for prompt_id, prompt in _read_prompts(args.prompt_file):
             result = align_mod.aligned_generate(
@@ -349,7 +349,6 @@ def build_parser() -> _Parser:
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings_us in results (not bit-reproducible)")
     p.add_argument("--backtrack", type=int, default=align_mod.AlignConfig.backtrack_tokens)
-    p.add_argument("--cache-size", type=int, default=1024)
     _add_sampler_flags(p)
     p.set_defaults(func=cmd_align)
 

@@ -52,6 +52,10 @@ class LogitsProvider(Protocol):
     by ``np.frombuffer`` over a ``bytes`` object is scanned only the
     first time it is returned, so a provider that hands out the same
     such rows again and again pays the full check once per row.
+
+    The ``context`` list is valid only during the call: tokalign appends
+    the chosen id to that same list afterwards, so a provider that keeps
+    the context must copy it.
     """
 
     vocab_size: int

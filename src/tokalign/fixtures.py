@@ -1,6 +1,6 @@
 """Bundled desk-scale fixtures.
 
-Two small corpora (synthetic code in three languages, and plain prose)
+Two small corpora (synthetic code in two languages, and plain prose)
 plus the scripted "completion demo": a hand-built vocabulary and
 provider table that deterministically show the partial-token failure.
 A prompt ending in the dangling subword ``re`` draws a degenerate
@@ -93,7 +93,7 @@ def build_demo_model(vocab: Vocabulary | None = None) -> ScriptedModel:
 
 
 # ---------------------------------------------------------------------------
-# Synthetic code corpus (Python, JavaScript, Java flavors)
+# Synthetic code corpus (Python and JavaScript flavors)
 
 _PY_BODIES = [
     """def {fn}_total(items):
@@ -174,27 +174,6 @@ _JS_BODIES = [
 """,
 ]
 
-_JAVA_BODIES = [
-    """static int {fn}Total(int[] values) {{
-    int total = 0;
-    for (int value : values) {{
-        total = total + value;
-    }}
-    return total;
-}}
-""",
-    """static int {fn}Max(int[] values) {{
-    int best = values[0];
-    for (int value : values) {{
-        if (value > best) {{
-            best = value;
-        }}
-    }}
-    return best;
-}}
-""",
-]
-
 _FN_NAMES = ["get", "calc", "find", "make", "take"]
 
 
@@ -209,7 +188,6 @@ def build_code_corpus() -> list[tuple[str, bytes]]:
         for name in _FN_NAMES:
             text = body.format(fn=name)
             docs.append((f"js_{body_idx}_{name}", text.encode("utf-8")))
-    docs = docs[:50]
     return docs
 
 

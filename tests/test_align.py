@@ -12,7 +12,6 @@ import pytest
 from tokalign import (
     AlignConfig,
     AlignmentContractError,
-    AlignmentState,
     DeadEndError,
     EmptyMaskError,
     MaskCache,
@@ -20,7 +19,6 @@ from tokalign import (
     ScriptedModel,
     Vocabulary,
     advance,
-    align_step,
     aligned_generate,
     backtrack_split,
     build_ngram_model,
@@ -90,6 +88,12 @@ class TestBacktrackSplit:
             backtrack_split([], trained_vocab, 3)
 
 
+def masked(dist, trie, cache, prefix):
+    # one alignment step's mask: the compatible ids, then their renormalized probabilities
+    ids = trie.matching_tokens(prefix) if cache is None else cache.lookup(trie, prefix)
+    return ids, mask_distribution(dist, ids)
+
+
 class TestAlignStep:
     def _vocab(self):
         return Vocabulary([b"re", b"turn", b"return", b"x"])
@@ -97,87 +101,59 @@ class TestAlignStep:
     def test_uniform_renormalized_over_compatible(self):
         vocab = self._vocab()
         trie = build_trie(vocab)
-        state = AlignmentState(context=[], prefix=b"re")
         dist = np.full(4, 0.25)
-        ids, probs = align_step(state, dist, trie, None)
+        ids, probs = masked(dist, trie, None, b"re")
         assert ids.tolist() == [0, 2]
         assert np.allclose(densify(ids, probs, 4), [0.5, 0.0, 0.5, 0.0])
 
-    def test_empty_mask_raised(self):
-        vocab = self._vocab()
-        trie = build_trie(vocab)
-        state = AlignmentState(context=[], prefix=b"z")
-        with pytest.raises(EmptyMaskError):
-            align_step(state, np.full(4, 0.25), trie, None)
-
     def test_preseeded_cache_transparent(self, trained_vocab, trained_trie):
-        state = AlignmentState(context=[], prefix=b" ")
         dist = np.full(len(trained_vocab), 1.0 / len(trained_vocab))
-        warm_ids, warm = align_step(state, dist, trained_trie, MaskCache(trained_trie))
-        cold_ids, cold = align_step(
-            state, dist, trained_trie, MaskCache(trained_trie, capacity=0)
-        )
+        warm_ids, warm = masked(dist, trained_trie, MaskCache(trained_trie), b" ")
+        cold_ids, cold = masked(dist, trained_trie, MaskCache(trained_trie, capacity=0), b" ")
         assert np.array_equal(warm_ids, cold_ids)
         assert np.array_equal(warm, cold)
 
     def test_zero_mass_on_mask_goes_uniform(self):
         vocab = self._vocab()
         trie = build_trie(vocab)
-        state = AlignmentState(context=[], prefix=b"re")
         dist = np.array([0.0, 0.6, 0.0, 0.4])  # all mass on incompatible tokens
-        ids, probs = align_step(state, dist, trie, None)
+        ids, probs = masked(dist, trie, None, b"re")
         assert ids.tolist() == [0, 2]
         assert np.allclose(densify(ids, probs, 4), [0.5, 0.0, 0.5, 0.0])
-
-    def test_empty_prefix_rejected(self):
-        vocab = self._vocab()
-        trie = build_trie(vocab)
-        with pytest.raises(ValueError):
-            align_step(AlignmentState([], b""), np.full(4, 0.25), trie, None)
 
 
 class TestAdvance:
     def test_overshoot_empties_prefix(self):
         vocab = Vocabulary([b"re", b"turn", b"return", b"x"])
-        state = AlignmentState(context=[], prefix=b"re")
-        out = advance(state, vocab.id_of(b"return"), vocab)
-        assert out.prefix == b""
-        assert out.steps_taken == 1
-        assert out.context == [vocab.id_of(b"return")]
+        assert advance(b"re", vocab.id_of(b"return"), vocab) == b""
 
     def test_partial_consumption(self):
         vocab = Vocabulary([b"    ", b"   ", b" "])
-        state = AlignmentState(context=[], prefix=b"    ")
-        out = advance(state, vocab.id_of(b"   "), vocab)
-        assert out.prefix == b" "
+        assert advance(b"    ", vocab.id_of(b"   "), vocab) == b" "
 
     def test_exact_consumption(self):
         vocab = Vocabulary([b"x", b"y"])
-        state = AlignmentState(context=[], prefix=b"x")
-        out = advance(state, vocab.id_of(b"x"), vocab)
-        assert out.prefix == b""
+        assert advance(b"x", vocab.id_of(b"x"), vocab) == b""
 
     def test_incompatible_token_is_contract_error(self):
         vocab = Vocabulary([b"x", b"y"])
-        state = AlignmentState(context=[], prefix=b"x")
         with pytest.raises(AlignmentContractError):
-            advance(state, vocab.id_of(b"y"), vocab)
+            advance(b"x", vocab.id_of(b"y"), vocab)
 
     def test_special_token_is_contract_error(self):
         vocab = Vocabulary([b"x", b"x!"], specials=[1])
-        state = AlignmentState(context=[], prefix=b"x")
         with pytest.raises(AlignmentContractError):
-            advance(state, 1, vocab)
+            advance(b"x", 1, vocab)
 
     def test_prefix_shrinks_every_step(self, trained_vocab, trained_trie):
         rng = make_rng(4)
-        state = AlignmentState(context=[], prefix=b"    return value")
-        while state.prefix:
-            candidates = trained_trie.matching_tokens(state.prefix)
+        prefix = b"    return value"
+        while prefix:
+            candidates = trained_trie.matching_tokens(prefix)
             chosen = int(candidates[int(rng.integers(len(candidates)))])
-            before = len(state.prefix)
-            state = advance(state, chosen, trained_vocab)
-            assert len(state.prefix) < before
+            before = len(prefix)
+            prefix = advance(prefix, chosen, trained_vocab)
+            assert len(prefix) < before
 
 
 class TestAlignedGenerate:
@@ -259,11 +235,16 @@ class TestAlignedGenerate:
         forcing[vocab.id_of(b"ac")] = 1.0
         provider = ScriptedModel(vocab, [], forcing)
         cfg = SamplerConfig(mode="greedy", max_new_tokens=2)
-        with pytest.raises(DeadEndError):
+        # "ac" leaves the prefix "d", which no token starts or is a prefix of
+        assert len(trie.matching_tokens(b"d")) == 0
+        with pytest.raises(DeadEndError) as caught:
             aligned_generate(
                 provider, vocab, trie, None, b"acd",
                 AlignConfig(backtrack_tokens=1), cfg,
             )
+        assert caught.value.prefix == b"d"
+        assert caught.value.context == [vocab.id_of(b"ac")]
+        assert caught.value.steps_taken == 1
 
     def test_no_dead_ends_with_full_byte_coverage(self, trained_vocab, ngram_provider, trained_trie):
         assert trained_vocab.has_all_byte_tokens()
@@ -296,8 +277,7 @@ class TestMaskBeforeSample:
                 continue
             dist = np.array(probs)
             for prefix in (b"a", b"ab", b"b", b"baa"):
-                state = AlignmentState(context=[], prefix=prefix)
-                ids, probs = align_step(state, dist, trie, None)
+                ids, probs = masked(dist, trie, None, prefix)
                 chosen = ids[sample(probs, cfg, make_rng(0))]
                 compatible = trie.matching_tokens(prefix)
                 expected = compatible[np.argmax(dist[compatible])]
@@ -314,11 +294,10 @@ class TestMaskBeforeSample:
             dist = raw / raw.sum()
             for prefix in (b"a", b"ab", b"b", b"bc", b"abcd"):
                 mask = np.isin(np.arange(5), trie.matching_tokens(prefix))
-                state = AlignmentState(context=[], prefix=prefix)
-                masked = densify(*align_step(state, dist, trie, None), 5)
+                dense = densify(*masked(dist, trie, None, prefix), 5)
                 conditional = np.where(mask, dist, 0.0)
                 conditional /= conditional.sum()
-                assert np.allclose(masked, conditional)
+                assert np.allclose(dense, conditional)
 
     def test_mask_distribution_rejects_empty_mask(self):
         with pytest.raises(EmptyMaskError):
@@ -327,7 +306,7 @@ class TestMaskBeforeSample:
 
 class TestSafetyBound:
     def test_runaway_alignment_aborts(self, monkeypatch):
-        # force a provider/vocab mismatch by faking a non-consuming advance
+        # a broken invariant: advance that never consumes the prefix
         vocab = Vocabulary([b"a", b"b"])
         trie = build_trie(vocab)
         uniform = np.full(2, 0.5)
@@ -336,13 +315,7 @@ class TestSafetyBound:
 
         import tokalign.align as align_module
 
-        real_advance = align_module.advance
-
-        def stuck_advance(state, chosen, vocab_arg):
-            out = real_advance(state, chosen, vocab_arg)
-            return AlignmentState(out.context, state.prefix, out.steps_taken)
-
-        monkeypatch.setattr(align_module, "advance", stuck_advance)
+        monkeypatch.setattr(align_module, "advance", lambda prefix, chosen, vocab_arg: prefix)
         with pytest.raises(align_module.AlignmentError, match="exceeded"):
             align_module.aligned_generate(
                 provider, vocab, trie, None, b"ab", AlignConfig(backtrack_tokens=1), cfg
@@ -377,16 +350,16 @@ class TestAlwaysOnChecks:
 
         import tokalign.align as align_module
 
-        real_advance = align_module.advance
+        real_split = align_module.backtrack_split
 
-        def forgetful_advance(state, chosen, vocab_arg):
-            out = real_advance(state, chosen, vocab_arg)
-            return AlignmentState(state.context, out.prefix, out.steps_taken)
+        def forgetful_split(ids, vocab_arg, backtrack_tokens):
+            context, prefix = real_split(ids, vocab_arg, backtrack_tokens)
+            return context, prefix[1:]
 
-        monkeypatch.setattr(align_module, "advance", forgetful_advance)
+        monkeypatch.setattr(align_module, "backtrack_split", forgetful_split)
         with pytest.raises(align_module.AlignmentError, match="lost prompt"):
             align_module.aligned_generate(
-                provider, vocab, trie, None, b"ab", AlignConfig(backtrack_tokens=1), cfg
+                provider, vocab, trie, None, b"ab", AlignConfig(backtrack_tokens=2), cfg
             )
 
     def test_contract_checked_once_per_provider_call(

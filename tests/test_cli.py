@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tokalign import (
-    AlignmentState,
     EvalRecord,
     ScenarioExample,
     ScriptedModel,
@@ -21,6 +20,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def drop_first_prefix_byte(split):
+    context, prefix = split
+    return context, prefix[1:]
 
 
 @pytest.fixture(scope="module")
@@ -307,28 +311,23 @@ class TestExitCodes:
         assert "dead end" in lines[0]
 
     @pytest.mark.parametrize(
-        "broken, message",
+        "target, broken, message",
         [
             # the context keeps growing but the prefix never shrinks
-            (lambda state, out: AlignmentState(out.context, state.prefix, out.steps_taken),
-             "exceeded"),
-            # the prefix is consumed but the token is never appended
-            (lambda state, out: AlignmentState(state.context, out.prefix, out.steps_taken),
+            ("advance", lambda real: lambda prefix, chosen, vocab: prefix, "exceeded"),
+            # the prefix loses its first byte, so the prompt is never reproduced
+            ("backtrack_split", lambda real: lambda *args: drop_first_prefix_byte(real(*args)),
              "lost prompt"),
         ],
         ids=["stuck", "forgetful"],
     )
     def test_alignment_error_is_three(
-        self, capsys, monkeypatch, tmp_path, demo_paths, demo_prompt_file, broken, message
+        self, capsys, monkeypatch, tmp_path, demo_paths, demo_prompt_file,
+        target, broken, message,
     ):
         import tokalign.align as align_module
 
-        real_advance = align_module.advance
-
-        def broken_advance(state, chosen, vocab):
-            return broken(state, real_advance(state, chosen, vocab))
-
-        monkeypatch.setattr(align_module, "advance", broken_advance)
+        monkeypatch.setattr(align_module, target, broken(getattr(align_module, target)))
         code, _, err = run(
             capsys, "align", "--vocab", demo_paths["vocab"],
             "--provider", f"scripted:{demo_paths['table']}",
