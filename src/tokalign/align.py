@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoding import (
+    ConfigError,
     GenerationResult,
     LogitsProvider,
     SamplerConfig,
@@ -42,9 +43,8 @@ class AlignmentError(RuntimeError):
 class EmptyMaskError(AlignmentError):
     """:func:`mask_distribution` was given no compatible ids."""
 
-    def __init__(self, prefix: bytes):
-        super().__init__(f"no token compatible with alignment prefix {prefix!r}")
-        self.prefix = prefix
+    def __init__(self):
+        super().__init__("the compatible-id array is empty")
 
 
 class DeadEndError(AlignmentError):
@@ -80,7 +80,7 @@ class AlignConfig:
 
     def __post_init__(self):
         if self.backtrack_tokens < 1:
-            raise ValueError("backtrack_tokens must be >= 1")
+            raise ConfigError("backtrack_tokens", "backtrack_tokens must be >= 1")
 
 
 def backtrack_split(
@@ -109,7 +109,7 @@ def mask_distribution(dist: np.ndarray, ids: TokenMask) -> np.ndarray:
     exists, even under toy providers that emit hard zeros.
     """
     if len(ids) == 0:
-        raise EmptyMaskError(b"")
+        raise EmptyMaskError()
     subset = dist[ids]
     total = subset.sum()
     if total > 0.0:

@@ -25,7 +25,7 @@ import numpy as np
 from . import align as align_mod
 from . import bench as bench_mod
 from . import fixtures, metrics, scenarios
-from .decoding import SamplerConfig, ScriptedModel, build_ngram_model, generate
+from .decoding import ConfigError, SamplerConfig, ScriptedModel, build_ngram_model, generate
 from .trie import MaskCache, build_trie
 from .vocab import (
     PretokenizeOptions,
@@ -89,15 +89,36 @@ def _load_provider(args, vocab: Vocabulary):
     raise ValueError(f"unknown provider spec {spec!r}")
 
 
-def _sampler_config(args) -> SamplerConfig:
-    return SamplerConfig(
-        mode=args.mode,
-        top_p=args.top_p,
-        temperature=args.temperature,
-        seed=args.seed,
-        max_new_tokens=args.max_new_tokens,
-        stop_sequences=tuple(args.stop or ()),
-    )
+# the flag that sets each config field, for usage errors
+_CONFIG_FLAGS = {
+    "mode": "--mode",
+    "top_p": "--top-p",
+    "temperature": "--temperature",
+    "max_new_tokens": "--max-new-tokens",
+    "backtrack_tokens": "--backtrack",
+}
+
+
+def _attach_configs(args) -> None:
+    """Build ``args.sampler`` and ``args.align_cfg`` from the command's flags.
+
+    The configs hold the range rules; a value they reject is a usage
+    error naming its flag.
+    """
+    try:
+        if hasattr(args, "mode"):
+            args.sampler = SamplerConfig(
+                mode=args.mode,
+                top_p=args.top_p,
+                temperature=args.temperature,
+                seed=args.seed,
+                max_new_tokens=args.max_new_tokens,
+                stop_sequences=tuple(args.stop or ()),
+            )
+        if hasattr(args, "backtrack"):
+            args.align_cfg = align_mod.AlignConfig(backtrack_tokens=args.backtrack)
+    except ConfigError as exc:
+        args.command_parser.error(f"argument {_CONFIG_FLAGS[exc.field]}: {exc}")
 
 
 def _read_prompts(path: str | None):
@@ -123,7 +144,6 @@ def _prompt_doc(doc: dict, index: int) -> tuple[str, bytes]:
 def cmd_align(args) -> int:
     vocab = load_vocabulary(_resolve(args.vocab))
     provider = _load_provider(args, vocab)
-    sampler = _sampler_config(args)
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="ascii")
 
     def emit(prompt_id, result):
@@ -136,14 +156,13 @@ def cmd_align(args) -> int:
     try:
         if args.no_align:
             for prompt_id, prompt in _read_prompts(args.prompt_file):
-                emit(prompt_id, generate(provider, vocab, prompt, sampler))
+                emit(prompt_id, generate(provider, vocab, prompt, args.sampler))
             return EXIT_OK
         trie = build_trie(vocab)
         cache = MaskCache(trie)
-        align_cfg = align_mod.AlignConfig(backtrack_tokens=args.backtrack)
         for prompt_id, prompt in _read_prompts(args.prompt_file):
             result = align_mod.aligned_generate(
-                provider, vocab, trie, cache, prompt, align_cfg, sampler
+                provider, vocab, trie, cache, prompt, args.align_cfg, args.sampler
             )
             emit(prompt_id, result)
         return EXIT_OK
@@ -202,8 +221,6 @@ def cmd_eval(args) -> int:
     provider = _load_provider(args, vocab)
     if provider.vocab_size != len(vocab):
         raise ValueError("provider and vocabulary disagree on vocabulary size")
-    sampler = _sampler_config(args)
-    align_cfg = align_mod.AlignConfig(backtrack_tokens=args.backtrack)
     arms = ["aligned", "unaligned"] if args.arm == "both" else [args.arm]
 
     trie = build_trie(vocab)
@@ -220,10 +237,10 @@ def cmd_eval(args) -> int:
         for arm in arms:
             if arm == "aligned":
                 result = align_mod.aligned_generate(
-                    provider, vocab, trie, cache, prompt, align_cfg, sampler
+                    provider, vocab, trie, cache, prompt, args.align_cfg, args.sampler
                 )
             else:
-                result = generate(provider, vocab, prompt, sampler)
+                result = generate(provider, vocab, prompt, args.sampler)
             records.append(
                 metrics.EvalRecord(
                     example_id=f"{ex.source_id}@{ex.cut_offset}",
@@ -279,7 +296,7 @@ def cmd_bench(args) -> int:
         prompts = bench_mod.boundary_prompts(corpus, train_vocab, args.prompts, args.seed)
         report["alignment_steps"] = bench_mod.bench_alignment_steps(
             provider, train_vocab, prompts,
-            backtrack_tokens=args.backtrack,
+            backtrack_tokens=args.align_cfg.backtrack_tokens,
         )
     text = json.dumps(report, indent=1, sort_keys=True)
     if args.out:
@@ -350,7 +367,7 @@ def build_parser() -> _Parser:
                    help="include wall-clock timings_us in results (not bit-reproducible)")
     p.add_argument("--backtrack", type=int, default=align_mod.AlignConfig.backtrack_tokens)
     _add_sampler_flags(p)
-    p.set_defaults(func=cmd_align)
+    p.set_defaults(func=cmd_align, command_parser=p)
 
     p = sub.add_parser("gen-dataset", help="cut a corpus into scenario datasets")
     p.add_argument("--corpus", required=True)
@@ -378,7 +395,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
     _add_sampler_flags(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, command_parser=p)
 
     p = sub.add_parser("bench", help="lookup latency and alignment-step stats")
     p.add_argument("--vocab", default=None, help="vocabulary file (default: synthetic)")
@@ -396,7 +413,7 @@ def build_parser() -> _Parser:
     p.add_argument("--backtrack", type=int, default=align_mod.AlignConfig.backtrack_tokens)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, command_parser=p)
 
     p = sub.add_parser("vocab", help="vocabulary tools")
     vocab_sub = p.add_subparsers(dest="vocab_command", required=True)
@@ -420,6 +437,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _attach_configs(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -111,6 +111,14 @@ def _scan_distribution(dist: np.ndarray, size: int) -> None:
         raise ValueError(f"distribution sums to {total}, not 1")
 
 
+class ConfigError(ValueError):
+    """A configuration value is out of range; ``field`` names the field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass
 class SamplerConfig:
     mode: str = "greedy"  # "greedy" | "nucleus"
@@ -122,14 +130,14 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.mode not in ("greedy", "nucleus"):
-            raise ValueError(f"unknown sampler mode {self.mode!r}")
+            raise ConfigError("mode", f"unknown sampler mode {self.mode!r}")
         if self.mode == "nucleus":
             if not 0.0 < self.top_p <= 1.0:
-                raise ValueError("nucleus sampling requires top_p in (0, 1]")
+                raise ConfigError("top_p", "nucleus sampling requires top_p in (0, 1]")
             if self.temperature <= 0.0:
-                raise ValueError("nucleus sampling requires temperature > 0")
+                raise ConfigError("temperature", "nucleus sampling requires temperature > 0")
         if self.max_new_tokens < 0:
-            raise ValueError("max_new_tokens must be >= 0")
+            raise ConfigError("max_new_tokens", "max_new_tokens must be >= 0")
         self.stop_sequences = tuple(bytes(s) for s in self.stop_sequences)
 
 

@@ -15,6 +15,7 @@ multi-whitespace tokens (``    ``).
 from __future__ import annotations
 
 import base64
+import heapq
 import json
 import re
 from collections import Counter
@@ -282,10 +283,15 @@ def load_vocabulary(path: str) -> Vocabulary:
     return vocabulary_from_dict(doc, where=path)
 
 
+def _is_int(value: object) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not ids
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def vocabulary_from_dict(doc: object, where: str = "<vocabulary>") -> Vocabulary:
     if not isinstance(doc, dict):
         raise VocabularyFormatError(f"{where}: top level must be an object")
-    if doc.get("version") != VOCAB_FILE_VERSION:
+    if not _is_int(doc.get("version")) or doc["version"] != VOCAB_FILE_VERSION:
         raise VocabularyFormatError(f"{where}: field 'version' must be {VOCAB_FILE_VERSION}")
     raw_tokens = doc.get("tokens")
     if not isinstance(raw_tokens, list):
@@ -295,7 +301,7 @@ def vocabulary_from_dict(doc: object, where: str = "<vocabulary>") -> Vocabulary
         field = f"{where}: tokens[{n}]"
         data = _entry_to_bytes(entry, field)
         token_id = entry.get("id")
-        if not isinstance(token_id, int):
+        if not _is_int(token_id):
             raise VocabularyFormatError(f"{field}: integer 'id' required")
         if token_id in by_id:
             raise VocabularyValidationError(f"{field}: duplicate id {token_id}")
@@ -317,7 +323,7 @@ def vocabulary_from_dict(doc: object, where: str = "<vocabulary>") -> Vocabulary
             merges.append((_entry_to_bytes(pair[0], field), _entry_to_bytes(pair[1], field)))
 
     specials = doc.get("specials", [])
-    if not isinstance(specials, list) or not all(isinstance(i, int) for i in specials):
+    if not isinstance(specials, list) or not all(_is_int(i) for i in specials):
         raise VocabularyFormatError(f"{where}: field 'specials' must be an array of ids")
 
     options = None
@@ -325,9 +331,14 @@ def vocabulary_from_dict(doc: object, where: str = "<vocabulary>") -> Vocabulary
         raw = doc["pretokenize"]
         if not isinstance(raw, dict):
             raise VocabularyFormatError(f"{where}: field 'pretokenize' must be an object")
+        for key, value in raw.items():
+            if key not in ("space_prefix", "group_whitespace") or not isinstance(value, bool):
+                raise VocabularyFormatError(
+                    f"{where}: pretokenize takes only boolean 'space_prefix' and 'group_whitespace'"
+                )
         options = PretokenizeOptions(
-            space_prefix=bool(raw.get("space_prefix", False)),
-            group_whitespace=bool(raw.get("group_whitespace", False)),
+            space_prefix=raw.get("space_prefix", False),
+            group_whitespace=raw.get("group_whitespace", False),
         )
     return Vocabulary(tokens, merges=merges, specials=specials, pretokenize=options)
 
@@ -472,6 +483,15 @@ def train_tiny_bpe(
     lexicographically smallest merged byte sequence, then smallest left
     side, so training is fully deterministic.  Stops early if the corpus
     runs out of mergeable pairs.
+
+    Cost: the pairs of the D distinct chunks are counted once, O(total
+    bytes of the distinct chunks), and each pair is indexed to the chunks
+    that hold it.  A merge then rewrites only the chunks indexed under its
+    pair, subtracting their old pairs and adding their new ones, and takes
+    the next pair from a heap keyed ``(-count, left + right, left)``; an
+    entry whose count no longer matches is stale and skipped.  So a merge
+    costs the bytes of the chunks holding its pair plus O(log H) per
+    changed pair count (H heap entries), not a pass over every chunk.
     """
     documents = [bytes(d) for d in corpus]
     if not documents or all(len(d) == 0 for d in documents):
@@ -481,36 +501,58 @@ def train_tiny_bpe(
             f"target_size {target_size} below base alphabet plus {len(specials)} specials"
         )
 
-    chunk_counts: Counter[tuple[bytes, ...]] = Counter()
+    chunk_counts: Counter[bytes] = Counter()
     for doc in documents:
-        for chunk in pretokenize(doc, options):
-            chunk_counts[tuple(bytes([b]) for b in chunk)] += 1
+        chunk_counts.update(pretokenize(doc, options))
+    # distinct chunks never collide: their parts always concatenate to the chunk
+    words: list[tuple[bytes, ...]] = [tuple(bytes((b,)) for b in c) for c in chunk_counts]
+    freqs: list[int] = list(chunk_counts.values())
+    pair_counts: Counter[tuple[bytes, bytes]] = Counter()
+    where: dict[tuple[bytes, bytes], set[int]] = {}
+    for w, parts in enumerate(words):
+        freq = freqs[w]
+        for pair in zip(parts, parts[1:]):
+            pair_counts[pair] += freq
+            where.setdefault(pair, set()).add(w)
+    heap = [(-n, a + b, a, b) for (a, b), n in pair_counts.items()]
+    heapq.heapify(heap)
 
     tokens: list[bytes] = [bytes([i]) for i in range(256)]
     token_set = set(tokens)
     merges: list[tuple[bytes, bytes]] = []
     n_regular = target_size - len(specials)
 
-    while len(tokens) < n_regular:
-        pair_counts: Counter[tuple[bytes, bytes]] = Counter()
-        for parts, cnt in chunk_counts.items():
-            for a, b in zip(parts, parts[1:]):
-                pair_counts[(a, b)] += cnt
-        if not pair_counts:
-            break
-        best = min(
-            pair_counts.items(),
-            key=lambda kv: (-kv[1], kv[0][0] + kv[0][1], kv[0][0]),
-        )[0]
+    while len(tokens) < n_regular and heap:
+        neg, merged, left, right = heapq.heappop(heap)
+        best = (left, right)
+        if pair_counts.get(best) != -neg:
+            continue  # stale: the count changed after this entry was pushed
         merges.append(best)
-        merged = best[0] + best[1]
         if merged not in token_set:
             tokens.append(merged)
             token_set.add(merged)
-        next_counts: Counter[tuple[bytes, ...]] = Counter()
-        for parts, cnt in chunk_counts.items():
-            next_counts[_apply_merge(parts, best)] += cnt
-        chunk_counts = next_counts
+        delta: Counter[tuple[bytes, bytes]] = Counter()
+        # a merge only lengthens parts, so ``best`` never occurs again
+        for w in where.pop(best):
+            parts = words[w]
+            new = _apply_merge(parts, best)
+            if len(new) == len(parts):
+                continue  # indexed under a pair an earlier merge consumed
+            freq = freqs[w]
+            for pair in zip(parts, parts[1:]):
+                delta[pair] -= freq
+            for pair in zip(new, new[1:]):
+                delta[pair] += freq
+                where.setdefault(pair, set()).add(w)
+            words[w] = new
+        for pair, change in delta.items():
+            if change:
+                n = pair_counts[pair] + change
+                if n:
+                    pair_counts[pair] = n
+                    heapq.heappush(heap, (-n, pair[0] + pair[1], pair[0], pair[1]))
+                else:
+                    del pair_counts[pair]
 
     n_regular_actual = len(tokens)
     tokens.extend(bytes(s) for s in specials)

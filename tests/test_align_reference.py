@@ -62,7 +62,7 @@ def reference_align_step(state, dist, trie, cache):
         raise ValueError("alignment prefix is already empty")
     ids = trie.matching_tokens(state.prefix) if cache is None else cache.lookup(trie, state.prefix)
     if len(ids) == 0:
-        raise EmptyMaskError(state.prefix)
+        raise EmptyMaskError()
     return ids, mask_distribution(dist, ids)
 
 

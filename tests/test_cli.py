@@ -12,6 +12,7 @@ from tokalign import (
     fixtures,
     load_vocabulary,
     save_vocabulary,
+    scenarios,
 )
 from tokalign.cli import main
 
@@ -41,6 +42,15 @@ def demo_prompt_file(tmp_path):
     record = {"id": "demo", "prompt_b64": base64.b64encode(fixtures.DEMO_PROMPT).decode()}
     path.write_text(json.dumps(record) + "\n")
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def subword_dataset(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("dataset") / "subword.jsonl")
+    corpus = scenarios.load_corpus(fixtures.resolve_bundled("bundled:code"))
+    examples, stats = scenarios.generate_dataset(corpus, "subword", 0, 1)
+    scenarios.write_dataset(path, examples, stats)
+    return path
 
 
 def read_results(path):
@@ -211,6 +221,39 @@ class TestExitCodes:
         assert out == ""
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and f"argument {flag}: bad escape" in errors[0]
+
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            (command, values)
+            for command in ("align", "eval")
+            for values in (
+                ["--backtrack", "0"],
+                ["--max-new-tokens", "-1"],
+                ["--mode", "nucleus", "--top-p", "1.5"],
+                ["--mode", "nucleus", "--temperature", "0"],
+                ["--top-p", "abc"],
+            )
+        ] + [("bench", ["--backtrack", "0"])],
+    )
+    def test_flag_value_out_of_range_is_one(
+        self, capsys, demo_paths, demo_prompt_file, subword_dataset, command, values
+    ):
+        # the configs' range rules reject these as usage errors, naming the flag
+        provider = ["--vocab", demo_paths["vocab"], "--provider", f"scripted:{demo_paths['table']}"]
+        if command == "align":
+            argv = ["align", *provider, "--prompt-file", demo_prompt_file]
+        elif command == "eval":
+            argv = ["eval", "--dataset", subword_dataset, *provider]
+        else:
+            argv = ["bench", "--skip-lookup"]
+        flag = values[-2]
+        code, out, err = run(capsys, *argv, *values)
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: " in errors[0]
+        assert "Traceback" not in err
 
     def test_escapes_in_flags_still_parse(self, capsys, tmp_path, demo_paths, demo_prompt_file):
         path = tmp_path / "v.json"

@@ -40,7 +40,7 @@ def reference_mask_distribution(dist, mask):
         return masked / total
     n = int(np.count_nonzero(mask))
     if n == 0:
-        raise EmptyMaskError(b"")
+        raise EmptyMaskError()
     uniform = np.zeros_like(masked, dtype=np.float64)
     uniform[mask] = 1.0 / n
     return uniform
