@@ -48,10 +48,7 @@ from .metrics import (
 from .scenarios import (
     SCENARIOS,
     DatasetError,
-    NoCutPointError,
     ScenarioExample,
-    cut,
-    example_at,
     generate_dataset,
     validate_example,
 )

@@ -92,7 +92,7 @@ def backtrack_split(
     full backtrack with empty context.
     """
     if backtrack_tokens < 1:
-        raise ValueError("backtrack_tokens must be >= 1")
+        raise ConfigError("backtrack_tokens", "backtrack_tokens must be >= 1")
     if not ids:
         raise ValueError("cannot backtrack an empty token sequence")
     b = min(backtrack_tokens, len(ids))
@@ -135,12 +135,17 @@ def aligned_generate(
     provider: LogitsProvider,
     vocab: Vocabulary,
     trie: ByteTrie,
-    cache: MaskCache | None,
+    cache: MaskCache,
     prompt: bytes,
     align_cfg: AlignConfig,
     sampler_cfg: SamplerConfig,
 ) -> GenerationResult:
-    """Full pipeline: encode, backtrack, masked decoding, then free decoding."""
+    """Full pipeline: encode, backtrack, masked decoding, then free decoding.
+
+    Every alignment step takes its compatible ids from
+    ``cache.lookup(trie, prefix)``; ``MaskCache(trie, 0)`` stores nothing,
+    so each lookup then queries the index.
+    """
     prompt = bytes(prompt)
     if provider.vocab_size != len(vocab):
         raise ValueError(
@@ -164,7 +169,7 @@ def aligned_generate(
         dist = np.asarray(provider.next_distribution(context), dtype=np.float64)
         check_distribution(dist, len(vocab))
         t_step = time.perf_counter_ns()
-        ids = trie.matching_tokens(prefix) if cache is None else cache.lookup(trie, prefix)
+        ids = cache.lookup(trie, prefix)
         if len(ids) == 0:
             raise DeadEndError(prefix, context, len(mask_sizes))
         probs = mask_distribution(dist, ids)
@@ -191,7 +196,6 @@ def aligned_generate(
         prompt=prompt,
         output=prompt + out,
         token_ids=context,
-        alignment_steps=len(mask_sizes),
         mask_sizes=mask_sizes,
         timings_us={
             "alignment": alignment_us,

@@ -96,29 +96,27 @@ _CONFIG_FLAGS = {
     "temperature": "--temperature",
     "max_new_tokens": "--max-new-tokens",
     "backtrack_tokens": "--backtrack",
+    "target_size": "--target-size",
 }
 
 
 def _attach_configs(args) -> None:
     """Build ``args.sampler`` and ``args.align_cfg`` from the command's flags.
 
-    The configs hold the range rules; a value they reject is a usage
-    error naming its flag.
+    The configs hold the range rules; :func:`main` turns a value they
+    reject into a usage error naming its flag.
     """
-    try:
-        if hasattr(args, "mode"):
-            args.sampler = SamplerConfig(
-                mode=args.mode,
-                top_p=args.top_p,
-                temperature=args.temperature,
-                seed=args.seed,
-                max_new_tokens=args.max_new_tokens,
-                stop_sequences=tuple(args.stop or ()),
-            )
-        if hasattr(args, "backtrack"):
-            args.align_cfg = align_mod.AlignConfig(backtrack_tokens=args.backtrack)
-    except ConfigError as exc:
-        args.command_parser.error(f"argument {_CONFIG_FLAGS[exc.field]}: {exc}")
+    if hasattr(args, "mode"):
+        args.sampler = SamplerConfig(
+            mode=args.mode,
+            top_p=args.top_p,
+            temperature=args.temperature,
+            seed=args.seed,
+            max_new_tokens=args.max_new_tokens,
+            stop_sequences=tuple(args.stop or ()),
+        )
+    if hasattr(args, "backtrack"):
+        args.align_cfg = align_mod.AlignConfig(backtrack_tokens=args.backtrack)
 
 
 def _read_prompts(path: str | None):
@@ -219,8 +217,6 @@ def cmd_eval(args) -> int:
         return _validate_dataset(examples)
     vocab = load_vocabulary(_resolve(args.vocab))
     provider = _load_provider(args, vocab)
-    if provider.vocab_size != len(vocab):
-        raise ValueError("provider and vocabulary disagree on vocabulary size")
     arms = ["aligned", "unaligned"] if args.arm == "both" else [args.arm]
 
     trie = build_trie(vocab)
@@ -413,7 +409,8 @@ def build_parser() -> _Parser:
     p.add_argument("--backtrack", type=int, default=align_mod.AlignConfig.backtrack_tokens)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench, command_parser=p)
+    # train_tiny_bpe names its target_size, which --train-size sets here
+    p.set_defaults(func=cmd_bench, command_parser=p, config_flags={"target_size": "--train-size"})
 
     p = sub.add_parser("vocab", help="vocabulary tools")
     vocab_sub = p.add_subparsers(dest="vocab_command", required=True)
@@ -425,7 +422,7 @@ def build_parser() -> _Parser:
     pt.add_argument("--special", action="append", type=_escape_bytes, default=None,
                     help="special token (supports \\n style escapes); repeatable")
     pt.add_argument("--out", required=True)
-    pt.set_defaults(func=cmd_vocab_train)
+    pt.set_defaults(func=cmd_vocab_train, command_parser=pt)
     pi = vocab_sub.add_parser("inspect", help="summarize a vocabulary file")
     pi.add_argument("--vocab", required=True)
     pi.set_defaults(func=cmd_vocab_inspect)
@@ -437,11 +434,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _attach_configs(args)
+        try:
+            _attach_configs(args)
+            return args.func(args)
+        except ConfigError as exc:
+            # raised by _attach_configs, or by train_tiny_bpe for target_size
+            flag = {**_CONFIG_FLAGS, **getattr(args, "config_flags", {})}[exc.field]
+            args.command_parser.error(f"argument {flag}: {exc}")
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except align_mod.AlignmentError as exc:
         print(f"tokalign: alignment failed: {exc}", file=sys.stderr)
         return EXIT_ALIGNMENT

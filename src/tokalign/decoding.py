@@ -38,7 +38,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .vocab import Vocabulary, decode, encode, json_field
+from .vocab import ConfigError, Vocabulary, decode, encode, json_field
 
 DIST_SUM_TOLERANCE = 1e-6
 
@@ -109,14 +109,6 @@ def _scan_distribution(dist: np.ndarray, size: int) -> None:
     total = float(dist.sum())
     if abs(total - 1.0) > DIST_SUM_TOLERANCE:
         raise ValueError(f"distribution sums to {total}, not 1")
-
-
-class ConfigError(ValueError):
-    """A configuration value is out of range; ``field`` names the field."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass
@@ -314,16 +306,22 @@ class GenerationResult:
 
     ``output`` always begins with the prompt bytes and may be truncated
     at the first stop-sequence occurrence; ``token_ids`` lists every
-    token the session emitted, untruncated.  Timings are microseconds; ``per_lookup_max`` is the slowest single alignment
-    step's mask lookup plus renormalization over the compatible ids.
+    token the session emitted, untruncated.  ``mask_sizes`` holds one
+    compatible-id count per alignment step, so ``alignment_steps`` is
+    its length.  Timings are microseconds; ``per_lookup_max`` is the
+    slowest single alignment step's mask lookup plus renormalization
+    over the compatible ids.
     """
 
     prompt: bytes
     output: bytes
     token_ids: list[int]
-    alignment_steps: int
     mask_sizes: list[int] = field(default_factory=list)
     timings_us: dict = field(default_factory=dict)
+
+    @property
+    def alignment_steps(self) -> int:
+        return len(self.mask_sizes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -401,8 +399,6 @@ def generate(
         prompt=bytes(prompt),
         output=bytes(prompt) + out,
         token_ids=context,
-        alignment_steps=0,
-        mask_sizes=[],
         timings_us={"alignment": 0.0, "free": free_us, "per_lookup_max": 0.0},
     )
 

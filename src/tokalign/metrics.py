@@ -12,7 +12,6 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -140,15 +139,6 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     for i in range(n - c + 1, n + 1):
         product *= 1.0 - k / i
     return 1.0 - product
-
-
-def pass_at_k_exhaustive(n: int, c: int, k: int) -> float:
-    """Reference form via binomial coefficients (exact for small n)."""
-    if not 0 <= c <= n:
-        raise ValueError(f"need 0 <= c <= n, got c={c}, n={n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return 1.0 - comb(n - c, k) / comb(n, k) if n - c >= k else 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,9 @@ from .vocab import json_field, read_json_lines
 
 SCENARIOS = ("subword", "punctuation", "prefix_sep", "prefix_indent", "contiguous_space")
 
-_WS = frozenset(b" \n\t")
 _SPACE = 0x20
 _NEWLINE = 0x0A
 _TAB = 0x09
-
-
-class NoCutPointError(ValueError):
-    """The document has no eligible cut position for the scenario."""
 
 
 class DatasetError(ValueError):
@@ -203,24 +198,6 @@ def _make_example(scenario: str, source: bytes, source_id: str, cut: int) -> Sce
         ground_truth=source[cut:],
         cut_offset=cut,
     )
-
-
-def cut(scenario: str, source: bytes, rng: np.random.Generator, source_id: str = "") -> ScenarioExample:
-    """Cut ``source`` at an eligible position of ``scenario`` drawn from ``rng``."""
-    source = bytes(source)
-    positions = eligible_positions(scenario, source)
-    if not positions:
-        raise NoCutPointError(f"{scenario}: no eligible cut position in {source_id or 'document'}")
-    offset = positions[int(rng.integers(len(positions)))]
-    return _make_example(scenario, source, source_id, offset)
-
-
-def example_at(scenario: str, source: bytes, cut: int, source_id: str = "") -> ScenarioExample:
-    """Build an example at an explicit (eligible) cut offset."""
-    source = bytes(source)
-    if cut not in eligible_positions(scenario, source):
-        raise NoCutPointError(f"{scenario}: offset {cut} is not an eligible cut position")
-    return _make_example(scenario, source, source_id, cut)
 
 
 # ---------------------------------------------------------------------------

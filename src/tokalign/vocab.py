@@ -39,6 +39,14 @@ class VocabularyValidationError(VocabularyError):
     """The vocabulary violates an invariant (duplicate bytes, sparse ids, ...)."""
 
 
+class ConfigError(ValueError):
+    """A configuration value is out of range; ``field`` names the field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 class EncodingError(ValueError):
     """Text cannot be encoded, or ids cannot be decoded.
 
@@ -493,13 +501,14 @@ def train_tiny_bpe(
     costs the bytes of the chunks holding its pair plus O(log H) per
     changed pair count (H heap entries), not a pass over every chunk.
     """
+    if target_size < 256 + len(specials):
+        raise ConfigError(
+            "target_size",
+            f"target_size {target_size} below base alphabet plus {len(specials)} specials",
+        )
     documents = [bytes(d) for d in corpus]
     if not documents or all(len(d) == 0 for d in documents):
         raise VocabularyError("training corpus is empty")
-    if target_size < 256 + len(specials):
-        raise VocabularyError(
-            f"target_size {target_size} below base alphabet plus {len(specials)} specials"
-        )
 
     chunk_counts: Counter[bytes] = Counter()
     for doc in documents:

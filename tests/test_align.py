@@ -32,6 +32,7 @@ from tokalign import (
     mask_distribution,
     sample,
 )
+from tokalign.decoding import ConfigError
 
 from conftest import byte_vocab
 
@@ -61,10 +62,12 @@ class TestBacktrackSplit:
 
     def test_b_zero_rejected(self):
         vocab = byte_vocab()
-        with pytest.raises(ValueError):
+        # both raise the one ConfigError (a ValueError) naming the field
+        with pytest.raises(ConfigError) as split_error:
             backtrack_split([1, 2], vocab, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as config_error:
             AlignConfig(backtrack_tokens=0)
+        assert split_error.value.field == config_error.value.field == "backtrack_tokens"
 
     def test_b_clamped_to_length(self):
         vocab = byte_vocab()
@@ -213,7 +216,7 @@ class TestAlignedGenerate:
     def test_empty_prompt_rejected(self, trained_vocab, ngram_provider, trained_trie):
         with pytest.raises(ValueError):
             aligned_generate(
-                ngram_provider, trained_vocab, trained_trie, None, b"",
+                ngram_provider, trained_vocab, trained_trie, MaskCache(trained_trie, 0), b"",
                 AlignConfig(), SamplerConfig(),
             )
 
@@ -224,7 +227,7 @@ class TestAlignedGenerate:
         trie = build_trie(demo_vocab)
         cfg = SamplerConfig(mode="greedy", max_new_tokens=6, stop_sequences=(b"turn",))
         result = aligned_generate(
-            model, demo_vocab, trie, None, fixtures.DEMO_PROMPT, AlignConfig(), cfg
+            model, demo_vocab, trie, MaskCache(trie, 0), fixtures.DEMO_PROMPT, AlignConfig(), cfg
         )
         assert result.output == fixtures.DEMO_PROMPT
 
@@ -239,7 +242,7 @@ class TestAlignedGenerate:
         assert len(trie.matching_tokens(b"d")) == 0
         with pytest.raises(DeadEndError) as caught:
             aligned_generate(
-                provider, vocab, trie, None, b"acd",
+                provider, vocab, trie, MaskCache(trie, 0), b"acd",
                 AlignConfig(backtrack_tokens=1), cfg,
             )
         assert caught.value.prefix == b"d"
@@ -318,7 +321,8 @@ class TestSafetyBound:
         monkeypatch.setattr(align_module, "advance", lambda prefix, chosen, vocab_arg: prefix)
         with pytest.raises(align_module.AlignmentError, match="exceeded"):
             align_module.aligned_generate(
-                provider, vocab, trie, None, b"ab", AlignConfig(backtrack_tokens=1), cfg
+                provider, vocab, trie, MaskCache(trie, 0), b"ab", AlignConfig(backtrack_tokens=1),
+                cfg,
             )
 
     def test_long_single_token_prefix_completes(self):
@@ -359,7 +363,8 @@ class TestAlwaysOnChecks:
         monkeypatch.setattr(align_module, "backtrack_split", forgetful_split)
         with pytest.raises(align_module.AlignmentError, match="lost prompt"):
             align_module.aligned_generate(
-                provider, vocab, trie, None, b"ab", AlignConfig(backtrack_tokens=2), cfg
+                provider, vocab, trie, MaskCache(trie, 0), b"ab", AlignConfig(backtrack_tokens=2),
+                cfg,
             )
 
     def test_contract_checked_once_per_provider_call(
@@ -388,7 +393,7 @@ class TestAlwaysOnChecks:
         for mode in ("greedy", "nucleus"):
             cfg = SamplerConfig(mode=mode, top_p=0.9, seed=3, max_new_tokens=5)
             result = aligned_generate(
-                CountingProvider(), trained_vocab, trained_trie, None,
+                CountingProvider(), trained_vocab, trained_trie, MaskCache(trained_trie, 0),
                 b"def get_total(items):\n    re", AlignConfig(), cfg,
             )
             assert result.alignment_steps > 0
@@ -409,7 +414,8 @@ class TestAlwaysOnChecks:
 
             with pytest.raises(ValueError, match="shape"):
                 aligned_generate(
-                    WrongLength(), vocab, trie, None, b"ab", AlignConfig(backtrack_tokens=1), cfg
+                    WrongLength(), vocab, trie, MaskCache(trie, 0), b"ab",
+                    AlignConfig(backtrack_tokens=1), cfg,
                 )
             with pytest.raises(ValueError, match="shape"):
                 generate(WrongLength(), vocab, b"ab", cfg)
@@ -421,7 +427,8 @@ class TestAlwaysOnChecks:
             """
             import numpy as np
             from tokalign import (
-                AlignConfig, SamplerConfig, Vocabulary, aligned_generate, build_trie, generate,
+                AlignConfig, MaskCache, SamplerConfig, Vocabulary, aligned_generate, build_trie,
+                generate,
             )
 
             if __debug__:
@@ -435,9 +442,10 @@ class TestAlwaysOnChecks:
                     return np.array([1.5, -0.5])
 
             cfg = SamplerConfig(mode="greedy", max_new_tokens=2)
+            trie = build_trie(vocab)
             runs = {
                 "aligned": lambda: aligned_generate(
-                    Negative(), vocab, build_trie(vocab), None, b"ab",
+                    Negative(), vocab, trie, MaskCache(trie, 0), b"ab",
                     AlignConfig(backtrack_tokens=1), cfg,
                 ),
                 "plain": lambda: generate(Negative(), vocab, b"ab", cfg),

@@ -17,6 +17,7 @@ message of its own, which ``test_align.py`` covers.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, seed, settings
@@ -28,7 +29,6 @@ from tokalign import (
     AlignmentError,
     DeadEndError,
     EmptyMaskError,
-    GenerationResult,
     MaskCache,
     PretokenizeOptions,
     SamplerConfig,
@@ -117,7 +117,7 @@ def reference_aligned_generate(provider, vocab, trie, cache, prompt, align_cfg, 
     generated = bytearray(produced[len(prompt):])
     stop_at = run_free_phase(provider, vocab, state.context, generated, sampler_cfg, rng)
     out = bytes(generated) if stop_at is None else bytes(generated[:stop_at])
-    return GenerationResult(
+    return SimpleNamespace(
         prompt=prompt,
         output=prompt + out,
         token_ids=state.context,
@@ -197,7 +197,7 @@ samplers = st.builds(
 
 def run(generate, vocab, provider, capacity, prompt, align_cfg, sampler_cfg):
     trie = build_trie(vocab)
-    cache = None if capacity is None else MaskCache(trie, capacity)
+    cache = MaskCache(trie, capacity)
     try:
         return generate(provider, vocab, trie, cache, prompt, align_cfg, sampler_cfg)
     except (ValueError, AlignmentError) as exc:
@@ -216,11 +216,11 @@ DEAD_END = (Vocabulary([b"a", b"ac", b"acd", b"cd"]), b"acd")
     sampler_cfg=samplers,
     provider_seed=st.integers(0, 2**32 - 1),
     zero_fraction=st.sampled_from([0.0, 0.5, 0.95]),
-    capacity=st.sampled_from([None, 0, 2]),
+    capacity=st.sampled_from([0, 2]),
 )
 @example(
     case=DEAD_END, backtrack=1, sampler_cfg=SamplerConfig(mode="greedy"),
-    provider_seed=1, zero_fraction=0.0, capacity=None,
+    provider_seed=1, zero_fraction=0.0, capacity=0,
 )
 def test_loop_matches_step_api_reference(
     case, backtrack, sampler_cfg, provider_seed, zero_fraction, capacity

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from tokalign import (
     AlignConfig,
+    MaskCache,
     SamplerConfig,
     Vocabulary,
     aligned_generate,
@@ -165,8 +166,9 @@ def test_refilled_buffer_rejected_on_the_call_it_turns_bad(memory, arm):
     cfg = SamplerConfig(mode="greedy", max_new_tokens=4)
     with pytest.raises(ValueError, match="negative or NaN"):
         if arm == "aligned":
+            trie = build_trie(vocab)
             aligned_generate(
-                provider, vocab, build_trie(vocab), None, b"a", AlignConfig(backtrack_tokens=1), cfg
+                provider, vocab, trie, MaskCache(trie, 0), b"a", AlignConfig(backtrack_tokens=1), cfg
             )
         else:
             generate(provider, vocab, b"a", cfg)
@@ -255,7 +257,8 @@ def test_one_scan_per_distinct_row(scans, trained_vocab, trained_trie, code_text
         for prompt in prompts:
             for cfg in configs:
                 outputs.append(aligned_generate(
-                    Recording(), trained_vocab, trained_trie, None, prompt, AlignConfig(), cfg
+                    Recording(), trained_vocab, trained_trie, MaskCache(trained_trie, 0), prompt,
+                    AlignConfig(), cfg,
                 ).output)
                 outputs.append(generate(Recording(), trained_vocab, prompt, cfg).output)
         return outputs

@@ -6,11 +6,14 @@ import pytest
 
 from tokalign import (
     EvalRecord,
+    SamplerConfig,
     ScenarioExample,
     ScriptedModel,
     Vocabulary,
     fixtures,
+    generate,
     load_vocabulary,
+    read_eval_records,
     save_vocabulary,
     scenarios,
 )
@@ -234,19 +237,26 @@ class TestExitCodes:
                 ["--mode", "nucleus", "--temperature", "0"],
                 ["--top-p", "abc"],
             )
-        ] + [("bench", ["--backtrack", "0"])],
+        ] + [
+            ("bench", ["--backtrack", "0"]),
+            ("bench", ["--train-size", "100"]),
+            ("vocab train", ["--target-size", "100"]),
+        ],
     )
     def test_flag_value_out_of_range_is_one(
-        self, capsys, demo_paths, demo_prompt_file, subword_dataset, command, values
+        self, capsys, tmp_path, demo_paths, demo_prompt_file, subword_dataset, command, values
     ):
-        # the configs' range rules reject these as usage errors, naming the flag
+        # the configs' and the trainer's range rules reject these as usage
+        # errors, naming the flag
         provider = ["--vocab", demo_paths["vocab"], "--provider", f"scripted:{demo_paths['table']}"]
         if command == "align":
             argv = ["align", *provider, "--prompt-file", demo_prompt_file]
         elif command == "eval":
             argv = ["eval", "--dataset", subword_dataset, *provider]
-        else:
+        elif command == "bench":
             argv = ["bench", "--skip-lookup"]
+        else:
+            argv = ["vocab", "train", "--corpus", "bundled:code", "--out", str(tmp_path / "v.json")]
         flag = values[-2]
         code, out, err = run(capsys, *argv, *values)
         assert code == 1
@@ -427,6 +437,17 @@ class TestGenDataset:
             )
             assert code == 0
             assert "0 invalid" in out
+        # one tampered example makes the file invalid, a data error
+        examples = scenarios.read_dataset(str(tmp_path / "subword.jsonl"))
+        bad = examples[0]
+        bad.prompt += b" "
+        scenarios.write_dataset(str(tmp_path / "bad.jsonl"), examples)
+        code, out, _ = run(
+            capsys, "eval", "--dataset", str(tmp_path / "bad.jsonl"), "--validate-only"
+        )
+        assert code == 2
+        assert f"INVALID {bad.source_id}@{bad.cut_offset}: " in out
+        assert f"validated {len(examples)} examples, 1 invalid" in out
 
 
 class TestEval:
@@ -522,6 +543,30 @@ class TestEval:
         a = json.loads(first.read_text())
         b = json.loads(second.read_text())
         assert a["aggregates"] == b["aggregates"]
+
+    def test_use_baseline_scores_the_control_arm(
+        self, capsys, tmp_path, dataset, trained_vocab, ngram_provider
+    ):
+        data, vocab = dataset
+        records_path = tmp_path / "records.jsonl"
+        code, out, _ = run(
+            capsys, "eval", "--dataset", data, "--vocab", vocab,
+            "--provider", "ngram:bundled:code", "--metrics", "em",
+            "--max-new-tokens", "4", "--use-baseline", "--save-records", str(records_path),
+        )
+        assert code == 0
+        assert "subword_baseline    aligned" in out and "subword_baseline      delta" in out
+        # an example with an empty baseline prompt is skipped; the rest are
+        # generated from the baseline prompt and scored against everything after it
+        examples = [ex for ex in scenarios.read_dataset(data) if ex.baseline_prompt]
+        records = read_eval_records(str(records_path))
+        assert [r.arm for r in records] == ["aligned", "unaligned"] * len(examples)
+        cfg = SamplerConfig(max_new_tokens=4)
+        for ex, record in zip(examples, records[1::2]):
+            assert record.example_id == f"{ex.source_id}@{ex.cut_offset}"
+            assert record.references == [ex.source[len(ex.baseline_prompt):]]
+            plain = generate(ngram_provider, trained_vocab, ex.baseline_prompt, cfg)
+            assert record.generated == plain.output[len(ex.baseline_prompt):]
 
     def test_dataset_or_records_required(self, capsys):
         code, _, err = run(capsys, "eval", "--metrics", "em")

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from tokalign import (
+    AlignConfig,
+    MaskCache,
     NGramModel,
     SamplerConfig,
     ScriptedModel,
     Vocabulary,
+    aligned_generate,
     build_ngram_model,
     generate,
     make_rng,
@@ -262,10 +265,15 @@ class TestGenerate:
         assert r1.output == r2.output
         assert r1.token_ids == r2.token_ids
 
-    def test_vocab_size_mismatch_rejected(self, trained_vocab):
+    def test_vocab_size_mismatch_rejected(self, trained_vocab, trained_trie):
         provider = NGramModel(vocab_size=7, order=1, alpha=0.1)
         with pytest.raises(ValueError, match="vocab size"):
             generate(provider, trained_vocab, b"x", SamplerConfig())
+        with pytest.raises(ValueError, match="vocab size 7 != vocabulary size"):
+            aligned_generate(
+                provider, trained_vocab, trained_trie, MaskCache(trained_trie, 0), b"x",
+                AlignConfig(), SamplerConfig(),
+            )
 
     def test_result_json_round_trip(self, trained_vocab, ngram_provider):
         cfg = SamplerConfig(mode="greedy", max_new_tokens=4)

@@ -1,5 +1,6 @@
 import itertools
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tokalign import (
     rouge_l,
     score_records,
 )
-from tokalign.metrics import pass_at_k_exhaustive, score_record, write_report_csv
+from tokalign.metrics import ALL_METRICS, FUZZY_N, score_record, write_report_csv
 
 from conftest import byte_vocab
 
@@ -57,6 +58,11 @@ def subset_pass_oracle(n: int, c: int, k: int) -> float:
     subsets = list(itertools.combinations(range(n), k))
     hits = sum(1 for s in subsets if any(outcomes[i] for i in s))
     return hits / len(subsets)
+
+
+def pass_at_k_exhaustive(n: int, c: int, k: int) -> float:
+    """Reference form via binomial coefficients (exact for small n)."""
+    return 1.0 - comb(n - c, k) / comb(n, k) if n - c >= k else 1.0
 
 
 class TestExactMatch:
@@ -226,12 +232,18 @@ class TestReports:
         ]
 
     def test_aggregates_are_means(self, trained_vocab):
-        report = score_records(self._records(), ("em", "es"), trained_vocab, scenario="toy")
+        report = score_records(self._records(), vocab=trained_vocab, scenario="toy")
+        assert report.metrics == ALL_METRICS
         for arm in ("aligned", "unaligned"):
             rows = [r for r in report.per_example if r["arm"] == arm]
-            for metric in ("em", "es"):
+            for metric in ALL_METRICS:
                 mean = float(np.mean([r[metric] for r in rows]))
                 assert abs(report.aggregates[arm][metric] - mean) < 1e-9
+        # the word-level metrics reach their functions unchanged
+        for record, row in zip(self._records(), report.per_example):
+            assert row["rouge_l"] == rouge_l(record.generated, record.references)
+            fuzzy = fuzzy_first_n_words(record.generated, record.references[0], FUZZY_N)
+            assert (row["fuzzy_es_50"], row["fuzzy_rouge_50"]) == fuzzy
 
     def test_deltas_present_with_both_arms(self, trained_vocab):
         report = score_records(self._records(), ("em",), trained_vocab)

@@ -9,7 +9,7 @@ must equal those of an unpatched run.
 import numpy as np
 import pytest
 
-from tokalign import AlignConfig, SamplerConfig, aligned_generate, build_trie, generate
+from tokalign import AlignConfig, MaskCache, SamplerConfig, aligned_generate, build_trie, generate
 from tokalign import decoding as decoding_module
 from tokalign.bench import make_synthetic_vocabulary
 
@@ -32,8 +32,8 @@ class PeakedAndFlatRows:
 
 
 def _both_arms(provider, vocab, trie, prompt, cfg):
-    # no mask cache, so every alignment step queries the index
-    aligned = aligned_generate(provider, vocab, trie, None, prompt, AlignConfig(), cfg)
+    # capacity 0 stores no mask, so every alignment step queries the index
+    aligned = aligned_generate(provider, vocab, trie, MaskCache(trie, 0), prompt, AlignConfig(), cfg)
     plain = generate(provider, vocab, prompt, cfg)
     return aligned.output, aligned.token_ids, plain.output, plain.token_ids
 

@@ -4,17 +4,14 @@ import pytest
 
 from tokalign import (
     DatasetError,
-    NoCutPointError,
     SCENARIOS,
-    cut,
-    example_at,
     fixtures,
     generate_dataset,
-    make_rng,
     validate_example,
 )
 from tokalign.scenarios import (
     ScenarioExample,
+    _make_example,
     eligible_positions,
     load_corpus,
     read_dataset,
@@ -25,6 +22,23 @@ from tokalign.scenarios import (
 def assert_valid(ex):
     problems = validate_example(ex)
     assert not problems, problems
+
+
+def example_at(scenario, source, offset, source_id=""):
+    """The example cut at ``offset``, which must be an eligible position."""
+    assert offset in eligible_positions(scenario, source)
+    return _make_example(scenario, source, source_id, offset)
+
+
+def draws(corpus, scenario, seed, per_doc):
+    """Up to ``per_doc`` distinct cuts from every document that has a cut point."""
+    return generate_dataset(corpus, scenario, seed, per_doc)[0]
+
+
+def assert_no_cut_point(scenario, source):
+    assert eligible_positions(scenario, source) == []
+    with pytest.raises(DatasetError, match="0 eligible"):
+        generate_dataset([("doc", source)], scenario, seed=0)
 
 
 class TestSubword:
@@ -44,16 +58,12 @@ class TestSubword:
         assert_valid(ex)
 
     def test_random_cuts_validate(self, code_corpus):
-        rng = make_rng(13)
-        for _ in range(500):
-            _, text = code_corpus[int(rng.integers(len(code_corpus)))]
-            ex = cut("subword", text, rng)
+        for ex in draws(code_corpus, "subword", seed=13, per_doc=10):
             assert ex.prompt[-1:].isalnum() or ex.prompt[-1:] == b"_"
             assert_valid(ex)
 
     def test_no_eligible_word(self):
-        with pytest.raises(NoCutPointError):
-            cut("subword", b"a b c !", make_rng(0))
+        assert_no_cut_point("subword", b"a b c !")
 
 
 class TestPunctuation:
@@ -72,17 +82,10 @@ class TestPunctuation:
         assert_valid(ex)
 
     def test_no_adjacent_punctuation(self):
-        with pytest.raises(NoCutPointError):
-            cut("punctuation", b"plain words only.", make_rng(0))
+        assert_no_cut_point("punctuation", b"plain words only.")
 
     def test_random_cuts_validate(self, code_corpus):
-        rng = make_rng(29)
-        for _ in range(200):
-            _, text = code_corpus[int(rng.integers(len(code_corpus)))]
-            try:
-                ex = cut("punctuation", text, rng)
-            except NoCutPointError:
-                continue
+        for ex in draws(code_corpus, "punctuation", seed=29, per_doc=10):
             assert_valid(ex)
 
 
@@ -101,14 +104,10 @@ class TestSpacePrefixSep:
 
     def test_indentation_never_eligible(self):
         #  the only spaces are line-leading: no cut position exists
-        with pytest.raises(NoCutPointError):
-            cut("prefix_sep", b"\n    value\n        other", make_rng(0))
+        assert_no_cut_point("prefix_sep", b"\n    value\n        other")
 
     def test_random_cuts_validate(self, code_corpus):
-        rng = make_rng(37)
-        for _ in range(300):
-            _, text = code_corpus[int(rng.integers(len(code_corpus)))]
-            ex = cut("prefix_sep", text, rng)
+        for ex in draws(code_corpus, "prefix_sep", seed=37, per_doc=6):
             line = ex.prompt[ex.prompt.rfind(b"\n") + 1 :]
             assert line.strip()  # final line never all-whitespace
             assert_valid(ex)
@@ -132,10 +131,7 @@ class TestSpacePrefixIndent:
         assert eligible_positions("prefix_indent", b"a\n    \n") == []
 
     def test_random_cuts_validate(self, code_corpus):
-        rng = make_rng(41)
-        for _ in range(300):
-            _, text = code_corpus[int(rng.integers(len(code_corpus)))]
-            ex = cut("prefix_indent", text, rng)
+        for ex in draws(code_corpus, "prefix_indent", seed=41, per_doc=6):
             next_byte = ex.ground_truth[:1]
             assert next_byte not in (b" ", b"\n", b"\t")
             assert_valid(ex)
@@ -157,25 +153,18 @@ class TestContiguousSpace:
         assert_valid(ex)
 
     def test_random_cuts_validate(self, code_corpus):
-        rng = make_rng(43)
         ws = (b" ", b"\n", b"\t")
-        for _ in range(300):
-            _, text = code_corpus[int(rng.integers(len(code_corpus)))]
-            ex = cut("contiguous_space", text, rng)
+        for ex in draws(code_corpus, "contiguous_space", seed=43, per_doc=6):
             assert ex.prompt[-1:] in ws and ex.ground_truth[:1] in ws
             assert_valid(ex)
 
 
 class TestReconstruction:
     def test_prompt_plus_truth_is_source(self, code_corpus):
-        rng = make_rng(47)
-        for _, text in code_corpus[:10]:
-            for scenario in SCENARIOS:
-                try:
-                    ex = cut(scenario, text, rng)
-                except NoCutPointError:
-                    continue
-                assert ex.prompt + ex.ground_truth == text
+        texts = dict(code_corpus[:10])
+        for scenario in SCENARIOS:
+            for ex in draws(code_corpus[:10], scenario, seed=47, per_doc=1):
+                assert ex.prompt + ex.ground_truth == texts[ex.source_id]
                 assert ex.cut_offset == len(ex.prompt)
 
 
@@ -221,7 +210,7 @@ class TestGenerateDataset:
 
     def test_non_utf8_source_survives_jsonl(self, tmp_path):
         source = b"alpha \xff\xfebeta gamma"
-        ex = cut("subword", source, make_rng(0), source_id="raw")
+        [ex] = draws([("raw", source)], "subword", seed=0, per_doc=1)
         path = tmp_path / "raw.jsonl"
         write_dataset(str(path), [ex])
         assert read_dataset(str(path))[0] == ex
@@ -264,6 +253,28 @@ class TestValidators:
             cut_offset=good.cut_offset,
         )
         assert validate_example(tampered)
+        # (scenario, prompt, baseline, ground truth, the problem it must name)
+        cases = [
+            ("subword", b"", b"", b"a", "prompt is empty"),
+            ("subword", b"a", b"", b"", "ground truth is empty"),
+            ("subword", b"a ", b"", b"b", "not strictly inside a word"),
+            ("punctuation", b"a=", b"a", b"b", "not strictly inside a punctuation run"),
+            ("prefix_sep", b"a", b"", b"b", "does not end with a separator space"),
+            ("prefix_sep", b"x\n  ", b"x", b"y", "line-leading indentation"),
+            ("prefix_sep", b"x\n  ", b"x", b"y", "final line of the prompt is all whitespace"),
+            ("prefix_indent", b"a\n  ", b"a", b" b", "byte after the cut is whitespace"),
+            ("prefix_indent", b"a b", b"a", b"c", "does not end with newline plus indentation"),
+            ("contiguous_space", b"a ", b"a", b"b", "not strictly inside a whitespace run"),
+            ("mystery", b"ab", b"", b"c", "unknown scenario 'mystery'"),
+            ("subword", b"ab", b"ab", b"c", "baseline is not a strict prefix"),
+            ("subword", b"x ab", b"x ", b"c", "baseline ends with untrimmed whitespace"),
+            ("subword", b"abc", b"a", b"d", "baseline ends inside a word"),
+        ]
+        for scenario, prompt, baseline, truth, problem in cases:
+            ex = ScenarioExample(scenario, "x", prompt, baseline, truth, len(prompt))
+            assert any(problem in p for p in validate_example(ex)), (prompt, problem)
+        shifted = ScenarioExample("subword", "x", b"ab", b"", b"c", 1)
+        assert validate_example(shifted) == ["cut_offset does not equal the prompt length"]
 
     def test_every_scenario_has_finder(self, code_corpus):
         _, text = code_corpus[0]

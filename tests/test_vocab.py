@@ -16,7 +16,7 @@ from tokalign import (
     save_vocabulary,
     train_tiny_bpe,
 )
-from tokalign.vocab import pretokenize, vocabulary_from_dict, vocabulary_to_dict
+from tokalign.vocab import ConfigError, pretokenize, vocabulary_from_dict, vocabulary_to_dict
 from tokalign.decoding import make_rng
 
 from conftest import TRAIN_OPTIONS, byte_vocab
@@ -143,6 +143,19 @@ class TestEncodeDecode:
         assert [vocab.tokens[i] for i in ids] == [b"I", b" like"]
         assert decode(vocab, ids) == b"I like"
 
+    def test_merges_without_pretokenize_cross_chunks(self):
+        # a file with merges and no pretokenize field loads with pretokenize
+        # None, and its merges then apply across what would be chunk boundaries
+        doc = vocabulary_to_dict(
+            byte_vocab(extra=[b"a ", b"a b"], merges=[(b"a", b" "), (b"a ", b"b")])
+        )
+        assert "pretokenize" not in doc
+        vocab = vocabulary_from_dict(doc)
+        assert vocab.pretokenize is None
+        assert [vocab.tokens[i] for i in encode(vocab, b"a ba")] == [b"a b", b"a"]
+        chunked = Vocabulary(vocab.tokens, vocab.merges, pretokenize=PretokenizeOptions(space_prefix=True))
+        assert [chunked.tokens[i] for i in encode(chunked, b"a ba")] == [b"a", b" ", b"b", b"a"]
+
     def test_encode_empty(self, trained_vocab):
         assert encode(trained_vocab, b"") == []
 
@@ -265,10 +278,12 @@ class TestTraining:
             train_tiny_bpe([b""], 300)
 
     def test_target_below_alphabet_rejected(self):
-        with pytest.raises(VocabularyError):
+        # a value out of range, not bad data: a ConfigError naming the field
+        with pytest.raises(ConfigError) as bare:
             train_tiny_bpe([b"ab"], 255)
-        with pytest.raises(VocabularyError):
+        with pytest.raises(ConfigError) as with_specials:
             train_tiny_bpe([b"ab"], 257, specials=[b"<a>", b"<b>"])
+        assert bare.value.field == with_specials.value.field == "target_size"
 
     def test_specials_appended_with_ids_at_end(self, code_texts):
         vocab = train_tiny_bpe(code_texts[:5], 300, TRAIN_OPTIONS, specials=[b"<eos>"])
