@@ -16,6 +16,7 @@ from tokalign import (
     save_vocabulary,
     train_tiny_bpe,
 )
+from tokalign import decoding
 from tokalign.vocab import ConfigError, pretokenize, vocabulary_from_dict, vocabulary_to_dict
 from tokalign.decoding import make_rng
 
@@ -284,6 +285,7 @@ class TestTraining:
         with pytest.raises(ConfigError) as with_specials:
             train_tiny_bpe([b"ab"], 257, specials=[b"<a>", b"<b>"])
         assert bare.value.field == with_specials.value.field == "target_size"
+        assert decoding.ConfigError is ConfigError  # one class for every range rule
 
     def test_specials_appended_with_ids_at_end(self, code_texts):
         vocab = train_tiny_bpe(code_texts[:5], 300, TRAIN_OPTIONS, specials=[b"<eos>"])
