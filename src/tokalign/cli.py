@@ -270,6 +270,11 @@ def _emit_eval_report(args, records, wanted, vocab, label) -> int:
 
 def cmd_bench(args) -> int:
     report = {}
+    if not args.skip_steps:
+        # trained first, so a bad --train-size fails before the lookup benchmark runs
+        corpus = scenarios.load_corpus(_resolve(args.corpus))
+        options = PretokenizeOptions(space_prefix=True, group_whitespace=True)
+        train_vocab = train_tiny_bpe((t for _, t in corpus), args.train_size, options)
     if not args.skip_lookup:
         if args.vocab:
             vocab = load_vocabulary(_resolve(args.vocab))
@@ -283,9 +288,6 @@ def cmd_bench(args) -> int:
             seed=args.seed,
         )
     if not args.skip_steps:
-        corpus = scenarios.load_corpus(_resolve(args.corpus))
-        options = PretokenizeOptions(space_prefix=True, group_whitespace=True)
-        train_vocab = train_tiny_bpe((t for _, t in corpus), args.train_size, options)
         provider = build_ngram_model(
             (t for _, t in corpus), train_vocab, args.ngram_order, args.ngram_alpha
         )

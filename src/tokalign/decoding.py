@@ -19,12 +19,15 @@ id would:
 - up to 7 weights (most alignment steps): plain Python floats, because
   NumPy adds that few float64 values left to right, as Python does;
 - up to 4096 weights, or ``top_p`` 1: one sort of the values;
-- more: a sort of only the values at or above an upper quartile
-  estimated from every 64th value.  They are the largest values with
-  all their ties, so their running sums are the first running sums of
-  the full descending order.  This pays when the largest quarter of
-  the values holds ``top_p`` of the mass (a peaked vector); otherwise
-  every value is sorted after one selection pass.
+- more: a sort of only the values at or above a threshold read off
+  every 64th value.  Summed from the bottom, that sorted sample
+  estimates the mass below each sampled value; the threshold is the
+  largest one that leaves less than 95% of ``1 - top_p`` below it.  The
+  values at or above it are the largest values with all their ties, so
+  their running sums are the first running sums of the full descending
+  order.  When they are most of the vector (a flat one at a high
+  ``top_p``, or a long run of equal values at the threshold) or hold
+  less than ``top_p``, every value is sorted after one selection pass.
 """
 
 from __future__ import annotations
@@ -146,44 +149,55 @@ def nucleus_keep_set(dist: np.ndarray, top_p: float, temperature: float = 1.0) -
     token is included, so the kept set is never empty.  Returned ids are
     ascending.
     """
-    return _keep_set(_apply_temperature(dist, temperature), top_p)
+    return _keep_set(_apply_temperature(dist, temperature), top_p)[0]
 
 
 # Up to this many entries a nucleus draw sorts every value: below it
 # sorting only the candidates saves little.
 _FULL_SORT_MAX = 4096
-# Every this-many-th value is sorted to estimate the upper quartile.
+# Every this-many-th value is sorted and summed from the bottom to
+# estimate the mass below each sampled value.
 _SAMPLE_STRIDE = 64
+# The estimated mass left below the candidates stays under this share of
+# 1 - top_p, so the candidates hold top_p despite the estimate's error.
+_TAIL_MARGIN = 0.95
 # NumPy sums at most this many float64 values as a left fold, the order
 # plain Python adds them in (tests/test_dense_reference.py checks it).
 _LEFT_FOLD_MAX = 7
 
 
-def _keep_set(w: np.ndarray, top_p: float) -> np.ndarray:
-    """:func:`nucleus_keep_set` of already-tempered weights, without an id sort."""
+def _keep_set(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`nucleus_keep_set` of tempered weights, and the kept weights, without an id sort."""
     found = _candidates(w, top_p)
-    kept = None if found is None else _keep_among(w, *found, top_p)
-    return _keep_among(w, None, w, top_p) if kept is None else kept
+    kept = None if found is None else _keep_among(*found, top_p)
+    return _keep_among(None, w, top_p) if kept is None else kept
 
 
 def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Ascending ids, and their values, of those at or above an estimated upper quartile.
+    """Ascending ids, and their values, of those at or above a tail-mass threshold.
+
+    The threshold is the largest value of the sorted stride sample whose
+    estimated mass below it, ``_SAMPLE_STRIDE`` times the sum of the
+    sample values under it, stays below ``_TAIL_MARGIN * (1 - top_p)``.
+    That takes the vector's total to be 1, as the provider contract and
+    :func:`_apply_temperature` give.  Exactness never rests on the
+    estimate: candidates holding less than ``top_p`` are refused, and a
+    cut that runs past them sorts every value.
 
     None when sorting every value is as cheap or the candidates cannot
     hold the cut: a small vector; ``top_p`` 1, whose cut falls near the
-    last positive value; candidates that are most of the vector (a long
-    run of equal values at the estimate); candidates holding less than
-    ``top_p`` of the mass (a flat vector, or one not peaked enough).
+    last positive value; candidates that are most of the vector (a flat
+    vector, or a long run of equal values at the threshold); candidates
+    holding less than ``top_p`` of the mass (a sample that missed it).
     """
     n = len(w)
     if n <= _FULL_SORT_MAX or top_p >= 1.0:
         return None
     sample = w[::_SAMPLE_STRIDE].copy()
     sample.sort()
-    chosen = w >= sample[-(len(sample) // 4)]
-    count = np.count_nonzero(chosen)
-    # their mass is at most count * max: a flat vector is ruled out before the gather
-    if count > n // 2 or count * w.max() < top_p:
+    under = sample.cumsum().searchsorted((1.0 - top_p) * _TAIL_MARGIN / _SAMPLE_STRIDE)
+    chosen = w >= sample[min(int(under), len(sample) - 1)]
+    if np.count_nonzero(chosen) > n // 2:
         return None
     ids = chosen.nonzero()[0]
     vals = w[ids]
@@ -191,9 +205,9 @@ def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | 
 
 
 def _keep_among(
-    w: np.ndarray, ids: np.ndarray | None, vals: np.ndarray, top_p: float
-) -> np.ndarray | None:
-    """The keep set found by sorting ``vals = w[ids]`` (``ids`` None: all of ``w``).
+    ids: np.ndarray | None, vals: np.ndarray, top_p: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The kept ids and values found by sorting ``vals = w[ids]`` (``ids`` None: all of ``w``).
 
     ``ids`` holds every id whose value is at or above some threshold, so
     ``vals`` are the largest values with all their ties, and their
@@ -217,7 +231,7 @@ def _keep_among(
         keep = vals > v
         keep[(vals == v).nonzero()[0][: cut + 1 - int(np.count_nonzero(keep))]] = True
         pos = keep.nonzero()[0]
-    return pos if ids is None else ids[pos]
+    return (pos if ids is None else ids[pos]), vals[pos]
 
 
 def _draw_small(w: list[float], top_p: float, rng: np.random.Generator) -> int:
@@ -284,8 +298,7 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
     w = _apply_temperature(dist, cfg.temperature)
     if len(w) <= _LEFT_FOLD_MAX:
         return _draw_small(w.tolist(), cfg.top_p, rng)
-    kept = _keep_set(w, cfg.top_p)
-    probs = w[kept]
+    kept, probs = _keep_set(w, cfg.top_p)
     # the kept set holds a maximum, so zero kept mass means an all-zero vector
     total = probs.sum()
     if not total > 0.0:

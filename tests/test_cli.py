@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from tokalign import (
+    AlignConfig,
     EvalRecord,
+    MaskCache,
     SamplerConfig,
     ScenarioExample,
     ScriptedModel,
     Vocabulary,
+    aligned_generate,
+    build_ngram_model,
+    build_trie,
     fixtures,
     generate,
     load_vocabulary,
@@ -17,6 +22,7 @@ from tokalign import (
     save_vocabulary,
     scenarios,
 )
+from tokalign import bench as bench_mod
 from tokalign.cli import main
 
 
@@ -393,6 +399,50 @@ class TestExitCodes:
         assert message in lines[0]
 
 
+class TestLoadProvider:
+    def test_missing_provider_is_two(self, capsys, demo_paths, demo_prompt_file):
+        code, out, err = run(
+            capsys, "align", "--vocab", demo_paths["vocab"], "--prompt-file", demo_prompt_file,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "tokalign: error: a --provider is required (scripted:<table.json> or ngram:<corpus>)"
+        ]
+
+    def test_unknown_provider_spec_is_two(self, capsys, demo_paths, demo_prompt_file):
+        code, out, err = run(
+            capsys, "align", "--vocab", demo_paths["vocab"], "--provider", "markov:x.json",
+            "--prompt-file", demo_prompt_file,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["tokalign: error: unknown provider spec 'markov:x.json'"]
+
+    def test_ngram_over_a_plain_corpus_file(self, capsys, tmp_path, demo_paths):
+        # a corpus path without .jsonl is read whole, as one document
+        text = b"def total(items):\n    return sum(items)\n\nreturn total\n"
+        corpus = tmp_path / "corpus.py"
+        corpus.write_bytes(text)
+        prompt = b"    return sum(it"
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text(json.dumps({"prompt_b64": base64.b64encode(prompt).decode()}) + "\n")
+        out = tmp_path / "aligned.jsonl"
+        code, _, _ = run(
+            capsys, "align", "--vocab", demo_paths["vocab"], "--provider", f"ngram:{corpus}",
+            "--prompt-file", str(prompts), "--max-new-tokens", "6", "--out", str(out),
+        )
+        assert code == 0
+        vocab = load_vocabulary(demo_paths["vocab"])
+        trie = build_trie(vocab)
+        want = aligned_generate(
+            build_ngram_model([text], vocab, 3, 0.1), vocab, trie, MaskCache(trie),
+            prompt, AlignConfig(), SamplerConfig(max_new_tokens=6),
+        )
+        assert want.output == b"    return sum(items)\n\n"
+        assert base64.b64decode(read_results(out)[0]["output_b64"]) == want.output
+
+
 class TestGenDataset:
     def test_deterministic_across_runs(self, capsys, tmp_path):
         for sub in ("r1", "r2"):
@@ -586,6 +636,19 @@ class TestBench:
         report = json.loads(out.read_text())
         assert report["lookup"]["trie_us"]["p50"] < report["lookup"]["naive_us"]["p50"]
         assert "histogram" in report["alignment_steps"]
+
+    def test_bad_train_size_fails_before_lookup(self, capsys, monkeypatch):
+        # the step-statistics vocabulary is trained first, so the usage error
+        # comes before the 50k vocabulary is built and its lookups are timed
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the lookup benchmark ran before --train-size was checked")
+
+        monkeypatch.setattr(bench_mod, "make_synthetic_vocabulary", not_reached)
+        monkeypatch.setattr(bench_mod, "bench_lookup", not_reached)
+        code, out, err = run(capsys, "bench", "--train-size", "100")
+        assert code == 1
+        assert out == ""
+        assert "argument --train-size: " in err
 
     def test_skip_flags(self, capsys):
         code, out, _ = run(

@@ -6,7 +6,8 @@ built from a stable descending argsort over every id.  The sparse path
 must keep exactly the same ids, make exactly the same seeded draws and
 leave the generator in the same state, for tiny vectors (the
 interpreter path), small ones (a full value sort) and large ones (a sort
-of the values at or above an estimated upper quartile).
+of the values at or above a threshold whose estimated tail mass, from
+every 64th value, leaves ``top_p`` above it).
 """
 
 import functools
@@ -223,22 +224,23 @@ def vector_50k(kind):
         ("flat", 1.0, False),
         ("equal", 0.9, False),
         ("floor", 0.9, False),
-        ("sparse", 0.9, False),
+        ("sparse", 0.9, True),
     ],
 )
 def test_candidate_selection_only_where_it_pays(kind, top_p, selects, monkeypatch):
-    # at top_p 0.99 the top quarter of this Zipf vector holds too little
-    # mass, top_p 1 cuts near the last positive value, a flat vector's top
-    # quarter holds a quarter of the mass, and a run of equal values at the
-    # quartile selects most ids: each sorts every value, and sorts it once
+    # at top_p 0.99 the Zipf vector's threshold leaves most ids above it,
+    # top_p 1 cuts near the last positive value, a flat vector needs most
+    # ids to hold 0.9, and a run of equal values at the threshold selects
+    # every id: each sorts every value, and sorts it once; the sparse
+    # vector's 500 nonzero values hold the mass, so only they are sorted
     dist = vector_50k(kind)
     assert (_candidates(dist, top_p) is not None) == selects
     sorted_sets = []
     keep_among = decoding._keep_among
 
-    def spy(w, ids, vals, p):
+    def spy(ids, vals, p):
         sorted_sets.append(len(vals))
-        return keep_among(w, ids, vals, p)
+        return keep_among(ids, vals, p)
 
     monkeypatch.setattr(decoding, "_keep_among", spy)
     assert np.array_equal(nucleus_keep_set(dist, top_p), reference_keep_set(dist, top_p))
@@ -249,16 +251,36 @@ def test_candidate_selection_only_where_it_pays(kind, top_p, selects, monkeypatc
     assert rng_sparse.random() == rng_dense.random()
 
 
-def test_candidates_whose_running_sum_falls_short():
+def test_candidates_whose_running_sum_falls_short(monkeypatch):
     # top_p equal to the candidates' pairwise sum, which exceeds their
-    # running sum in the last bit: the cut lies past them, so every value
-    # is sorted
+    # running sum in the last bit: that top_p selects the same candidates,
+    # the cut lies past them, so every value is sorted
     dist = zipf(8192, 1.5, np.random.default_rng(0))
-    _, vals = _candidates(dist, 0.5)
+    ids, vals = _candidates(dist, 0.5)
     top_p = float(vals.sum())
     assert np.cumsum(np.sort(vals)[::-1])[-1] < top_p
-    assert _candidates(dist, top_p) is not None
+    found = _candidates(dist, top_p)
+    assert found is not None and np.array_equal(found[0], ids)
+    calls = []
+    keep_among = decoding._keep_among
+
+    def spy(ids, vals, p):
+        kept = keep_among(ids, vals, p)
+        calls.append((ids is None, len(vals), kept is None))
+        return kept
+
+    monkeypatch.setattr(decoding, "_keep_among", spy)
     assert np.array_equal(nucleus_keep_set(dist, top_p), reference_keep_set(dist, top_p))
+    assert calls == [(False, len(ids), True), (True, len(dist), False)]
+
+
+def test_candidates_stay_near_the_keep_set():
+    # the tail-mass threshold selects at most 1.25 times the keep set of a
+    # 50k Zipf-1.1 vector at top_p 0.9 (an upper quartile selected 1.80 times)
+    dist = vector_50k("zipf")
+    ids, _ = _candidates(dist, 0.9)
+    kept = reference_keep_set(dist, 0.9)
+    assert len(kept) <= len(ids) <= 1.25 * len(kept)
 
 
 @seed(240308688)
