@@ -276,7 +276,7 @@ def test_candidates_whose_running_sum_falls_short(monkeypatch):
 
 def test_candidates_stay_near_the_keep_set():
     # the tail-mass threshold selects at most 1.25 times the keep set of a
-    # 50k Zipf-1.1 vector at top_p 0.9 (an upper quartile selected 1.80 times)
+    # 50k Zipf-1.1 vector at top_p 0.9 (an upper quartile would select 1.80 times)
     dist = vector_50k("zipf")
     ids, _ = _candidates(dist, 0.9)
     kept = reference_keep_set(dist, 0.9)
