@@ -16,7 +16,7 @@ import numpy as np
 
 from .align import AlignConfig, aligned_generate
 from .decoding import LogitsProvider, SamplerConfig, make_rng
-from .trie import MaskCache, build_trie
+from .trie import ByteTrie, MaskCache, build_trie
 from .vocab import Vocabulary, decode, encode
 
 _WORD_BYTES = b"abcdefghijklmnopqrstuvwxyz"
@@ -87,6 +87,16 @@ def _percentiles(samples_us: list[float]) -> dict:
     }
 
 
+def _time_calls(fn, first, args) -> list[float]:
+    """Microseconds of each ``fn(first, arg)`` call, one per ``arg``, in order."""
+    samples_us = []
+    for arg in args:
+        t0 = time.perf_counter_ns()
+        fn(first, arg)
+        samples_us.append((time.perf_counter_ns() - t0) / 1000.0)
+    return samples_us
+
+
 def bench_lookup(
     vocab: Vocabulary,
     queries: int = 10_000,
@@ -98,27 +108,12 @@ def bench_lookup(
     trie = build_trie(vocab)
     prefixes = _query_prefixes(vocab, queries + warmup, seed)
 
-    for p in prefixes[:warmup]:
-        trie.matching_tokens(p)
-    trie_us = []
-    for p in prefixes[warmup:]:
-        t0 = time.perf_counter_ns()
-        trie.matching_tokens(p)
-        trie_us.append((time.perf_counter_ns() - t0) / 1000.0)
-
-    naive_us = []
-    for p in prefixes[warmup : warmup + naive_queries]:
-        t0 = time.perf_counter_ns()
-        naive_matching_ids(vocab, p)
-        naive_us.append((time.perf_counter_ns() - t0) / 1000.0)
-
+    _time_calls(ByteTrie.matching_tokens, trie, prefixes[:warmup])
+    trie_us = _time_calls(ByteTrie.matching_tokens, trie, prefixes[warmup:])
+    naive_us = _time_calls(naive_matching_ids, vocab, prefixes[warmup : warmup + naive_queries])
     cache = MaskCache(trie)
     cache.lookup(trie, b" ")  # warm (pre-seeded already)
-    cached_us = []
-    for _ in range(len(prefixes) - warmup):
-        t0 = time.perf_counter_ns()
-        cache.lookup(trie, b" ")
-        cached_us.append((time.perf_counter_ns() - t0) / 1000.0)
+    cached_us = _time_calls(cache.lookup, trie, [b" "] * queries)
 
     return {
         "vocab_size": len(vocab),

@@ -16,7 +16,6 @@ dead end, or a broken alignment invariant).
 from __future__ import annotations
 
 import argparse
-import base64
 import json
 import sys
 
@@ -30,11 +29,10 @@ from .trie import MaskCache, build_trie
 from .vocab import (
     PretokenizeOptions,
     Vocabulary,
-    json_field,
     load_vocabulary,
-    read_json_lines,
     save_vocabulary,
     train_tiny_bpe,
+    write_json,
 )
 
 EXIT_OK = 0
@@ -121,18 +119,28 @@ def _attach_configs(args) -> None:
 
 def _read_prompts(path: str | None):
     if path in (None, "-"):
-        yield from read_json_lines(sys.stdin, "<stdin>", _prompt_doc)
+        yield from scenarios.read_text_docs(sys.stdin, "<stdin>", "prompt_b64")
         return
     with open(path, "r", encoding="utf-8") as fh:
-        yield from read_json_lines(fh, path, _prompt_doc)
+        yield from scenarios.read_text_docs(fh, path, "prompt_b64")
 
 
-def _prompt_doc(doc: dict, index: int) -> tuple[str, bytes]:
-    if "prompt_b64" in doc:
-        prompt = base64.b64decode(json_field(doc, "prompt_b64", str), validate=True)
-    else:
-        prompt = json_field(doc, "text", str).encode("utf-8")
-    return str(doc.get("id", index)), prompt
+def _arms(args, vocab: Vocabulary, provider, names) -> dict:
+    """Each named arm's completion function, ``prompt -> GenerationResult``.
+
+    Only the aligned arm builds the index and the mask cache it shares
+    across prompts.
+    """
+    arms = {}
+    if "aligned" in names:
+        trie = build_trie(vocab)
+        cache = MaskCache(trie)
+        arms["aligned"] = lambda prompt: align_mod.aligned_generate(
+            provider, vocab, trie, cache, prompt, args.align_cfg, args.sampler
+        )
+    if "unaligned" in names:
+        arms["unaligned"] = lambda prompt: generate(provider, vocab, prompt, args.sampler)
+    return arms
 
 
 # ---------------------------------------------------------------------------
@@ -142,27 +150,16 @@ def _prompt_doc(doc: dict, index: int) -> tuple[str, bytes]:
 def cmd_align(args) -> int:
     vocab = load_vocabulary(_resolve(args.vocab))
     provider = _load_provider(args, vocab)
+    arm = "unaligned" if args.no_align else "aligned"
+    complete = _arms(args, vocab, provider, [arm])[arm]
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="ascii")
-
-    def emit(prompt_id, result):
-        doc = {"id": prompt_id, **result.to_json_dict()}
-        if not args.timings:
-            # wall-clock fields would break bit-reproducibility of seeded runs
-            del doc["timings_us"]
-        out.write(json.dumps(doc) + "\n")
-
     try:
-        if args.no_align:
-            for prompt_id, prompt in _read_prompts(args.prompt_file):
-                emit(prompt_id, generate(provider, vocab, prompt, args.sampler))
-            return EXIT_OK
-        trie = build_trie(vocab)
-        cache = MaskCache(trie)
         for prompt_id, prompt in _read_prompts(args.prompt_file):
-            result = align_mod.aligned_generate(
-                provider, vocab, trie, cache, prompt, args.align_cfg, args.sampler
-            )
-            emit(prompt_id, result)
+            doc = {"id": prompt_id, **complete(prompt).to_json_dict()}
+            if not args.timings:
+                # wall-clock fields would break bit-reproducibility of seeded runs
+                del doc["timings_us"]
+            out.write(json.dumps(doc) + "\n")
         return EXIT_OK
     finally:
         if out is not sys.stdout:
@@ -182,9 +179,7 @@ def cmd_gen_dataset(args) -> int:
               f"({stats['skipped']} documents skipped)")
     if len(names) > 1:
         combined = f"{args.out_dir}/dataset_stats.json"
-        with open(combined, "w", encoding="ascii") as fh:
-            json.dump(all_stats, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(combined, all_stats)
         print(f"combined stats: {combined}")
     return EXIT_OK
 
@@ -217,10 +212,8 @@ def cmd_eval(args) -> int:
         return _validate_dataset(examples)
     vocab = load_vocabulary(_resolve(args.vocab))
     provider = _load_provider(args, vocab)
-    arms = ["aligned", "unaligned"] if args.arm == "both" else [args.arm]
-
-    trie = build_trie(vocab)
-    cache = MaskCache(trie)
+    names = ["aligned", "unaligned"] if args.arm == "both" else [args.arm]
+    arms = _arms(args, vocab, provider, names)
     records = []
     for ex in examples:
         if args.use_baseline:
@@ -230,13 +223,8 @@ def cmd_eval(args) -> int:
             prompt, reference = ex.prompt, ex.ground_truth
         if not prompt:
             continue
-        for arm in arms:
-            if arm == "aligned":
-                result = align_mod.aligned_generate(
-                    provider, vocab, trie, cache, prompt, args.align_cfg, args.sampler
-                )
-            else:
-                result = generate(provider, vocab, prompt, args.sampler)
+        for arm, complete in arms.items():
+            result = complete(prompt)
             records.append(
                 metrics.EvalRecord(
                     example_id=f"{ex.source_id}@{ex.cut_offset}",

@@ -20,7 +20,7 @@ from importlib.resources import files
 import numpy as np
 
 from .decoding import ScriptedModel
-from .vocab import Vocabulary, save_vocabulary
+from .vocab import Vocabulary, save_vocabulary, write_json_lines
 
 CODE_CORPUS_FILE = "code_corpus.jsonl"
 PROSE_CORPUS_FILE = "prose_corpus.jsonl"
@@ -228,17 +228,12 @@ def build_prose_corpus() -> list[tuple[str, bytes]]:
 # Data file generation
 
 
-def _write_corpus_jsonl(path: str, docs: list[tuple[str, bytes]]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for doc_id, text in docs:
-            fh.write(json.dumps({"id": doc_id, "text": text.decode("utf-8")}, sort_keys=True))
-            fh.write("\n")
-
-
 def write_bundled_data(directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    _write_corpus_jsonl(os.path.join(directory, CODE_CORPUS_FILE), build_code_corpus())
-    _write_corpus_jsonl(os.path.join(directory, PROSE_CORPUS_FILE), build_prose_corpus())
+    corpora = {CODE_CORPUS_FILE: build_code_corpus(), PROSE_CORPUS_FILE: build_prose_corpus()}
+    for name, docs in corpora.items():
+        lines = ({"id": doc_id, "text": text.decode("utf-8")} for doc_id, text in docs)
+        write_json_lines(os.path.join(directory, name), lines)
     vocab = build_demo_vocabulary()
     save_vocabulary(vocab, os.path.join(directory, DEMO_VOCAB_FILE))
     model = build_demo_model(vocab)

@@ -10,13 +10,12 @@ similarity metrics take the most favorable reference.
 from __future__ import annotations
 
 import base64
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .vocab import Vocabulary, encode, json_field, read_json_lines
+from .vocab import Vocabulary, encode, json_field, read_json_lines, write_json, write_json_lines
 
 
 def levenshtein(a: bytes, b: bytes) -> int:
@@ -188,10 +187,7 @@ class EvalRecord:
 
 
 def write_eval_records(path: str, records: Sequence[EvalRecord]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json_dict(), sort_keys=True))
-            fh.write("\n")
+    write_json_lines(path, (record.to_json_dict() for record in records))
 
 
 def read_eval_records(path: str) -> list[EvalRecord]:
@@ -283,9 +279,7 @@ def score_records(
 
 
 def write_report(report: ScoreReport, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(report.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report.to_json_dict())
 
 
 def write_report_csv(report: ScoreReport, path: str) -> None:

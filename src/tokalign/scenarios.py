@@ -16,14 +16,12 @@ ASCII.
 from __future__ import annotations
 
 import base64
-import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
-from .vocab import json_field, read_json_lines
+from .decoding import make_rng
+from .vocab import json_field, read_json_lines, write_json, write_json_lines
 
 SCENARIOS = ("subword", "punctuation", "prefix_sep", "prefix_indent", "contiguous_space")
 
@@ -287,7 +285,7 @@ def generate_dataset(
         if not positions:
             skipped += 1
             continue
-        rng = np.random.Generator(np.random.PCG64(seed ^ idx))
+        rng = make_rng(seed ^ idx)
         k = min(per_doc, len(positions))
         chosen = rng.choice(len(positions), size=k, replace=False)
         for cut_idx in sorted(int(c) for c in chosen):
@@ -322,27 +320,30 @@ def load_corpus(path: str) -> list[tuple[str, bytes]]:
                     docs.append((name, fh.read()))
         return docs
     with open(path, "r", encoding="utf-8") as fh:
-        return list(read_json_lines(fh, path, _corpus_doc))
+        return list(read_text_docs(fh, path, "text_b64"))
 
 
-def _corpus_doc(doc: dict, index: int) -> tuple[str, bytes]:
-    if "text_b64" in doc:
-        text = base64.b64decode(json_field(doc, "text_b64", str), validate=True)
-    else:
-        text = json_field(doc, "text", str).encode("utf-8")
-    return str(doc.get("id", index)), text
+def read_text_docs(fh: Iterable[str], name: str, b64_key: str) -> Iterator[tuple[str, bytes]]:
+    """Yield ``(id, bytes)`` for each ``{id?, text | <b64_key>}`` JSON line of ``fh``.
+
+    The base64 field wins when both are present; a line without an ``id``
+    takes its line index.  Errors are :func:`read_json_lines` errors.
+    """
+    def convert(doc: dict, index: int) -> tuple[str, bytes]:
+        if b64_key in doc:
+            data = base64.b64decode(json_field(doc, b64_key, str), validate=True)
+        else:
+            data = json_field(doc, "text", str).encode("utf-8")
+        return str(doc.get("id", index)), data
+
+    return read_json_lines(fh, name, convert)
 
 
 def write_dataset(path: str, examples: Iterable[ScenarioExample], stats: dict | None = None) -> None:
     """Write examples as JSONL; stats land in a ``<path>.stats.json`` sidecar."""
-    with open(path, "w", encoding="ascii") as fh:
-        for ex in examples:
-            fh.write(json.dumps(ex.to_json_dict(), sort_keys=True))
-            fh.write("\n")
+    write_json_lines(path, (ex.to_json_dict() for ex in examples))
     if stats is not None:
-        with open(path + ".stats.json", "w", encoding="ascii") as fh:
-            json.dump(stats, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path + ".stats.json", stats)
 
 
 def read_dataset(path: str) -> list[ScenarioExample]:

@@ -399,6 +399,20 @@ def read_json_lines(fh: Iterable[str], name: str, convert: Callable[[dict, int],
         yield item
 
 
+def write_json_lines(path: str, docs: Iterable[dict]) -> None:
+    """Write each of ``docs`` to ``path`` as one sorted-key ASCII JSON line."""
+    with open(path, "w", encoding="ascii") as fh:
+        for doc in docs:
+            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def write_json(path: str, doc: object) -> None:
+    """Write ``doc`` to ``path`` as ASCII JSON: indent 1, sorted keys, a final newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def json_field(doc: dict, key: str, kind: type | tuple[type, ...]):
     """``doc[key]``; a ValueError when it is missing or not of type ``kind``."""
     if key not in doc:

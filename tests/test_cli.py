@@ -94,6 +94,24 @@ class TestAlign:
         assert not plain.startswith(fixtures.DEMO_PROMPT + b"turn")
         assert plain.startswith(fixtures.DEMO_PROMPT + b" = []")
 
+    @pytest.mark.parametrize("command", ["align --no-align", "eval --arm unaligned"])
+    def test_plain_arm_alone_builds_no_index(
+        self, capsys, monkeypatch, tmp_path, demo_paths, demo_prompt_file, subword_dataset, command
+    ):
+        import tokalign.cli as cli_module
+
+        def not_reached(vocab):
+            raise AssertionError("the plain arm built an index")
+
+        monkeypatch.setattr(cli_module, "build_trie", not_reached)
+        provider = ["--vocab", demo_paths["vocab"], "--provider", f"scripted:{demo_paths['table']}"]
+        if command.startswith("align"):
+            argv = ["align", *provider, "--prompt-file", demo_prompt_file, "--no-align"]
+        else:
+            argv = ["eval", "--dataset", subword_dataset, *provider, "--arm", "unaligned"]
+        code, _, err = run(capsys, *argv, "--max-new-tokens", "2", "--out", str(tmp_path / "o"))
+        assert code == 0, err
+
     def test_backtrack_one_and_three_preserve_prompt(self, capsys, tmp_path, demo_paths, demo_prompt_file):
         for b in ("1", "3"):
             out = tmp_path / f"b{b}.jsonl"
