@@ -17,7 +17,7 @@ import numpy as np
 from .align import AlignConfig, aligned_generate
 from .decoding import LogitsProvider, SamplerConfig, make_rng
 from .trie import ByteTrie, MaskCache, build_trie
-from .vocab import Vocabulary, decode, encode
+from .vocab import ConfigError, Vocabulary, decode, encode
 
 _WORD_BYTES = b"abcdefghijklmnopqrstuvwxyz"
 _WHITESPACE_TOKENS = [
@@ -34,7 +34,7 @@ def make_synthetic_vocabulary(size: int, seed: int = 0) -> Vocabulary:
     lengths between 2 and 12 bytes.  Greedy-match encoding (no merges).
     """
     if size < 256:
-        raise ValueError("size must be >= 256")
+        raise ConfigError("size", f"{size} tokens cannot hold the 256 single bytes")
     rng = make_rng(seed)
     tokens: list[bytes] = [bytes([i]) for i in range(256)]
     seen = set(tokens)
@@ -105,6 +105,12 @@ def bench_lookup(
     seed: int = 0,
 ) -> dict:
     """Per-query latency of index lookup, naive scan, and cached single-space mask."""
+    if queries < 1:
+        raise ConfigError("queries", f"need at least 1 timed query, got {queries}")
+    if naive_queries < 1:
+        raise ConfigError("naive_queries", f"need at least 1 naive query, got {naive_queries}")
+    if warmup < 0:
+        raise ConfigError("warmup", f"warm-up count must be >= 0, got {warmup}")
     trie = build_trie(vocab)
     prefixes = _query_prefixes(vocab, queries + warmup, seed)
 
@@ -133,6 +139,8 @@ def boundary_prompts(
     min_tokens: int = 6,
 ) -> list[bytes]:
     """Prompts guaranteed to end at a token boundary: truncated encodings."""
+    if count < 1:
+        raise ConfigError("count", f"need at least 1 prompt, got {count}")
     rng = make_rng(seed)
     prompts = []
     docs = [text for _, text in corpus if text]

@@ -65,10 +65,17 @@ def _escape_bytes(text: str) -> bytes:
         ) from None
 
 
+def _require_generation_flags(args) -> None:
+    """Exit 1 naming ``--vocab`` or ``--provider`` when a command that generates text lacks it."""
+    for flag, takes in (("vocab", "a vocabulary file"),
+                        ("provider", "scripted:<table.json> or ngram:<corpus>")):
+        if getattr(args, flag) is None:
+            print(f"tokalign: error: a --{flag} is required ({takes})", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
+
 def _load_provider(args, vocab: Vocabulary):
     spec = args.provider
-    if spec is None:
-        raise ValueError("a --provider is required (scripted:<table.json> or ngram:<corpus>)")
     if spec.startswith("scripted:"):
         path = _resolve(spec[len("scripted:"):])
         with open(path, "r", encoding="utf-8") as fh:
@@ -87,14 +94,13 @@ def _load_provider(args, vocab: Vocabulary):
     raise ValueError(f"unknown provider spec {spec!r}")
 
 
-# the flag that sets each config field, for usage errors
+# the config fields whose flag is not "--" plus the field name with "-" for "_"
 _CONFIG_FLAGS = {
-    "mode": "--mode",
-    "top_p": "--top-p",
-    "temperature": "--temperature",
-    "max_new_tokens": "--max-new-tokens",
     "backtrack_tokens": "--backtrack",
-    "target_size": "--target-size",
+    "order": "--ngram-order",
+    "alpha": "--ngram-alpha",
+    "size": "--vocab-size",
+    "count": "--prompts",
 }
 
 
@@ -148,6 +154,7 @@ def _arms(args, vocab: Vocabulary, provider, names) -> dict:
 
 
 def cmd_align(args) -> int:
+    _require_generation_flags(args)
     vocab = load_vocabulary(_resolve(args.vocab))
     provider = _load_provider(args, vocab)
     arm = "unaligned" if args.no_align else "aligned"
@@ -184,7 +191,8 @@ def cmd_gen_dataset(args) -> int:
     return EXIT_OK
 
 
-def _validate_dataset(examples) -> int:
+def _validate_dataset(path: str) -> int:
+    examples = scenarios.read_dataset(path)
     bad = 0
     for ex in examples:
         problems = scenarios.validate_example(ex)
@@ -197,7 +205,7 @@ def _validate_dataset(examples) -> int:
 
 def cmd_eval(args) -> int:
     wanted = tuple(args.metrics.split(",")) if args.metrics else metrics.ALL_METRICS
-
+    metrics.check_metrics(wanted)
     if args.records:
         # score pre-computed EvalRecord JSONL, no generation
         records = metrics.read_eval_records(_resolve(args.records))
@@ -205,11 +213,10 @@ def cmd_eval(args) -> int:
         label = args.label or ""
         return _emit_eval_report(args, records, wanted, vocab, label)
 
-    if not args.dataset:
-        raise ValueError("either --dataset or --records is required")
-    examples = scenarios.read_dataset(_resolve(args.dataset))
     if args.validate_only:
-        return _validate_dataset(examples)
+        return _validate_dataset(_resolve(args.dataset))
+    _require_generation_flags(args)
+    examples = scenarios.read_dataset(_resolve(args.dataset))
     vocab = load_vocabulary(_resolve(args.vocab))
     provider = _load_provider(args, vocab)
     names = ["aligned", "unaligned"] if args.arm == "both" else [args.arm]
@@ -259,10 +266,14 @@ def _emit_eval_report(args, records, wanted, vocab, label) -> int:
 def cmd_bench(args) -> int:
     report = {}
     if not args.skip_steps:
-        # trained first, so a bad --train-size fails before the lookup benchmark runs
+        # built first, so a bad step flag fails before the lookup benchmark runs
         corpus = scenarios.load_corpus(_resolve(args.corpus))
         options = PretokenizeOptions(space_prefix=True, group_whitespace=True)
         train_vocab = train_tiny_bpe((t for _, t in corpus), args.train_size, options)
+        provider = build_ngram_model(
+            (t for _, t in corpus), train_vocab, args.ngram_order, args.ngram_alpha
+        )
+        prompts = bench_mod.boundary_prompts(corpus, train_vocab, args.prompts, args.seed)
     if not args.skip_lookup:
         if args.vocab:
             vocab = load_vocabulary(_resolve(args.vocab))
@@ -276,10 +287,6 @@ def cmd_bench(args) -> int:
             seed=args.seed,
         )
     if not args.skip_steps:
-        provider = build_ngram_model(
-            (t for _, t in corpus), train_vocab, args.ngram_order, args.ngram_alpha
-        )
-        prompts = bench_mod.boundary_prompts(corpus, train_vocab, args.prompts, args.seed)
         report["alignment_steps"] = bench_mod.bench_alignment_steps(
             provider, train_vocab, prompts,
             backtrack_tokens=args.align_cfg.backtrack_tokens,
@@ -362,12 +369,13 @@ def build_parser() -> _Parser:
     p.add_argument("--per-doc", type=int, default=1)
     p.add_argument("--out", default=None, help="output file (single scenario only)")
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_gen_dataset)
+    p.set_defaults(func=cmd_gen_dataset, command_parser=p)
 
     p = sub.add_parser("eval", help="paired with/without-alignment scoring")
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--records", default=None,
-                   help="score a pre-computed EvalRecord JSONL instead of generating")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dataset", default=None)
+    source.add_argument("--records", default=None,
+                        help="score a pre-computed EvalRecord JSONL instead of generating")
     p.add_argument("--save-records", default=None,
                    help="also write the generated EvalRecord JSONL here")
     p.add_argument("--vocab", default=None)
@@ -428,8 +436,9 @@ def main(argv=None) -> int:
             _attach_configs(args)
             return args.func(args)
         except ConfigError as exc:
-            # raised by _attach_configs, or by train_tiny_bpe for target_size
-            flag = {**_CONFIG_FLAGS, **getattr(args, "config_flags", {})}[exc.field]
+            # raised by _attach_configs, or by the library function that takes the value
+            flags = {**_CONFIG_FLAGS, **getattr(args, "config_flags", {})}
+            flag = flags.get(exc.field, "--" + exc.field.replace("_", "-"))
             args.command_parser.error(f"argument {flag}: {exc}")
     except SystemExit as exc:
         return int(exc.code or 0)

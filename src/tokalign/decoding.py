@@ -41,7 +41,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .vocab import ConfigError, Vocabulary, decode, encode, json_field
+from .vocab import ConfigError, Vocabulary, decode, encode, json_field, json_is
 
 DIST_SUM_TOLERANCE = 1e-6
 
@@ -133,6 +133,8 @@ class SamplerConfig:
                 raise ConfigError("temperature", "nucleus sampling requires temperature > 0")
         if self.max_new_tokens < 0:
             raise ConfigError("max_new_tokens", "max_new_tokens must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed", f"seed must be >= 0, got {self.seed}")
         self.stop_sequences = tuple(bytes(s) for s in self.stop_sequences)
 
 
@@ -446,9 +448,9 @@ class NGramModel:
 
     def __init__(self, vocab_size: int, order: int, alpha: float):
         if order < 1:
-            raise ValueError("order must be >= 1")
+            raise ConfigError("order", f"n-gram order must be >= 1, got {order}")
         if alpha < 0:
-            raise ValueError("alpha must be >= 0")
+            raise ConfigError("alpha", f"smoothing alpha must be >= 0, got {alpha}")
         self.vocab_size = vocab_size
         self.order = order
         self.alpha = alpha
@@ -587,6 +589,6 @@ def _frozen_row(values) -> np.ndarray:
 
 
 def _float_row(values: list, where: str) -> np.ndarray:
-    if not all(isinstance(v, (int, float)) for v in values):
+    if not all(json_is(v, (int, float)) for v in values):
         raise ValueError(f"{where}: probabilities must be numbers")
     return np.asarray(values, dtype=np.float64)

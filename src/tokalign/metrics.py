@@ -15,7 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import Vocabulary, encode, json_field, read_json_lines, write_json, write_json_lines
+from .vocab import (
+    ConfigError,
+    Vocabulary,
+    encode,
+    json_field,
+    read_json_lines,
+    write_json,
+    write_json_lines,
+)
 
 
 def levenshtein(a: bytes, b: bytes) -> int:
@@ -195,7 +203,15 @@ def read_eval_records(path: str) -> list[EvalRecord]:
         return list(read_json_lines(fh, path, lambda doc, _: EvalRecord.from_json_dict(doc)))
 
 
+def check_metrics(names: Sequence[str]) -> None:
+    """A ConfigError naming the first of ``names`` that is not in ``ALL_METRICS``."""
+    for name in names:
+        if name not in ALL_METRICS:
+            raise ConfigError("metrics", f"unknown metric {name!r} (have {', '.join(ALL_METRICS)})")
+
+
 def score_record(record: EvalRecord, metrics: Sequence[str], vocab: Vocabulary | None) -> dict:
+    check_metrics(metrics)
     scores: dict[str, float] = {}
     for metric in metrics:
         if metric == "em":
@@ -210,14 +226,12 @@ def score_record(record: EvalRecord, metrics: Sequence[str], vocab: Vocabulary |
             )
         elif metric == "rouge_l":
             scores[metric] = rouge_l(record.generated, record.references)
-        elif metric in ("fuzzy_es_50", "fuzzy_rouge_50"):
+        else:  # fuzzy_es_50 or fuzzy_rouge_50
             pairs = [
                 fuzzy_first_n_words(record.generated, r, FUZZY_N) for r in record.references
             ]
             idx = 0 if metric == "fuzzy_es_50" else 1
             scores[metric] = max(p[idx] for p in pairs)
-        else:
-            raise ValueError(f"unknown metric {metric!r}")
     return scores
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .decoding import make_rng
-from .vocab import json_field, read_json_lines, write_json, write_json_lines
+from .vocab import ConfigError, json_field, read_json_lines, write_json, write_json_lines
 
 SCENARIOS = ("subword", "punctuation", "prefix_sep", "prefix_indent", "contiguous_space")
 
@@ -275,8 +275,10 @@ def generate_dataset(
     document draws from its own generator (seed XOR document index), so
     per-document work is order-independent.
     """
+    if seed < 0:
+        raise ConfigError("seed", f"seed must be >= 0, got {seed}")
     if per_doc < 1:
-        raise ValueError("per_doc must be >= 1")
+        raise ConfigError("per_doc", f"need at least 1 cut per document, got {per_doc}")
     examples: list[ScenarioExample] = []
     skipped = 0
     for idx, (doc_id, text) in enumerate(corpus):

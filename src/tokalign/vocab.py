@@ -291,15 +291,16 @@ def load_vocabulary(path: str) -> Vocabulary:
     return vocabulary_from_dict(doc, where=path)
 
 
-def _is_int(value: object) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not ids
-    return isinstance(value, int) and not isinstance(value, bool)
+def json_is(value: object, kind: type | tuple[type, ...]) -> bool:
+    """``isinstance(value, kind)``, except that JSON true/false are never numbers."""
+    # true/false load as bool, a subclass of int
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def vocabulary_from_dict(doc: object, where: str = "<vocabulary>") -> Vocabulary:
     if not isinstance(doc, dict):
         raise VocabularyFormatError(f"{where}: top level must be an object")
-    if not _is_int(doc.get("version")) or doc["version"] != VOCAB_FILE_VERSION:
+    if not json_is(doc.get("version"), int) or doc["version"] != VOCAB_FILE_VERSION:
         raise VocabularyFormatError(f"{where}: field 'version' must be {VOCAB_FILE_VERSION}")
     raw_tokens = doc.get("tokens")
     if not isinstance(raw_tokens, list):
@@ -309,7 +310,7 @@ def vocabulary_from_dict(doc: object, where: str = "<vocabulary>") -> Vocabulary
         field = f"{where}: tokens[{n}]"
         data = _entry_to_bytes(entry, field)
         token_id = entry.get("id")
-        if not _is_int(token_id):
+        if not json_is(token_id, int):
             raise VocabularyFormatError(f"{field}: integer 'id' required")
         if token_id in by_id:
             raise VocabularyValidationError(f"{field}: duplicate id {token_id}")
@@ -331,7 +332,7 @@ def vocabulary_from_dict(doc: object, where: str = "<vocabulary>") -> Vocabulary
             merges.append((_entry_to_bytes(pair[0], field), _entry_to_bytes(pair[1], field)))
 
     specials = doc.get("specials", [])
-    if not isinstance(specials, list) or not all(_is_int(i) for i in specials):
+    if not isinstance(specials, list) or not all(json_is(i, int) for i in specials):
         raise VocabularyFormatError(f"{where}: field 'specials' must be an array of ids")
 
     options = None
@@ -418,7 +419,7 @@ def json_field(doc: dict, key: str, kind: type | tuple[type, ...]):
     if key not in doc:
         raise ValueError(f"missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not json_is(value, kind):
         raise ValueError(f"field {key!r} has the wrong type {type(value).__name__}")
     return value
 
@@ -518,7 +519,7 @@ def train_tiny_bpe(
     if target_size < 256 + len(specials):
         raise ConfigError(
             "target_size",
-            f"target_size {target_size} below base alphabet plus {len(specials)} specials",
+            f"{target_size} tokens cannot hold the 256 single bytes plus {len(specials)} specials",
         )
     documents = [bytes(d) for d in corpus]
     if not documents or all(len(d) == 0 for d in documents):

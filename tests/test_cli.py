@@ -196,10 +196,16 @@ def valid_reader_doc(kind, demo_paths):
             return json.load(fh)
     return {
         "prompts": {"prompt_b64": b64(b"return")},
-        "dataset": ScenarioExample("subword", "s", b"retu", b"retu", b"rn x", 4).to_json_dict(),
-        "records": EvalRecord("e", b"return", [b"return"], "aligned").to_json_dict(),
+        "dataset": dict(VALID_EXAMPLE),
+        "records": dict(VALID_RECORD),
         "corpus": {"text_b64": b64(b"return x\n")},
     }[kind]
+
+
+VALID_EXAMPLE = ScenarioExample("subword", "s", b"retu", b"retu", b"rn x", 4).to_json_dict()
+VALID_RECORD = EvalRecord("e", b"return", [b"return"], "aligned").to_json_dict()
+# a one-hot demo-table row written with true and false; as numbers it would load
+BOOLEAN_ROW = [True] + [False] * (len(fixtures.build_demo_vocabulary()) - 1)
 
 
 def assert_one_error_line(capsys, argv, path):
@@ -265,23 +271,43 @@ class TestExitCodes:
             ("bench", ["--backtrack", "0"]),
             ("bench", ["--train-size", "100"]),
             ("vocab train", ["--target-size", "100"]),
+        ] + [
+            (command, ["--seed", "-1"]) for command in ("align", "eval", "gen-dataset")
+        ] + [
+            ("gen-dataset", ["--per-doc", "0"]),
+            ("align", ["--provider", "ngram:bundled:code", "--ngram-order", "0"]),
+            ("eval", ["--provider", "ngram:bundled:code", "--ngram-alpha", "-1"]),
+            ("bench", ["--ngram-order", "0"]),
+            ("bench", ["--ngram-alpha", "-1"]),
+            ("bench", ["--prompts", "0"]),
+            ("bench", ["--queries", "0"]),
+            ("bench", ["--naive-queries", "0"]),
+            ("bench", ["--warmup", "-5"]),
+            ("bench", ["--vocab-size", "100"]),
+            ("eval", ["--metrics", "bogus"]),
         ],
     )
     def test_flag_value_out_of_range_is_one(
         self, capsys, tmp_path, demo_paths, demo_prompt_file, subword_dataset, command, values
     ):
-        # the configs' and the trainer's range rules reject these as usage
-        # errors, naming the flag
+        # the range rules of the configs and of the library functions that
+        # take the values reject these as usage errors, naming the flag
         provider = ["--vocab", demo_paths["vocab"], "--provider", f"scripted:{demo_paths['table']}"]
+        flag = values[-2]
         if command == "align":
             argv = ["align", *provider, "--prompt-file", demo_prompt_file]
         elif command == "eval":
             argv = ["eval", "--dataset", subword_dataset, *provider]
+        elif command == "gen-dataset":
+            argv = ["gen-dataset", "--corpus", "bundled:code", "--scenario", "all",
+                    "--out-dir", str(tmp_path)]
+        elif command == "bench" and flag in ("--queries", "--naive-queries", "--warmup",
+                                              "--vocab-size"):
+            argv = ["bench", "--skip-steps", "--vocab-size", "300"]
         elif command == "bench":
             argv = ["bench", "--skip-lookup"]
         else:
             argv = ["vocab", "train", "--corpus", "bundled:code", "--out", str(tmp_path / "v.json")]
-        flag = values[-2]
         code, out, err = run(capsys, *argv, *values)
         assert code == 1
         assert out == ""
@@ -325,6 +351,13 @@ class TestExitCodes:
                         '"arm": "aligned"}'),
             ("corpus", "[1]"),
             ("corpus", '{"text": 5}'),
+            # JSON true/false are not integers or probabilities
+            pytest.param("dataset", json.dumps({**VALID_EXAMPLE, "cut_offset": True}),
+                         id="dataset-boolean cut_offset"),
+            pytest.param("records", json.dumps({**VALID_RECORD, "example_id": True}),
+                         id="records-boolean example_id"),
+            pytest.param("table", json.dumps({"rows": [], "default": BOOLEAN_ROW}),
+                         id="table-boolean probabilities"),
         ],
     )
     def test_wrong_shape_json_is_two(
@@ -422,7 +455,7 @@ class TestLoadProvider:
         code, out, err = run(
             capsys, "align", "--vocab", demo_paths["vocab"], "--prompt-file", demo_prompt_file,
         )
-        assert code == 2
+        assert code == 1
         assert out == ""
         assert err.splitlines() == [
             "tokalign: error: a --provider is required (scripted:<table.json> or ngram:<corpus>)"
@@ -636,9 +669,24 @@ class TestEval:
             plain = generate(ngram_provider, trained_vocab, ex.baseline_prompt, cfg)
             assert record.generated == plain.output[len(ex.baseline_prompt):]
 
+    @pytest.mark.parametrize("missing", ["--vocab", "--provider"])
+    def test_missing_generation_flag_is_one(self, capsys, tmp_path, missing):
+        # checked before any file is read: the dataset here does not exist
+        given = {"--vocab": "bundled:demo-vocab", "--provider": "scripted:bundled:demo-table"}
+        del given[missing]
+        code, out, err = run(
+            capsys, "eval", "--dataset", str(tmp_path / "missing.jsonl"), *given.popitem(),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"tokalign: error: a {missing} is required " + {
+            "--vocab": "(a vocabulary file)",
+            "--provider": "(scripted:<table.json> or ngram:<corpus>)",
+        }[missing]]
+
     def test_dataset_or_records_required(self, capsys):
         code, _, err = run(capsys, "eval", "--metrics", "em")
-        assert code == 2
+        assert code == 1
         assert "required" in err
 
 
