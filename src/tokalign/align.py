@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoding import (
+    _FLOAT64,
+    _LEFT_FOLD_MAX,
     ConfigError,
     GenerationResult,
     LogitsProvider,
@@ -33,7 +35,7 @@ from .decoding import (
     sample,
 )
 from .trie import ByteTrie, MaskCache, TokenMask
-from .vocab import Vocabulary, decode, encode
+from .vocab import Vocabulary, VocabularyError, decode, encode
 
 
 class AlignmentError(RuntimeError):
@@ -108,13 +110,20 @@ def mask_distribution(dist: np.ndarray, ids: TokenMask) -> np.ndarray:
     set: alignment promises a prompt-consistent continuation whenever one
     exists, even under toy providers that emit hard zeros.
     """
-    if len(ids) == 0:
+    n = len(ids)
+    if n == 0:
         raise EmptyMaskError()
     subset = dist[ids]
-    total = subset.sum()
+    if n <= _LEFT_FOLD_MAX and subset.dtype is _FLOAT64:
+        # the sum NumPy would take, without its call overhead
+        total = 0.0
+        for x in subset.tolist():
+            total += x
+    else:
+        total = np.add.reduce(subset)
     if total > 0.0:
         return subset / total
-    return np.full(len(ids), 1.0 / len(ids))
+    return np.full(n, 1.0 / n)
 
 
 def advance(prefix: bytes, chosen: int, vocab: Vocabulary) -> bytes:
@@ -123,8 +132,11 @@ def advance(prefix: bytes, chosen: int, vocab: Vocabulary) -> bytes:
     A token longer than the prefix empties it; the surplus bytes are
     ordinary generated output.
     """
-    token = vocab.token_bytes(chosen)
-    if vocab.is_special(chosen) or not (token.startswith(prefix) or prefix.startswith(token)):
+    tokens = vocab.tokens
+    if not 0 <= chosen < len(tokens):
+        raise VocabularyError(f"unknown token id {chosen}")
+    token = tokens[chosen]
+    if chosen in vocab.specials or not (token.startswith(prefix) or prefix.startswith(token)):
         raise AlignmentContractError(
             f"token {chosen} ({token!r}) is not compatible with prefix {prefix!r}"
         )
@@ -158,29 +170,36 @@ def aligned_generate(
     max_steps = len(prefix)
     rng = make_rng(sampler_cfg.seed)
     mask_sizes: list[int] = []
-    per_lookup_max_us = 0.0
+    per_lookup_max_ns = 0
+    # Per-request constants; the module-level helpers stay global lookups
+    # made at call time, so a wrapper installed on the module sees every call.
+    next_distribution = provider.next_distribution
+    size = len(vocab)
+    clock = time.perf_counter_ns
 
-    t_align = time.perf_counter_ns()
+    t_align = clock()
     while prefix:
         if len(mask_sizes) >= max_steps:
             raise AlignmentError(
                 f"alignment exceeded {max_steps} steps without consuming the prefix"
             )
-        dist = np.asarray(provider.next_distribution(context), dtype=np.float64)
-        check_distribution(dist, len(vocab))
-        t_step = time.perf_counter_ns()
+        dist = next_distribution(context)
+        if type(dist) is not np.ndarray or dist.dtype is not _FLOAT64:
+            dist = np.asarray(dist, dtype=np.float64)
+        check_distribution(dist, size)
+        t_step = clock()
         ids = cache.lookup(trie, prefix)
         if len(ids) == 0:
             raise DeadEndError(prefix, context, len(mask_sizes))
         probs = mask_distribution(dist, ids)
-        per_lookup_max_us = max(
-            per_lookup_max_us, (time.perf_counter_ns() - t_step) / 1000.0
-        )
+        step_ns = clock() - t_step
+        if step_ns > per_lookup_max_ns:
+            per_lookup_max_ns = step_ns
         mask_sizes.append(len(ids))
-        chosen = int(ids[sample(probs, sampler_cfg, rng)])
+        chosen = ids.item(sample(probs, sampler_cfg, rng))
         prefix = advance(prefix, chosen, vocab)
         context.append(chosen)
-    alignment_us = (time.perf_counter_ns() - t_align) / 1000.0
+    alignment_us = (clock() - t_align) / 1000.0
 
     produced = decode(vocab, context)
     if not produced.startswith(prompt):
@@ -200,7 +219,7 @@ def aligned_generate(
         timings_us={
             "alignment": alignment_us,
             "free": free_us,
-            "per_lookup_max": per_lookup_max_us,
+            "per_lookup_max": per_lookup_max_ns / 1000.0,
         },
     )
 

@@ -138,20 +138,29 @@ def boundary_prompts(
     seed: int = 0,
     min_tokens: int = 6,
 ) -> list[bytes]:
-    """Prompts guaranteed to end at a token boundary: truncated encodings."""
+    """Prompts guaranteed to end at a token boundary: truncated encodings.
+
+    A ValueError names the token minimum when no drawn document is long
+    enough to cut.
+    """
     if count < 1:
         raise ConfigError("count", f"need at least 1 prompt, got {count}")
     rng = make_rng(seed)
     prompts = []
     docs = [text for _, text in corpus if text]
     attempts = 0
-    while len(prompts) < count and attempts < count * 20:
+    while docs and len(prompts) < count and attempts < count * 20:
         attempts += 1
         ids = encode(vocab, docs[int(rng.integers(len(docs)))])
         if len(ids) <= min_tokens + 1:
             continue
         cut = int(rng.integers(min_tokens, len(ids)))
         prompts.append(decode(vocab, ids[:cut]))
+    if not prompts:
+        raise ValueError(
+            f"no document encodes to more than {min_tokens + 1} tokens, "
+            "the least a boundary prompt needs"
+        )
     return prompts
 
 

@@ -65,12 +65,15 @@ def _escape_bytes(text: str) -> bytes:
         ) from None
 
 
-def _require_generation_flags(args) -> None:
-    """Exit 1 naming ``--vocab`` or ``--provider`` when a command that generates text lacks it."""
-    for flag, takes in (("vocab", "a vocabulary file"),
-                        ("provider", "scripted:<table.json> or ngram:<corpus>")):
+_FLAG_VALUES = {"vocab": "a vocabulary file", "provider": "scripted:<table.json> or ngram:<corpus>"}
+
+
+def _require_flags(args, *flags: str, reason: str = "") -> None:
+    """Exit 1 naming the first of ``flags`` that ``args`` lacks."""
+    for flag in flags:
         if getattr(args, flag) is None:
-            print(f"tokalign: error: a --{flag} is required ({takes})", file=sys.stderr)
+            print(f"tokalign: error: a --{flag} is required ({_FLAG_VALUES[flag]}){reason}",
+                  file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
 
 
@@ -154,7 +157,7 @@ def _arms(args, vocab: Vocabulary, provider, names) -> dict:
 
 
 def cmd_align(args) -> int:
-    _require_generation_flags(args)
+    _require_flags(args, "vocab", "provider")
     vocab = load_vocabulary(_resolve(args.vocab))
     provider = _load_provider(args, vocab)
     arm = "unaligned" if args.no_align else "aligned"
@@ -208,6 +211,8 @@ def cmd_eval(args) -> int:
     metrics.check_metrics(wanted)
     if args.records:
         # score pre-computed EvalRecord JSONL, no generation
+        if "fta" in wanted:
+            _require_flags(args, "vocab", reason=" to score fta; or leave fta out of --metrics")
         records = metrics.read_eval_records(_resolve(args.records))
         vocab = load_vocabulary(_resolve(args.vocab)) if args.vocab else None
         label = args.label or ""
@@ -215,7 +220,7 @@ def cmd_eval(args) -> int:
 
     if args.validate_only:
         return _validate_dataset(_resolve(args.dataset))
-    _require_generation_flags(args)
+    _require_flags(args, "vocab", "provider")
     examples = scenarios.read_dataset(_resolve(args.dataset))
     vocab = load_vocabulary(_resolve(args.vocab))
     provider = _load_provider(args, vocab)
@@ -273,7 +278,12 @@ def cmd_bench(args) -> int:
         provider = build_ngram_model(
             (t for _, t in corpus), train_vocab, args.ngram_order, args.ngram_alpha
         )
-        prompts = bench_mod.boundary_prompts(corpus, train_vocab, args.prompts, args.seed)
+        try:
+            prompts = bench_mod.boundary_prompts(corpus, train_vocab, args.prompts, args.seed)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ValueError(f"{args.corpus}: {exc}") from exc
     if not args.skip_lookup:
         if args.vocab:
             vocab = load_vocabulary(_resolve(args.vocab))

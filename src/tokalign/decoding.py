@@ -66,17 +66,23 @@ class LogitsProvider(Protocol):
     def next_distribution(self, context: Sequence[int]) -> np.ndarray: ...
 
 
-# Rows that passed both scans of check_distribution, by id.  Only exact
-# float64 ndarrays with strides (8,) whose base is a ``bytes`` object are
-# kept: bytes never change and NumPy refuses to make such an array
-# writeable, so a kept row's values are the values that passed.  Its
-# dtype, strides and shape can still be reassigned in place, so every
-# call tests them again.  An entry goes when its row is freed.  Sharing
-# the memo between callers changes no verdict, only how often a row is
-# scanned.
-_PASSED_ROWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Rows that passed both scans of check_distribution: a weak reference to
+# each, by id.  Only exact float64 ndarrays with strides (8,) whose base
+# is a ``bytes`` object are kept: bytes never change and NumPy refuses to
+# make such an array writeable, so a kept row's values are the values
+# that passed.  Its dtype, strides and shape can still be reassigned in
+# place, so every call tests them again.  An entry goes when its row is
+# freed.  Sharing the memo between callers changes no verdict, only how
+# often a row is scanned.
+_PASSED_ROWS: dict[int, weakref.KeyedRef] = {}
 _FLOAT64 = np.dtype(np.float64)
 _ROW_STRIDES = (_FLOAT64.itemsize,)
+
+
+def _forget_row(ref: weakref.KeyedRef) -> None:
+    """Drop a freed row's entry, unless the id already names a newer row."""
+    if _PASSED_ROWS.get(ref.key) is ref:
+        del _PASSED_ROWS[ref.key]
 
 
 def check_distribution(dist: np.ndarray, size: int) -> None:
@@ -87,20 +93,27 @@ def check_distribution(dist: np.ndarray, size: int) -> None:
     propagates NaN and ``sum`` propagates inf, so two passes catch both.
     A float64 row over immutable ``bytes`` memory that has passed them
     is not scanned again: a later call with that same object re-checks
-    only its shape, dtype and strides.  Every other input is scanned on
-    every call, so the verdict and message are always the two scans'.
+    only its identity, dtype, strides and shape.  Every other input is
+    scanned on every call, so the verdict and message are always the two
+    scans'.
     """
-    immutable = (
-        type(dist) is np.ndarray
-        and type(dist.base) is bytes
-        and dist.dtype == _FLOAT64
+    ref = _PASSED_ROWS.get(id(dist))
+    if (
+        ref is not None
+        and ref() is dist
+        and dist.dtype is _FLOAT64
         and dist.strides == _ROW_STRIDES
-    )
-    if immutable and _PASSED_ROWS.get(id(dist)) is dist and dist.shape == (size,):
+        and dist.shape == (size,)
+    ):
         return
     _scan_distribution(dist, size)
-    if immutable:
-        _PASSED_ROWS[id(dist)] = dist
+    if (
+        type(dist) is np.ndarray
+        and type(dist.base) is bytes
+        and dist.dtype is _FLOAT64
+        and dist.strides == _ROW_STRIDES
+    ):
+        _PASSED_ROWS[id(dist)] = weakref.KeyedRef(dist, _forget_row, id(dist))
 
 
 def _scan_distribution(dist: np.ndarray, size: int) -> None:
@@ -139,7 +152,9 @@ class SamplerConfig:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """The pinned generator: PCG64 seeded with a 64-bit integer."""
+    """The pinned generator: PCG64 seeded with a non-negative integer."""
+    if seed < 0:
+        raise ConfigError("seed", f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -291,10 +306,11 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
     :func:`check_distribution`); only an all-zero vector is rejected.
     A nucleus draw takes exactly one ``rng.random()``.
     """
-    dist = np.asarray(dist, dtype=np.float64)
+    if type(dist) is not np.ndarray or dist.dtype is not _FLOAT64:
+        dist = np.asarray(dist, dtype=np.float64)
     if cfg.mode == "greedy":
         best = int(dist.argmax())
-        if not dist[best] > 0.0:
+        if not dist.item(best) > 0.0:
             raise ValueError("cannot sample from an all-zero distribution")
         return best
     w = _apply_temperature(dist, cfg.temperature)
@@ -376,20 +392,25 @@ def run_free_phase(
     alignment overshot).  Returns the truncation index into ``generated``
     when a stop sequence fired, else None.
     """
+    # Per-request constants; check_distribution and sample stay global
+    # lookups made at call time, so a wrapper installed on the module
+    # sees every call.
+    next_distribution = provider.next_distribution
+    size = len(vocab)
+    tokens = vocab.tokens
     stops = cfg.stop_sequences
-    steps = 0
-    while True:
+    for _ in range(cfg.max_new_tokens):
         stop_at = first_stop_index(generated, stops) if stops else None
         if stop_at is not None:
             return stop_at
-        if steps >= cfg.max_new_tokens:
-            return None
-        dist = np.asarray(provider.next_distribution(context), dtype=np.float64)
-        check_distribution(dist, len(vocab))
+        dist = next_distribution(context)
+        if type(dist) is not np.ndarray or dist.dtype is not _FLOAT64:
+            dist = np.asarray(dist, dtype=np.float64)
+        check_distribution(dist, size)
         chosen = sample(dist, cfg, rng)
         context.append(chosen)
-        generated += vocab.tokens[chosen]
-        steps += 1
+        generated += tokens[chosen]
+    return first_stop_index(generated, stops) if stops else None
 
 
 def generate(
@@ -459,12 +480,6 @@ class NGramModel:
         self._rows: dict[tuple[int, ...], np.ndarray] = {}
         self._row_capacity = _ROW_MEMO_BYTES // self._uniform.nbytes
 
-    def _key(self, context: Sequence[int]) -> tuple[int, ...]:
-        if len(context) >= self.order:
-            return tuple(context[-self.order:])
-        pad = (self._BEFORE_START,) * (self.order - len(context))
-        return pad + tuple(context)
-
     def observe(self, ids: Sequence[int]) -> None:
         padded = (self._BEFORE_START,) * self.order + tuple(ids)
         k = self.order
@@ -474,7 +489,11 @@ class NGramModel:
         self._rows.clear()
 
     def next_distribution(self, context: Sequence[int]) -> np.ndarray:
-        key = self._key(context)
+        order = self.order
+        if len(context) >= order:
+            key = tuple(context[-order:])
+        else:
+            key = (self._BEFORE_START,) * (order - len(context)) + tuple(context)
         row = self._rows.get(key)
         if row is not None:
             return row

@@ -27,6 +27,10 @@ from .vocab import Vocabulary
 # ids compatible with the query prefix.  Special tokens never appear.
 TokenMask = np.ndarray
 
+# Up to this many compatible ids, a Python list sort beats NumPy's
+# concatenate and sort.
+_LIST_SORT_MAX = 8
+
 
 class TrieError(ValueError):
     pass
@@ -97,7 +101,8 @@ class ByteTrie:
         while j >= 0:
             exact.append(id_list[j])
             j = parent[j]
-        if lo == hi:
+        if len(exact) + hi - lo <= _LIST_SORT_MAX:
+            exact += id_list[lo:hi]
             exact.sort()
             ids = np.array(exact, dtype=np.int64)
         else:
@@ -138,7 +143,8 @@ class MaskCache:
             self._store.popitem(last=False)
 
     def lookup(self, trie: ByteTrie, prefix: bytes) -> TokenMask:
-        prefix = bytes(prefix)
+        if type(prefix) is not bytes:
+            prefix = bytes(prefix)
         cached = self._store.get(prefix)
         if cached is not None:
             self.hits += 1

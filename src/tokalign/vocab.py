@@ -159,6 +159,12 @@ class Vocabulary:
 
 def decode(vocab: Vocabulary, ids: Sequence[int]) -> bytes:
     """Concatenate the byte sequences of ``ids``, in order."""
+    tokens = vocab.tokens
+    if len(ids) == 0 or min(ids) >= 0:
+        try:
+            return b"".join([tokens[i] for i in ids])
+        except IndexError:
+            pass  # the loop below names the first bad id's offset
     out = bytearray()
     for pos, i in enumerate(ids):
         if not 0 <= i < len(vocab.tokens):

@@ -54,7 +54,8 @@ def verdict(check, dist, size):
 
 
 def remembered(row):
-    return decoding_module._PASSED_ROWS.get(id(row)) is row
+    ref = decoding_module._PASSED_ROWS.get(id(row))
+    return ref is not None and ref() is row
 
 
 @pytest.fixture()

@@ -284,6 +284,7 @@ class TestExitCodes:
             ("bench", ["--naive-queries", "0"]),
             ("bench", ["--warmup", "-5"]),
             ("bench", ["--vocab-size", "100"]),
+            ("bench", ["--seed", "-1"]),
             ("eval", ["--metrics", "bogus"]),
         ],
     )
@@ -302,7 +303,7 @@ class TestExitCodes:
             argv = ["gen-dataset", "--corpus", "bundled:code", "--scenario", "all",
                     "--out-dir", str(tmp_path)]
         elif command == "bench" and flag in ("--queries", "--naive-queries", "--warmup",
-                                              "--vocab-size"):
+                                              "--vocab-size", "--seed"):
             argv = ["bench", "--skip-steps", "--vocab-size", "300"]
         elif command == "bench":
             argv = ["bench", "--skip-lookup"]
@@ -684,6 +685,16 @@ class TestEval:
             "--provider": "(scripted:<table.json> or ngram:<corpus>)",
         }[missing]]
 
+    def test_records_scored_for_fta_need_vocab(self, capsys, tmp_path):
+        # the default metrics include fta; checked before the records are read
+        code, out, err = run(capsys, "eval", "--records", str(tmp_path / "missing.jsonl"))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "tokalign: error: a --vocab is required (a vocabulary file) to score fta;"
+            " or leave fta out of --metrics"
+        ]
+
     def test_dataset_or_records_required(self, capsys):
         code, _, err = run(capsys, "eval", "--metrics", "em")
         assert code == 1
@@ -715,6 +726,19 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert "argument --train-size: " in err
+
+    def test_corpus_too_short_for_prompts_is_two(self, capsys, tmp_path):
+        corpus = tmp_path / "short.jsonl"
+        corpus.write_text('{"text": "x = 1"}\n{"text": "y = 2"}\n')
+        code, out, err = run(
+            capsys, "bench", "--skip-lookup", "--corpus", str(corpus), "--train-size", "260",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"tokalign: error: {corpus}: no document encodes to more than 7 tokens,"
+            " the least a boundary prompt needs"
+        ]
 
     def test_skip_flags(self, capsys):
         code, out, _ = run(
