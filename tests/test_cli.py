@@ -284,8 +284,8 @@ class TestExitCodes:
             ("bench", ["--naive-queries", "0"]),
             ("bench", ["--warmup", "-5"]),
             ("bench", ["--vocab-size", "100"]),
-            ("bench", ["--seed", "-1"]),
             ("eval", ["--metrics", "bogus"]),
+            ("bench", ["--seed", "-1"]),
         ],
     )
     def test_flag_value_out_of_range_is_one(
