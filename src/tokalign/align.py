@@ -35,7 +35,7 @@ from .decoding import (
     sample,
 )
 from .trie import ByteTrie, MaskCache, TokenMask
-from .vocab import Vocabulary, VocabularyError, decode, encode
+from .vocab import Vocabulary, decode, encode
 
 
 class AlignmentError(RuntimeError):
@@ -132,11 +132,8 @@ def advance(prefix: bytes, chosen: int, vocab: Vocabulary) -> bytes:
     A token longer than the prefix empties it; the surplus bytes are
     ordinary generated output.
     """
-    tokens = vocab.tokens
-    if not 0 <= chosen < len(tokens):
-        raise VocabularyError(f"unknown token id {chosen}")
-    token = tokens[chosen]
-    if chosen in vocab.specials or not (token.startswith(prefix) or prefix.startswith(token)):
+    token = vocab.token_bytes(chosen)
+    if vocab.is_special(chosen) or not (token.startswith(prefix) or prefix.startswith(token)):
         raise AlignmentContractError(
             f"token {chosen} ({token!r}) is not compatible with prefix {prefix!r}"
         )

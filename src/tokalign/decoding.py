@@ -146,15 +146,19 @@ class SamplerConfig:
                 raise ConfigError("temperature", "nucleus sampling requires temperature > 0")
         if self.max_new_tokens < 0:
             raise ConfigError("max_new_tokens", "max_new_tokens must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed", f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
         self.stop_sequences = tuple(bytes(s) for s in self.stop_sequences)
+
+
+def _check_seed(seed: int) -> None:
+    """The seed rule of :func:`make_rng`, for callers that fail before any work."""
+    if seed < 0:
+        raise ConfigError("seed", f"seed must be >= 0, got {seed}")
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """The pinned generator: PCG64 seeded with a non-negative integer."""
-    if seed < 0:
-        raise ConfigError("seed", f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     return np.random.Generator(np.random.PCG64(seed))
 
 

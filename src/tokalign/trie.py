@@ -27,10 +27,6 @@ from .vocab import Vocabulary
 # ids compatible with the query prefix.  Special tokens never appear.
 TokenMask = np.ndarray
 
-# Up to this many compatible ids, a Python list sort beats NumPy's
-# concatenate and sort.
-_LIST_SORT_MAX = 8
-
 
 class TrieError(ValueError):
     pass
@@ -101,8 +97,7 @@ class ByteTrie:
         while j >= 0:
             exact.append(id_list[j])
             j = parent[j]
-        if len(exact) + hi - lo <= _LIST_SORT_MAX:
-            exact += id_list[lo:hi]
+        if lo == hi:
             exact.sort()
             ids = np.array(exact, dtype=np.int64)
         else:

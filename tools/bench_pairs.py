@@ -3,12 +3,13 @@
 
     python3 tools/bench_pairs.py --parent REV --change REV --seeds 1401-1410 \\
         --name BENCH_14 --note "what the change does" [--claim WORKLOAD/METRIC] \\
-        [--workloads a,b] [--seconds 15] [--workdir DIR] [--out FILE]
+        [--workdir DIR] [--out FILE]
 
 Each commit is copied once with ``git archive`` into its own fresh
 directory under ``--workdir`` (a new temporary directory by default), so
 neither run sees the working tree or the other's files.  For every
-workload and seed, both copies run ``python3 e2ebench/run.py --trace 0``
+workload the change's ``BENCHMARK.json`` declares, and every seed, both
+copies run its ``command`` with ``--trace 0`` for its ``run_seconds``,
 one after the other: the parent goes first on even pair indexes and the
 change on odd ones.  One extra traced pair (``--trace 1``, parent first)
 runs at the first seed.  The output keeps the layout of the earlier
@@ -65,10 +66,10 @@ def checkout(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_once(copy: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    """One e2ebench run: its result line, plus the working-set record."""
-    argv = [sys.executable, "e2ebench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(int(trace))]
+def run_once(copy: Path, declared: dict, workload: str, seed: int, trace: bool) -> dict:
+    """One benchmark run: its result line, plus the working-set record."""
+    argv = [*declared["command"], "--workload", workload, "--seed", str(seed),
+            "--seconds", str(declared["run_seconds"]), "--trace", str(int(trace))]
     proc = subprocess.run(argv, cwd=copy, capture_output=True, text=True, check=False)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -139,13 +140,12 @@ def summarise_workload(specs: list[dict], seeds: list[int], runs: dict, traced: 
         "raw_setup_s": {arm: quartiles([r["record"]["raw"]["setup_s"] for r in runs[arm]])
                         for arm in ARMS},
     }
-    if traced:
-        out["traced"] = {
-            "seed": seeds[0],
-            **{arm: {name: m["value"] for name, m in traced[arm]["metrics"].items()}
-               for arm in ARMS},
-            "correct": {arm: traced[arm]["correct"] for arm in ARMS},
-        }
+    out["traced"] = {
+        "seed": seeds[0],
+        **{arm: {name: m["value"] for name, m in traced[arm]["metrics"].items()}
+           for arm in ARMS},
+        "correct": {arm: traced[arm]["correct"] for arm in ARMS},
+    }
     return out
 
 
@@ -157,9 +157,6 @@ def parse_args(argv):
     parser.add_argument("--name", required=True, help="e.g. BENCH_14")
     parser.add_argument("--note", default="", help="what the change does")
     parser.add_argument("--claim", help="WORKLOAD/METRIC the change claims to improve")
-    parser.add_argument("--workloads", help="comma-separated; default: every declared one")
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--no-trace", action="store_true", help="skip the traced pair")
     parser.add_argument("--workdir", type=Path, help="where the copies go")
     parser.add_argument("--out", type=Path, help="default: <name>.json in the repo root")
     return parser.parse_args(argv)
@@ -172,9 +169,6 @@ def main(argv=None) -> int:
     commits = {arm: checkout(rev, copies[arm])
                for arm, rev in zip(ARMS, (args.parent, args.change))}
     declared = json.loads((copies["change"] / "BENCHMARK.json").read_text())
-    names = (args.workloads.split(",") if args.workloads
-             else [w["name"] for w in declared["workloads"]])
-    command = declared["command"]
     result = {
         "name": args.name,
         "change": args.note,
@@ -182,8 +176,8 @@ def main(argv=None) -> int:
         "change_commit": commits["change"],
         "claim": None,
         "method": {
-            "command": " ".join(command) + f" --workload W --seed N --seconds {args.seconds:g}"
-                       " --trace 0",
+            "command": " ".join(declared["command"])
+                       + f" --workload W --seed N --seconds {declared['run_seconds']:g} --trace 0",
             "seeds": args.seeds,
             "pairs": "each seed runs the parent commit and the change once, each from its own "
                      "fresh copy of the files (git archive of the commit); the parent goes first "
@@ -191,8 +185,7 @@ def main(argv=None) -> int:
             "quartiles": "numpy.percentile, linear interpolation",
             "wins": "pairs in which the change's value is better than the parent's in the "
                     "metric's direction; ties count for neither",
-            "traced": "none" if args.no_trace else
-                      "one extra pair per workload with --trace 1 at the first seed, parent first",
+            "traced": "one extra pair per workload with --trace 1 at the first seed, parent first",
             "raw_setup_s": "the unscaled build time the benchmark records under raw.setup_s, "
                            "for reference",
             "runner": "tools/bench_pairs.py",
@@ -205,16 +198,15 @@ def main(argv=None) -> int:
         },
         "workloads": {},
     }
-    for workload in names:
+    for workload in (w["name"] for w in declared["workloads"]):
         runs = {arm: [] for arm in ARMS}
         for k, seed in enumerate(args.seeds):
             for arm in (ARMS if k % 2 == 0 else ARMS[::-1]):
-                runs[arm].append(run_once(copies[arm], workload, seed, args.seconds, False))
+                runs[arm].append(run_once(copies[arm], declared, workload, seed, False))
                 value = runs[arm][-1]["metrics"]["req_ms_p50"]["value"]
                 print(f"{workload} seed {seed} {arm}: req_ms_p50 {value:.4f}", flush=True)
-        traced = {} if args.no_trace else {
-            arm: run_once(copies[arm], workload, args.seeds[0], args.seconds, True) for arm in ARMS
-        }
+        traced = {arm: run_once(copies[arm], declared, workload, args.seeds[0], True)
+                  for arm in ARMS}
         result["workloads"][workload] = summarise_workload(
             declared["end_to_end"], args.seeds, runs, traced
         )
