@@ -157,7 +157,7 @@ def _arms(args, vocab: Vocabulary, provider, names) -> dict:
 
 
 def cmd_align(args) -> int:
-    _require_flags(args, "vocab", "provider")
+    _require_flags(args, "provider")
     vocab = load_vocabulary(_resolve(args.vocab))
     provider = _load_provider(args, vocab)
     arm = "unaligned" if args.no_align else "aligned"
@@ -301,11 +301,9 @@ def cmd_bench(args) -> int:
             provider, train_vocab, prompts,
             backtrack_tokens=args.align_cfg.backtrack_tokens,
         )
-    text = json.dumps(report, indent=1, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-    print(text)
+        write_json(args.out, report)
+    print(json.dumps(report, indent=1, sort_keys=True))
     return EXIT_OK
 
 

@@ -4,8 +4,10 @@ Five cut procedures turn a document into a (prompt, ground-truth) pair
 whose boundary lands in a deliberately awkward spot: inside a word,
 inside a punctuation run, right after a separator space, right after a
 line's indentation, or inside a whitespace run.  Every example also
-carries a baseline prompt backtracked to the last full word, the
-control arm where no partial token is present.
+carries a baseline prompt, the control arm where no partial token is
+present: the prompt minus the run of the cut unit's byte class that
+ends at the cut, then minus trailing whitespace.  The cut unit is a
+word (subword), punctuation (punctuation) or whitespace (the others).
 
 Byte classes: "word" is alphanumerics plus underscore (and any byte
 >= 0x80, so multi-byte characters stay whole), "whitespace" is exactly
@@ -18,12 +20,10 @@ from __future__ import annotations
 import base64
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .decoding import _check_seed, make_rng
 from .vocab import ConfigError, json_field, read_json_lines, write_json, write_json_lines
-
-SCENARIOS = ("subword", "punctuation", "prefix_sep", "prefix_indent", "contiguous_space")
 
 _SPACE = 0x20
 _NEWLINE = 0x0A
@@ -92,22 +92,13 @@ class ScenarioExample:
 
 
 # ---------------------------------------------------------------------------
-# Eligible cut positions per scenario
+# Scenarios: each one's cut finder and the byte class of the unit it cuts
 
 
-def _subword_positions(source: bytes) -> list[int]:
-    return [
-        i
-        for i in range(1, len(source))
-        if _is_word(source[i - 1]) and _is_word(source[i])
-    ]
-
-
-def _punctuation_positions(source: bytes) -> list[int]:
-    return [
-        i
-        for i in range(1, len(source))
-        if _is_punct(source[i - 1]) and _is_punct(source[i])
+def _inside_run(is_unit: Callable[[int], bool]) -> Callable[[bytes], list[int]]:
+    """Finder for the cuts strictly inside a run of ``is_unit`` bytes."""
+    return lambda source: [
+        i for i in range(1, len(source)) if is_unit(source[i - 1]) and is_unit(source[i])
     ]
 
 
@@ -141,50 +132,33 @@ def _prefix_indent_positions(source: bytes) -> list[int]:
     return positions
 
 
-def _contiguous_space_positions(source: bytes) -> list[int]:
-    return [
-        i
-        for i in range(1, len(source))
-        if _is_ws(source[i - 1]) and _is_ws(source[i])
-    ]
-
-
-_POSITION_FINDERS = {
-    "subword": _subword_positions,
-    "punctuation": _punctuation_positions,
-    "prefix_sep": _prefix_sep_positions,
-    "prefix_indent": _prefix_indent_positions,
-    "contiguous_space": _contiguous_space_positions,
+# scenario -> (cut-position finder, byte class of the unit the cut leaves
+# incomplete).  SCENARIOS keeps this order: `gen-dataset --scenario all`
+# and the benchmark's prompts are built in it.
+_SCENARIOS = {
+    "subword": (_inside_run(_is_word), _is_word),
+    "punctuation": (_inside_run(_is_punct), _is_punct),
+    "prefix_sep": (_prefix_sep_positions, _is_ws),
+    "prefix_indent": (_prefix_indent_positions, _is_ws),
+    "contiguous_space": (_inside_run(_is_ws), _is_ws),
 }
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def eligible_positions(scenario: str, source: bytes) -> list[int]:
     try:
-        finder = _POSITION_FINDERS[scenario]
+        finder, _ = _SCENARIOS[scenario]
     except KeyError:
         raise ValueError(f"unknown scenario {scenario!r}") from None
     return finder(bytes(source))
 
 
-# ---------------------------------------------------------------------------
-# Baseline construction: backtrack to the last full word
-
-
 def _baseline_for(scenario: str, source: bytes, cut: int) -> bytes:
-    prompt = source[:cut]
-    if scenario == "subword":
-        start = cut
-        while start > 0 and _is_word(source[start - 1]):
-            start -= 1
-        return _rstrip_ws(source[:start])
-    if scenario == "punctuation":
-        start = cut
-        while start > 0 and _is_punct(source[start - 1]):
-            start -= 1
-        return _rstrip_ws(source[:start])
-    # the incomplete unit is trailing whitespace: trimming it ends the
-    # prompt at the previous full word
-    return _rstrip_ws(prompt)
+    _, is_unit = _SCENARIOS[scenario]
+    start = cut
+    while start > 0 and is_unit(source[start - 1]):
+        start -= 1
+    return _rstrip_ws(source[:start])
 
 
 def _make_example(scenario: str, source: bytes, source_id: str, cut: int) -> ScenarioExample:

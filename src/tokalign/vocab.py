@@ -90,10 +90,7 @@ class Vocabulary:
         )
         self.specials: frozenset[int] = frozenset(specials)
         self.pretokenize = pretokenize
-        self._validate()
-        self._id_by_bytes: dict[bytes, int] = {
-            t: i for i, t in enumerate(self.tokens) if i not in self.specials
-        }
+        self._id_by_bytes: dict[bytes, int] = self._validate()
         self._max_token_len = max(
             (len(t) for i, t in enumerate(self.tokens) if i not in self.specials),
             default=0,
@@ -102,7 +99,8 @@ class Vocabulary:
             self._merge_rank = {pair: r for r, pair in enumerate(self.merges)}
         self._chunk_ids: dict[bytes, list[int]] = {}
 
-    def _validate(self) -> None:
+    def _validate(self) -> dict[bytes, int]:
+        """Check the tables; return each non-special token's bytes -> id."""
         if not self.tokens:
             raise VocabularyValidationError("vocabulary has no tokens")
         seen: dict[bytes, int] = {}
@@ -130,6 +128,7 @@ class Vocabulary:
                     raise VocabularyValidationError(
                         f"merge {r}: merged sequence {(left + right)!r} is not a token"
                     )
+        return seen
 
     def __len__(self) -> int:
         return len(self.tokens)

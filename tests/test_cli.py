@@ -704,12 +704,13 @@ class TestEval:
 class TestBench:
     def test_small_run_shape(self, capsys, tmp_path):
         out = tmp_path / "bench.json"
-        code, _, _ = run(
+        code, stdout, _ = run(
             capsys, "bench", "--vocab-size", "2000", "--queries", "300",
             "--warmup", "50", "--naive-queries", "20", "--prompts", "30",
             "--train-size", "320", "--out", str(out),
         )
         assert code == 0
+        assert out.read_bytes() == stdout.encode("ascii")
         report = json.loads(out.read_text())
         assert report["lookup"]["trie_us"]["p50"] < report["lookup"]["naive_us"]["p50"]
         assert "histogram" in report["alignment_steps"]
