@@ -24,7 +24,14 @@ import numpy as np
 from . import align as align_mod
 from . import bench as bench_mod
 from . import fixtures, metrics, scenarios
-from .decoding import ConfigError, SamplerConfig, ScriptedModel, build_ngram_model, generate
+from .decoding import (
+    ConfigError,
+    SamplerConfig,
+    ScriptedModel,
+    _check_seed,
+    build_ngram_model,
+    generate,
+)
 from .trie import MaskCache, build_trie
 from .vocab import (
     PretokenizeOptions,
@@ -262,13 +269,14 @@ def _emit_eval_report(args, records, wanted, vocab, label) -> int:
         cols = "  ".join(f"{m}={report.deltas[m]:+.4f}" for m in wanted)
         print(f"{label:>24} {'delta':>10}: {cols}")
     if args.out:
-        metrics.write_report(report, args.out)
+        write_json(args.out, report.to_json_dict())
     if args.csv:
         metrics.write_report_csv(report, args.csv)
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
+    _check_seed(args.seed)
     report = {}
     if not args.skip_steps:
         # built first, so a bad step flag fails before the lookup benchmark runs
@@ -303,7 +311,7 @@ def cmd_bench(args) -> int:
         )
     if args.out:
         write_json(args.out, report)
-    print(json.dumps(report, indent=1, sort_keys=True))
+    write_json(sys.stdout, report)
     return EXIT_OK
 
 

@@ -21,7 +21,6 @@ from .vocab import (
     encode,
     json_field,
     read_json_lines,
-    write_json,
     write_json_lines,
 )
 
@@ -290,10 +289,6 @@ def score_records(
             for m in metrics
         }
     return report
-
-
-def write_report(report: ScoreReport, path: str) -> None:
-    write_json(path, report.to_json_dict())
 
 
 def write_report_csv(report: ScoreReport, path: str) -> None:

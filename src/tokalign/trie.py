@@ -42,7 +42,6 @@ class ByteTrie:
         entries = sorted((vocab.tokens[i], i) for i in vocab.non_special_ids())
         if not entries:
             raise TrieError("vocabulary has no non-special tokens; matching is impossible")
-        self.vocab_size = len(vocab)
         self._tokens = [token for token, _ in entries]
         self._id_list = [token_id for _, token_id in entries]
         self._ids = np.array(self._id_list, dtype=np.int64)

@@ -20,7 +20,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 VOCAB_FILE_VERSION = 1
 
@@ -91,10 +91,7 @@ class Vocabulary:
         self.specials: frozenset[int] = frozenset(specials)
         self.pretokenize = pretokenize
         self._id_by_bytes: dict[bytes, int] = self._validate()
-        self._max_token_len = max(
-            (len(t) for i, t in enumerate(self.tokens) if i not in self.specials),
-            default=0,
-        )
+        self._max_token_len = max(map(len, self._id_by_bytes), default=0)
         if self.merges is not None:
             self._merge_rank = {pair: r for r, pair in enumerate(self.merges)}
         self._chunk_ids: dict[bytes, list[int]] = {}
@@ -412,11 +409,14 @@ def write_json_lines(path: str, docs: Iterable[dict]) -> None:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def write_json(path: str, doc: object) -> None:
-    """Write ``doc`` to ``path`` as ASCII JSON: indent 1, sorted keys, a final newline."""
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def write_json(path: str | TextIO, doc: object) -> None:
+    """Write ``doc`` to a path or stream as ASCII JSON: indent 1, sorted keys, a final newline."""
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    if isinstance(path, str):
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        path.write(text)
 
 
 def json_field(doc: dict, key: str, kind: type | tuple[type, ...]):
@@ -507,17 +507,17 @@ def train_tiny_bpe(
     """Train a byte-level BPE vocabulary of ``target_size`` tokens.
 
     Starts from the 256 single-byte tokens and repeatedly merges the most
-    frequent adjacent pair within pretokenized chunks.  Ties break on the
-    lexicographically smallest merged byte sequence, then smallest left
-    side, so training is fully deterministic.  Stops early if the corpus
-    runs out of mergeable pairs.
+    frequent adjacent pair within pretokenized chunks; each merge's bytes
+    become the next token.  Ties break on the lexicographically smallest
+    merged byte sequence, so training is fully deterministic.  Stops early
+    if the corpus runs out of mergeable pairs.
 
     Cost: the pairs of the D distinct chunks are counted once, O(total
     bytes of the distinct chunks), and each pair is indexed to the chunks
     that hold it.  A merge then rewrites only the chunks indexed under its
     pair, subtracting their old pairs and adding their new ones, and takes
-    the next pair from a heap keyed ``(-count, left + right, left)``; an
-    entry whose count no longer matches is stale and skipped.  So a merge
+    the next pair from a heap keyed ``(-count, left + right)``; an entry
+    whose count no longer matches is stale and skipped.  So a merge
     costs the bytes of the chunks holding its pair plus O(log H) per
     changed pair count (H heap entries), not a pass over every chunk.
     """
@@ -543,23 +543,18 @@ def train_tiny_bpe(
         for pair in zip(parts, parts[1:]):
             pair_counts[pair] += freq
             where.setdefault(pair, set()).add(w)
-    heap = [(-n, a + b, a, b) for (a, b), n in pair_counts.items()]
+    heap = [(-n, a + b, (a, b)) for (a, b), n in pair_counts.items()]
     heapq.heapify(heap)
 
-    tokens: list[bytes] = [bytes([i]) for i in range(256)]
-    token_set = set(tokens)
+    # A merge never adds a part boundary, so whole-part occurrences of any bytes split alike:
+    # no two live pairs share merged bytes, and a popped pair's bytes are not yet a token.
     merges: list[tuple[bytes, bytes]] = []
-    n_regular = target_size - len(specials)
-
-    while len(tokens) < n_regular and heap:
-        neg, merged, left, right = heapq.heappop(heap)
-        best = (left, right)
+    n_merges = target_size - len(specials) - 256
+    while len(merges) < n_merges and heap:
+        neg, _, best = heapq.heappop(heap)
         if pair_counts.get(best) != -neg:
             continue  # stale: the count changed after this entry was pushed
         merges.append(best)
-        if merged not in token_set:
-            tokens.append(merged)
-            token_set.add(merged)
         delta: Counter[tuple[bytes, bytes]] = Counter()
         # a merge only lengthens parts, so ``best`` never occurs again
         for w in where.pop(best):
@@ -579,11 +574,11 @@ def train_tiny_bpe(
                 n = pair_counts[pair] + change
                 if n:
                     pair_counts[pair] = n
-                    heapq.heappush(heap, (-n, pair[0] + pair[1], pair[0], pair[1]))
+                    heapq.heappush(heap, (-n, pair[0] + pair[1], pair))
                 else:
                     del pair_counts[pair]
 
-    n_regular_actual = len(tokens)
+    tokens = [bytes([i]) for i in range(256)] + [a + b for a, b in merges]
+    special_ids = range(len(tokens), len(tokens) + len(specials))
     tokens.extend(bytes(s) for s in specials)
-    special_ids = range(n_regular_actual, n_regular_actual + len(specials))
     return Vocabulary(tokens, merges=merges, specials=special_ids, pretokenize=options)

@@ -728,6 +728,19 @@ class TestBench:
         assert out == ""
         assert "argument --train-size: " in err
 
+    def test_bad_seed_fails_before_the_corpus_is_read(self, capsys, monkeypatch):
+        import tokalign.cli as cli_module
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("bench read the corpus before --seed was checked")
+
+        monkeypatch.setattr(cli_module.scenarios, "load_corpus", not_reached)
+        monkeypatch.setattr(cli_module, "train_tiny_bpe", not_reached)
+        code, out, err = run(capsys, "bench", "--skip-lookup", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert "argument --seed: seed must be >= 0, got -1" in err
+
     def test_corpus_too_short_for_prompts_is_two(self, capsys, tmp_path):
         corpus = tmp_path / "short.jsonl"
         corpus.write_text('{"text": "x = 1"}\n{"text": "y = 2"}\n')
