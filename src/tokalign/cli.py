@@ -16,6 +16,7 @@ dead end, or a broken alignment invariant).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -133,12 +134,11 @@ def _attach_configs(args) -> None:
         args.align_cfg = align_mod.AlignConfig(backtrack_tokens=args.backtrack)
 
 
-def _read_prompts(path: str | None):
+def _open_or(path: str | None, std, mode: str, encoding: str):
+    """``path`` opened, or the stream ``std``, left open, for no path or "-"."""
     if path in (None, "-"):
-        yield from scenarios.read_text_docs(sys.stdin, "<stdin>", "prompt_b64")
-        return
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from scenarios.read_text_docs(fh, path, "prompt_b64")
+        return contextlib.nullcontext(std)
+    return open(path, mode, encoding=encoding)
 
 
 def _arms(args, vocab: Vocabulary, provider, names) -> dict:
@@ -169,27 +169,32 @@ def cmd_align(args) -> int:
     provider = _load_provider(args, vocab)
     arm = "unaligned" if args.no_align else "aligned"
     complete = _arms(args, vocab, provider, [arm])[arm]
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="ascii")
-    try:
-        for prompt_id, prompt in _read_prompts(args.prompt_file):
+    # the prompts are opened first, so a missing prompt file leaves --out as it was
+    with (
+        _open_or(args.prompt_file, sys.stdin, "r", "utf-8") as prompts,
+        _open_or(args.out, sys.stdout, "w", "ascii") as out,
+    ):
+        name = "<stdin>" if prompts is sys.stdin else args.prompt_file
+        for prompt_id, prompt in scenarios.read_text_docs(prompts, name, "prompt_b64"):
             doc = {"id": prompt_id, **complete(prompt).to_json_dict()}
             if not args.timings:
                 # wall-clock fields would break bit-reproducibility of seeded runs
                 del doc["timings_us"]
             out.write(json.dumps(doc) + "\n")
-        return EXIT_OK
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    return EXIT_OK
 
 
 def cmd_gen_dataset(args) -> int:
+    if args.scenario == "all" and args.out:
+        args.command_parser.error(
+            "argument --out: not allowed with --scenario all (each scenario goes to --out-dir)"
+        )
     corpus = scenarios.load_corpus(_resolve(args.corpus))
     names = list(scenarios.SCENARIOS) if args.scenario == "all" else [args.scenario]
     all_stats = {}
     for name in names:
         examples, stats = scenarios.generate_dataset(corpus, name, args.seed, args.per_doc)
-        path = args.out if (args.out and len(names) == 1) else f"{args.out_dir}/{name}.jsonl"
+        path = args.out or f"{args.out_dir}/{name}.jsonl"
         scenarios.write_dataset(path, examples, stats)
         all_stats[name] = stats
         print(f"{name}: wrote {stats['emitted']} examples to {path} "
@@ -214,6 +219,8 @@ def _validate_dataset(path: str) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.records and args.validate_only:
+        args.command_parser.error("argument --validate-only: not allowed with argument --records")
     wanted = tuple(args.metrics.split(",")) if args.metrics else metrics.ALL_METRICS
     metrics.check_metrics(wanted)
     if args.records:

@@ -10,6 +10,7 @@ similarity metrics take the most favorable reference.
 from __future__ import annotations
 
 import base64
+import csv
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -292,9 +293,11 @@ def score_records(
 
 
 def write_report_csv(report: ScoreReport, path: str) -> None:
-    """Flat (scenario, arm, metric, value) table."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("scenario,arm,metric,value\n")
+    """Flat (scenario, arm, metric, value) table: UTF-8, fields quoted as ``csv`` does."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["scenario", "arm", "metric", "value"])
         for arm in sorted(report.aggregates):
             for metric in report.metrics:
-                fh.write(f"{report.scenario},{arm},{metric},{report.aggregates[arm][metric]:.6f}\n")
+                value = report.aggregates[arm][metric]
+                writer.writerow([report.scenario, arm, metric, f"{value:.6f}"])

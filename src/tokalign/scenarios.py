@@ -8,6 +8,11 @@ carries a baseline prompt, the control arm where no partial token is
 present: the prompt minus the run of the cut unit's byte class that
 ends at the cut, then minus trailing whitespace.  The cut unit is a
 word (subword), punctuation (punctuation) or whitespace (the others).
+One table, ``_SCENARIOS``, holds each scenario's cut finder and unit
+class; generation and :func:`validate_example` both read it, so an
+example validates exactly when ``generate_dataset`` could have written
+it: the scenario's finder picks its cut and its baseline follows the
+rule.
 
 Byte classes: "word" is alphanumerics plus underscore (and any byte
 >= 0x80, so multi-byte characters stay whole), "whitespace" is exactly
@@ -173,13 +178,12 @@ def _make_example(scenario: str, source: bytes, source_id: str, cut: int) -> Sce
 
 
 # ---------------------------------------------------------------------------
-# Validation (post-hoc scans; all emitted examples must pass)
+# Validation: an example passes exactly when generation could have written it
 
 
 def validate_example(ex: ScenarioExample) -> list[str]:
     """Return a list of violated constraints (empty when the example is clean)."""
     problems: list[str] = []
-    source = ex.source
     if ex.cut_offset != len(ex.prompt):
         problems.append("cut_offset does not equal the prompt length")
     if not ex.prompt:
@@ -188,48 +192,18 @@ def validate_example(ex: ScenarioExample) -> list[str]:
         problems.append("ground truth is empty")
     if problems:
         return problems
+    if ex.scenario not in _SCENARIOS:
+        return [f"unknown scenario {ex.scenario!r}"]
 
-    last = ex.prompt[-1]
-    nxt = ex.ground_truth[0]
-    if ex.scenario == "subword":
-        if not (_is_word(last) and _is_word(nxt)):
-            problems.append("cut is not strictly inside a word")
-    elif ex.scenario == "punctuation":
-        if not (_is_punct(last) and _is_punct(nxt)):
-            problems.append("cut is not strictly inside a punctuation run")
-    elif ex.scenario == "prefix_sep":
-        if last != _SPACE or _is_ws(nxt):
-            problems.append("prompt does not end with a separator space before a word")
-        j = len(ex.prompt) - 1
-        while j >= 0 and ex.prompt[j] == _SPACE:
-            j -= 1
-        if j < 0 or _is_ws(ex.prompt[j]):
-            problems.append("trailing spaces are line-leading indentation")
-        line_start = ex.prompt.rfind(b"\n") + 1
-        if _rstrip_ws(ex.prompt[line_start:]) == b"":
-            problems.append("final line of the prompt is all whitespace")
-    elif ex.scenario == "prefix_indent":
-        if _is_ws(nxt):
-            problems.append("byte after the cut is whitespace")
-        nl = ex.prompt.rfind(b"\n")
-        tail = ex.prompt[nl + 1 :]
-        if nl == -1 or not tail or any(b not in (_SPACE, _TAB) for b in tail):
-            problems.append("prompt does not end with newline plus indentation")
-    elif ex.scenario == "contiguous_space":
-        if not (_is_ws(last) and _is_ws(nxt)):
-            problems.append("cut is not strictly inside a whitespace run")
-    else:
-        problems.append(f"unknown scenario {ex.scenario!r}")
-
-    if not ex.prompt.startswith(ex.baseline_prompt) or len(ex.baseline_prompt) >= len(ex.prompt):
-        problems.append("baseline is not a strict prefix of the prompt")
-    elif ex.baseline_prompt:
-        b_last = ex.baseline_prompt[-1]
-        if _is_ws(b_last):
-            problems.append("baseline ends with untrimmed whitespace")
-        after = source[len(ex.baseline_prompt)]
-        if _is_word(b_last) and _is_word(after):
-            problems.append("baseline ends inside a word")
+    source, cut = ex.source, ex.cut_offset
+    # Every finder decides a cut from the bytes between the last newline
+    # before it and the byte at it, so only that window is scanned.
+    start = max(source.rfind(b"\n", 0, cut), 0)
+    if cut - start not in eligible_positions(ex.scenario, source[start : cut + 1]):
+        problems.append(f"the cut is not a {ex.scenario} cut point")
+    expected = _baseline_for(ex.scenario, source, cut)
+    if ex.baseline_prompt != expected:
+        problems.append(f"the baseline is not prompt[:{len(expected)}]")
     return problems
 
 

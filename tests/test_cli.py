@@ -1,4 +1,5 @@
 import base64
+import csv
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from tokalign import (
     read_eval_records,
     save_vocabulary,
     scenarios,
+    write_eval_records,
 )
 from tokalign import bench as bench_mod
 from tokalign.cli import main
@@ -169,6 +171,19 @@ class TestAlign:
             "--out", str(no_timings),
         )
         assert "timings_us" not in read_results(no_timings)[0]
+
+    def test_missing_prompt_file_leaves_out_untouched(self, capsys, tmp_path, demo_paths):
+        # the prompt file is opened before --out, so a failed run keeps its bytes
+        out = tmp_path / "res.jsonl"
+        out.write_bytes(b'{"id": "earlier"}\n')
+        code, _, err = run(
+            capsys, "align", "--vocab", demo_paths["vocab"],
+            "--provider", f"scripted:{demo_paths['table']}",
+            "--prompt-file", str(tmp_path / "missing.jsonl"), "--out", str(out),
+        )
+        assert code == 2
+        assert "missing.jsonl" in err
+        assert out.read_bytes() == b'{"id": "earlier"}\n'
 
 
 def reader_argv(kind, path, demo_paths, demo_prompt_file):
@@ -551,6 +566,18 @@ class TestGenDataset:
         assert f"INVALID {bad.source_id}@{bad.cut_offset}: " in out
         assert f"validated {len(examples)} examples, 1 invalid" in out
 
+    def test_out_with_scenario_all_is_one(self, capsys, tmp_path):
+        # checked before any file is read: the corpus here does not exist
+        code, out, err = run(
+            capsys, "gen-dataset", "--corpus", str(tmp_path / "missing.jsonl"),
+            "--scenario", "all", "--out", str(tmp_path / "x.jsonl"), "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "argument --out: " in errors[0]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEval:
     @pytest.fixture()
@@ -693,6 +720,38 @@ class TestEval:
         assert err.splitlines() == [
             "tokalign: error: a --vocab is required (a vocabulary file) to score fta;"
             " or leave fta out of --metrics"
+        ]
+
+    def test_validate_only_with_records_is_one(self, capsys, tmp_path):
+        # checked before any file is read: the records file here does not exist
+        code, out, err = run(
+            capsys, "eval", "--records", str(tmp_path / "missing.jsonl"),
+            "--metrics", "em", "--validate-only",
+        )
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "argument --validate-only: " in errors[0]
+
+    @pytest.mark.parametrize("label", ["a,b", "\u00e9"])
+    def test_csv_label_reads_back(self, capsys, tmp_path, label):
+        records = tmp_path / "records.jsonl"
+        write_eval_records(str(records), [
+            EvalRecord("e", b"return", [b"return"], "aligned"),
+            EvalRecord("e", b"ret", [b"return"], "unaligned"),
+        ])
+        table = tmp_path / "report.csv"
+        code, _, _ = run(
+            capsys, "eval", "--records", str(records), "--metrics", "em,es",
+            "--label", label, "--out", str(tmp_path / "report.json"), "--csv", str(table),
+        )
+        assert code == 0
+        with open(table, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["scenario", "arm", "metric", "value"]
+        assert [row[:3] for row in rows[1:]] == [
+            [label, "aligned", "em"], [label, "aligned", "es"],
+            [label, "unaligned", "em"], [label, "unaligned", "es"],
         ]
 
     def test_dataset_or_records_required(self, capsys):

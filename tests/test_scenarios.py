@@ -257,18 +257,18 @@ class TestValidators:
         cases = [
             ("subword", b"", b"", b"a", "prompt is empty"),
             ("subword", b"a", b"", b"", "ground truth is empty"),
-            ("subword", b"a ", b"", b"b", "not strictly inside a word"),
-            ("punctuation", b"a=", b"a", b"b", "not strictly inside a punctuation run"),
-            ("prefix_sep", b"a", b"", b"b", "does not end with a separator space"),
-            ("prefix_sep", b"x\n  ", b"x", b"y", "line-leading indentation"),
-            ("prefix_sep", b"x\n  ", b"x", b"y", "final line of the prompt is all whitespace"),
-            ("prefix_indent", b"a\n  ", b"a", b" b", "byte after the cut is whitespace"),
-            ("prefix_indent", b"a b", b"a", b"c", "does not end with newline plus indentation"),
-            ("contiguous_space", b"a ", b"a", b"b", "not strictly inside a whitespace run"),
+            ("subword", b"a ", b"", b"b", "the cut is not a subword cut point"),
+            ("punctuation", b"a=", b"a", b"b", "the cut is not a punctuation cut point"),
+            ("prefix_sep", b"a", b"", b"b", "the cut is not a prefix_sep cut point"),
+            ("prefix_sep", b"x\n  ", b"x", b"y", "the cut is not a prefix_sep cut point"),
+            ("prefix_sep", b"x\n  ", b"x", b"y", "the cut is not a prefix_sep cut point"),
+            ("prefix_indent", b"a\n  ", b"a", b" b", "the cut is not a prefix_indent cut point"),
+            ("prefix_indent", b"a b", b"a", b"c", "the cut is not a prefix_indent cut point"),
+            ("contiguous_space", b"a ", b"a", b"b", "the cut is not a contiguous_space cut point"),
             ("mystery", b"ab", b"", b"c", "unknown scenario 'mystery'"),
-            ("subword", b"ab", b"ab", b"c", "baseline is not a strict prefix"),
-            ("subword", b"x ab", b"x ", b"c", "baseline ends with untrimmed whitespace"),
-            ("subword", b"abc", b"a", b"d", "baseline ends inside a word"),
+            ("subword", b"ab", b"ab", b"c", "the baseline is not prompt[:0]"),
+            ("subword", b"x ab", b"x ", b"c", "the baseline is not prompt[:1]"),
+            ("subword", b"abc", b"a", b"d", "the baseline is not prompt[:0]"),
         ]
         for scenario, prompt, baseline, truth, problem in cases:
             ex = ScenarioExample(scenario, "x", prompt, baseline, truth, len(prompt))
