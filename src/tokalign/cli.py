@@ -191,17 +191,19 @@ def cmd_gen_dataset(args) -> int:
         )
     corpus = scenarios.load_corpus(_resolve(args.corpus))
     names = list(scenarios.SCENARIOS) if args.scenario == "all" else [args.scenario]
-    all_stats = {}
-    for name in names:
-        examples, stats = scenarios.generate_dataset(corpus, name, args.seed, args.per_doc)
+    # every scenario is generated before any file is written, so a scenario
+    # that fails leaves no partial dataset set behind
+    datasets = {
+        name: scenarios.generate_dataset(corpus, name, args.seed, args.per_doc) for name in names
+    }
+    for name, (examples, stats) in datasets.items():
         path = args.out or f"{args.out_dir}/{name}.jsonl"
         scenarios.write_dataset(path, examples, stats)
-        all_stats[name] = stats
         print(f"{name}: wrote {stats['emitted']} examples to {path} "
               f"({stats['skipped']} documents skipped)")
     if len(names) > 1:
         combined = f"{args.out_dir}/dataset_stats.json"
-        write_json(combined, all_stats)
+        write_json(combined, {name: stats for name, (_, stats) in datasets.items()})
         print(f"combined stats: {combined}")
     return EXIT_OK
 
@@ -219,8 +221,14 @@ def _validate_dataset(path: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.records and args.validate_only:
-        args.command_parser.error("argument --validate-only: not allowed with argument --records")
+    if args.validate_only:
+        # validation reads only the dataset; each of these would be ignored
+        for name in ("records", "out", "csv", "save_records", "label"):
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                args.command_parser.error(
+                    f"argument --validate-only: not allowed with argument {flag}"
+                )
     wanted = tuple(args.metrics.split(",")) if args.metrics else metrics.ALL_METRICS
     metrics.check_metrics(wanted)
     if args.records:

@@ -118,6 +118,10 @@ def rouge_l(gen: bytes, refs: bytes | Sequence[bytes]) -> float:
     return max(one(r) for r in _as_ref_list(refs))
 
 
+def _first_words(data: bytes, n: int) -> bytes:
+    return b" ".join(_words(data)[:n])
+
+
 def fuzzy_first_n_words(gen: bytes, ref: bytes, n: int) -> tuple[float, float]:
     """Truncate both sides to their first n words, then (edit similarity, rouge-l).
 
@@ -126,8 +130,7 @@ def fuzzy_first_n_words(gen: bytes, ref: bytes, n: int) -> tuple[float, float]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = b" ".join(_words(gen)[:n])
-    r = b" ".join(_words(ref)[:n])
+    g, r = _first_words(gen, n), _first_words(ref, n)
     return edit_similarity(g, r), rouge_l(g, r)
 
 
@@ -226,12 +229,12 @@ def score_record(record: EvalRecord, metrics: Sequence[str], vocab: Vocabulary |
             )
         elif metric == "rouge_l":
             scores[metric] = rouge_l(record.generated, record.references)
-        else:  # fuzzy_es_50 or fuzzy_rouge_50
-            pairs = [
-                fuzzy_first_n_words(record.generated, r, FUZZY_N) for r in record.references
-            ]
-            idx = 0 if metric == "fuzzy_es_50" else 1
-            scores[metric] = max(p[idx] for p in pairs)
+        else:  # fuzzy_es_50 or fuzzy_rouge_50: the measure alone, on truncated texts
+            measure = edit_similarity if metric == "fuzzy_es_50" else rouge_l
+            scores[metric] = measure(
+                _first_words(record.generated, FUZZY_N),
+                [_first_words(r, FUZZY_N) for r in record.references],
+            )
     return scores
 
 

@@ -11,11 +11,18 @@ with ``P`` then form one contiguous run, found by two bisections.  The
 tokens that are proper prefixes of ``P`` all sort before that run; each
 token records the position of its longest proper-prefix token
 (``parent``), so they are found by following that chain from the token
-just before the run.  The module and class keep their trie names.
+just before the run.
+
+The index is three flat structures, one entry per token in sorted
+order: the list of token bytes (shared with the vocabulary), a
+read-only int64 array of their ids, and the ``parent`` positions in a
+machine-int ``array``.  At 50k tokens that is about 21 bytes per entry.
+The module and class keep their trie names.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import OrderedDict
 
@@ -39,25 +46,24 @@ class ByteTrie:
     """
 
     def __init__(self, vocab: Vocabulary):
-        entries = sorted((vocab.tokens[i], i) for i in vocab.non_special_ids())
-        if not entries:
+        # ids in bytewise token order, sorted by key: no (bytes, id) pair per token
+        order = sorted(vocab.non_special_ids(), key=vocab.tokens.__getitem__)
+        if not order:
             raise TrieError("vocabulary has no non-special tokens; matching is impossible")
-        self._tokens = [token for token, _ in entries]
-        self._id_list = [token_id for _, token_id in entries]
-        self._ids = np.array(self._id_list, dtype=np.int64)
+        self._tokens = tokens = [vocab.tokens[i] for i in order]
+        self._ids = np.array(order, dtype=np.int64)
         self._ids.setflags(write=False)
         # parent[j]: position of the longest token that is a proper prefix of
-        # token j, or -1.  The stack holds the prefix chain of the last token;
-        # every token sorting between a prefix q and a token starting with q
-        # also starts with q, so q stays on the stack until it is needed.
-        self._parent = parent = [-1] * len(entries)
-        stack: list[int] = []
-        for j, token in enumerate(self._tokens):
-            while stack and not token.startswith(self._tokens[stack[-1]]):
-                stack.pop()
-            if stack:
-                parent[j] = stack[-1]
-            stack.append(j)
+        # token j, or -1.  Every token sorting between a prefix q and a token
+        # starting with q also starts with q, so that longest prefix is on the
+        # prefix chain of token j - 1 (it, its parent, its parent's parent...).
+        self._parent = parent = array("i", [-1]) * len(tokens)
+        k = -1
+        for j, token in enumerate(tokens):
+            while k >= 0 and not token.startswith(tokens[k]):
+                k = parent[k]
+            parent[j] = k
+            k = j
 
     @property
     def node_count(self) -> int:
@@ -76,7 +82,7 @@ class ByteTrie:
         ``prefix``.  An empty array is a legal result; callers decide
         what a dead end means.
         """
-        tokens, parent, id_list = self._tokens, self._parent, self._id_list
+        tokens, parent, id_at = self._tokens, self._parent, self._ids.item
         lo = hi = bisect_left(tokens, prefix)
         if lo < len(tokens) and tokens[lo].startswith(prefix):
             # The run ends at the first token >= succ(prefix): trailing 0xff
@@ -94,7 +100,7 @@ class ByteTrie:
         while j >= 0 and not prefix.startswith(tokens[j]):
             j = parent[j]
         while j >= 0:
-            exact.append(id_list[j])
+            exact.append(id_at(j))
             j = parent[j]
         if lo == hi:
             exact.sort()
@@ -131,9 +137,10 @@ class MaskCache:
             self._insert(b" ", trie.matching_tokens(b" "))
 
     def _insert(self, key: bytes, mask: TokenMask) -> None:
+        # only called for a key the store lacks, so it goes in last and
+        # overflows the capacity by at most that one entry
         self._store[key] = mask
-        self._store.move_to_end(key)
-        while len(self._store) > self.capacity:
+        if len(self._store) > self.capacity:
             self._store.popitem(last=False)
 
     def lookup(self, trie: ByteTrie, prefix: bytes) -> TokenMask:

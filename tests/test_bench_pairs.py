@@ -52,3 +52,27 @@ def test_claim_needs_nine_wins_and_a_gap_past_the_parent_iqr():
     )
     assert narrow["wins"] == 10
     assert not bench_pairs.judge_claim("w", "req_ms_p50", narrow)["met"]
+
+
+def test_setup_parts_are_medians_per_run_then_quartiles_per_arm():
+    def result(builds):
+        parts = [dict(zip(bench_pairs.SETUP_PARTS, values)) for values in builds]
+        # the benchmark stores the whole build's times beside the parts
+        for build in parts:
+            build.update(setup_s=1.0, setup_s_scaled=2.0)
+        return {"record": {"setup_parts_s": parts}}
+
+    runs = {
+        "parent": [result([(0.5, 0.1 * k, 0.0, 0.2), (0.7, 0.3, 0.0, 0.2), (0.6, 0.2, 0.0, 0.2)])
+                   for k in range(5)],
+        "change": [result([(0.6, 0.05, 0.0, 0.2)]) for _ in range(5)],
+    }
+    parts = bench_pairs.summarise_setup_parts(runs)
+    assert set(parts) == {"vocab_s", "trie_s", "cache_s", "provider_s"}
+    assert parts["vocab_s"]["parent"]["median"] == pytest.approx(0.6)
+    # per-run trie medians 0.2, 0.2, 0.2, 0.3, 0.3 (k = 0..4)
+    assert parts["trie_s"]["parent"] == pytest.approx(
+        {"median": 0.2, "q1": 0.2, "q3": 0.3, "iqr": 0.1}
+    )
+    assert parts["trie_s"]["change"]["median"] == pytest.approx(0.05)
+    assert parts["trie_s"]["change"]["iqr"] == 0.0

@@ -566,6 +566,17 @@ class TestGenDataset:
         assert f"INVALID {bad.source_id}@{bad.cut_offset}: " in out
         assert f"validated {len(examples)} examples, 1 invalid" in out
 
+    def test_scenario_all_writes_nothing_when_one_scenario_fails(self, capsys, tmp_path):
+        # the prose corpus has subword cuts but no punctuation cut point
+        code, out, err = run(
+            capsys, "gen-dataset", "--corpus", "bundled:prose",
+            "--scenario", "all", "--out-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "punctuation" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_with_scenario_all_is_one(self, capsys, tmp_path):
         # checked before any file is read: the corpus here does not exist
         code, out, err = run(
@@ -722,16 +733,20 @@ class TestEval:
             " or leave fta out of --metrics"
         ]
 
-    def test_validate_only_with_records_is_one(self, capsys, tmp_path):
-        # checked before any file is read: the records file here does not exist
-        code, out, err = run(
-            capsys, "eval", "--records", str(tmp_path / "missing.jsonl"),
-            "--metrics", "em", "--validate-only",
-        )
+    @pytest.mark.parametrize("flag", ["--records", "--out", "--csv", "--save-records", "--label"])
+    def test_validate_only_with_an_ignored_flag_is_one(self, capsys, tmp_path, flag):
+        # checked before any file is read: the records or dataset here does not exist
+        missing = str(tmp_path / "missing.jsonl")
+        if flag == "--records":
+            argv = ["--records", missing, "--metrics", "em"]
+        else:
+            argv = ["--dataset", missing, flag, str(tmp_path / "written")]
+        code, out, err = run(capsys, "eval", *argv, "--validate-only")
         assert code == 1
         assert out == ""
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "argument --validate-only: " in errors[0]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("label", ["a,b", "\u00e9"])
     def test_csv_label_reads_back(self, capsys, tmp_path, label):

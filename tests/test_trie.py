@@ -1,7 +1,11 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tokalign import MaskCache, Vocabulary, build_trie
+from tokalign.bench import make_synthetic_vocabulary
 from tokalign.decoding import make_rng
 from tokalign.trie import TrieError
 
@@ -57,6 +61,20 @@ class TestBuild:
         for i in range(256):
             assert trie.matching_tokens(bytes([i])).tolist() == [i]
             assert trie.matching_tokens(bytes([i, 0xFF, 0])).tolist() == [i]
+
+    def test_retained_bytes_per_entry(self):
+        # a token reference, an int64 id and a C-int parent position: about
+        # 21 bytes per entry; per-entry Python ints would take 60 or more
+        vocab = make_synthetic_vocabulary(5000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trie = build_trie(vocab)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / trie.node_count < 32
 
     def test_build_deterministic(self, trained_vocab):
         t1 = build_trie(trained_vocab)

@@ -16,7 +16,8 @@ runs at the first seed.  The output keeps the layout of the earlier
 ``BENCH_*.json`` files: the method and environment; per end-to-end
 metric the parent's and change's median and quartiles, wins, losses and
 the per-pair values; the digests of both arms with ``equal_to_parent``;
-failed-request counts; the unscaled ``raw_setup_s``; and the traced pair.
+failed-request counts; the unscaled ``raw_setup_s`` and the quartiles of
+each timed part of the build (``setup_parts_s``); and the traced pair.
 
 ``--claim WORKLOAD/METRIC`` adds a ``claim`` entry judged by the rule
 the benchmark's gate applies to a claimed gain: the change wins at least
@@ -40,6 +41,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 ARMS = ("parent", "change")
 CLAIM_WINS = 0.9
+# the parts of one build that the benchmark times, in order
+SETUP_PARTS = ("vocab_s", "trie_s", "cache_s", "provider_s")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -126,6 +129,15 @@ def judge_claim(workload: str, metric: str, entry: dict) -> dict:
     }
 
 
+def summarise_setup_parts(runs: dict) -> dict:
+    """Per part and arm, quartiles over runs of the part's median over a run's builds."""
+    def run_median(run: dict, part: str) -> float:
+        return float(np.median([build[part] for build in run["record"]["setup_parts_s"]]))
+
+    return {part: {arm: quartiles([run_median(r, part) for r in runs[arm]]) for arm in ARMS}
+            for part in SETUP_PARTS}
+
+
 def summarise_workload(specs: list[dict], seeds: list[int], runs: dict, traced: dict) -> dict:
     digests = {}
     for k, seed in enumerate(seeds):
@@ -139,6 +151,7 @@ def summarise_workload(specs: list[dict], seeds: list[int], runs: dict, traced: 
         "failed": {arm: sum(r["failed"] for r in runs[arm]) for arm in ARMS},
         "raw_setup_s": {arm: quartiles([r["record"]["raw"]["setup_s"] for r in runs[arm]])
                         for arm in ARMS},
+        "setup_parts_s": summarise_setup_parts(runs),
     }
     out["traced"] = {
         "seed": seeds[0],
@@ -188,6 +201,9 @@ def main(argv=None) -> int:
             "traced": "one extra pair per workload with --trace 1 at the first seed, parent first",
             "raw_setup_s": "the unscaled build time the benchmark records under raw.setup_s, "
                            "for reference",
+            "setup_parts_s": "per part of the build (" + ", ".join(SETUP_PARTS) + "), the "
+                             "quartiles over runs of each run's median over its builds, "
+                             "unscaled, from the working-set record's setup_parts_s",
             "runner": "tools/bench_pairs.py",
         },
         "environment": {
