@@ -37,7 +37,6 @@ from .metrics import (
     edit_similarity,
     exact_match,
     first_token_accuracy,
-    fuzzy_first_n_words,
     levenshtein,
     pass_at_k,
     read_eval_records,

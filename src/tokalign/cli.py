@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: ``align`` (masked or plain completion over prompt files),
-``gen-dataset`` (partial-token scenario datasets), ``eval`` (paired
-with/without-alignment scoring), ``bench`` (lookup latency and
-alignment-step statistics), ``vocab train`` / ``vocab inspect``.
+``gen-dataset`` (partial-token scenario datasets), ``validate`` (check a
+dataset against the scenario rules), ``eval`` (generate both arms and
+score them), ``score`` (score saved eval records), ``bench`` (lookup
+latency and alignment-step statistics), ``vocab train`` / ``vocab
+inspect``.  Each subcommand takes only the flags its job reads.
 
 All byte-carrying I/O is JSONL with base64 fields so non-UTF-8 prompts
 survive end to end.  Paths may use ``bundled:<name>`` to reach the
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -73,18 +76,6 @@ def _escape_bytes(text: str) -> bytes:
         ) from None
 
 
-_FLAG_VALUES = {"vocab": "a vocabulary file", "provider": "scripted:<table.json> or ngram:<corpus>"}
-
-
-def _require_flags(args, *flags: str, reason: str = "") -> None:
-    """Exit 1 naming the first of ``flags`` that ``args`` lacks."""
-    for flag in flags:
-        if getattr(args, flag) is None:
-            print(f"tokalign: error: a --{flag} is required ({_FLAG_VALUES[flag]}){reason}",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-
-
 def _load_provider(args, vocab: Vocabulary):
     spec = args.provider
     if spec.startswith("scripted:"):
@@ -118,8 +109,8 @@ _CONFIG_FLAGS = {
 def _attach_configs(args) -> None:
     """Build ``args.sampler`` and ``args.align_cfg`` from the command's flags.
 
-    The configs hold the range rules; :func:`main` turns a value they
-    reject into a usage error naming its flag.
+    The configs (and ``metrics.check_metrics``) hold the range rules;
+    :func:`main` turns a value they reject into a usage error naming its flag.
     """
     if hasattr(args, "mode"):
         args.sampler = SamplerConfig(
@@ -132,6 +123,8 @@ def _attach_configs(args) -> None:
         )
     if hasattr(args, "backtrack"):
         args.align_cfg = align_mod.AlignConfig(backtrack_tokens=args.backtrack)
+    if hasattr(args, "metrics"):
+        metrics.check_metrics(args.metrics)
 
 
 def _open_or(path: str | None, std, mode: str, encoding: str):
@@ -164,7 +157,10 @@ def _arms(args, vocab: Vocabulary, provider, names) -> dict:
 
 
 def cmd_align(args) -> int:
-    _require_flags(args, "provider")
+    # align reads its prompts while it writes, so opening --out first would empty them
+    if (args.prompt_file not in (None, "-") and args.out not in (None, "-")
+            and os.path.exists(args.out) and os.path.samefile(args.prompt_file, args.out)):
+        args.command_parser.error("argument --out: is the same file as --prompt-file")
     vocab = load_vocabulary(_resolve(args.vocab))
     provider = _load_provider(args, vocab)
     arm = "unaligned" if args.no_align else "aligned"
@@ -208,8 +204,8 @@ def cmd_gen_dataset(args) -> int:
     return EXIT_OK
 
 
-def _validate_dataset(path: str) -> int:
-    examples = scenarios.read_dataset(path)
+def cmd_validate(args) -> int:
+    examples = scenarios.read_dataset(_resolve(args.dataset))
     bad = 0
     for ex in examples:
         problems = scenarios.validate_example(ex)
@@ -221,28 +217,6 @@ def _validate_dataset(path: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.validate_only:
-        # validation reads only the dataset; each of these would be ignored
-        for name in ("records", "out", "csv", "save_records", "label"):
-            if getattr(args, name) is not None:
-                flag = "--" + name.replace("_", "-")
-                args.command_parser.error(
-                    f"argument --validate-only: not allowed with argument {flag}"
-                )
-    wanted = tuple(args.metrics.split(",")) if args.metrics else metrics.ALL_METRICS
-    metrics.check_metrics(wanted)
-    if args.records:
-        # score pre-computed EvalRecord JSONL, no generation
-        if "fta" in wanted:
-            _require_flags(args, "vocab", reason=" to score fta; or leave fta out of --metrics")
-        records = metrics.read_eval_records(_resolve(args.records))
-        vocab = load_vocabulary(_resolve(args.vocab)) if args.vocab else None
-        label = args.label or ""
-        return _emit_eval_report(args, records, wanted, vocab, label)
-
-    if args.validate_only:
-        return _validate_dataset(_resolve(args.dataset))
-    _require_flags(args, "vocab", "provider")
     examples = scenarios.read_dataset(_resolve(args.dataset))
     vocab = load_vocabulary(_resolve(args.vocab))
     provider = _load_provider(args, vocab)
@@ -272,10 +246,21 @@ def cmd_eval(args) -> int:
     label = args.label or (examples[0].scenario if examples else "")
     if args.use_baseline:
         label = f"{label}_baseline"
-    return _emit_eval_report(args, records, wanted, vocab, label)
+    return _emit_eval_report(args, records, vocab, label)
 
 
-def _emit_eval_report(args, records, wanted, vocab, label) -> int:
+def cmd_score(args) -> int:
+    if "fta" in args.metrics and args.vocab is None:
+        args.command_parser.error(
+            "argument --vocab: required to score fta; or leave fta out of --metrics"
+        )
+    records = metrics.read_eval_records(_resolve(args.records))
+    vocab = load_vocabulary(_resolve(args.vocab)) if args.vocab else None
+    return _emit_eval_report(args, records, vocab, args.label or "")
+
+
+def _emit_eval_report(args, records, vocab, label) -> int:
+    wanted = args.metrics
     report = metrics.score_records(records, wanted, vocab, scenario=label)
     for arm in sorted(report.aggregates):
         cols = "  ".join(f"{m}={report.aggregates[arm][m]:.4f}" for m in wanted)
@@ -371,10 +356,18 @@ def _add_sampler_flags(p: _Parser) -> None:
 
 
 def _add_provider_flags(p: _Parser) -> None:
-    p.add_argument("--provider", default=None,
+    p.add_argument("--provider", required=True,
                    help="scripted:<table.json> or ngram:<corpus file>")
     p.add_argument("--ngram-order", type=int, default=3)
     p.add_argument("--ngram-alpha", type=float, default=0.1)
+
+
+def _add_report_flags(p: _Parser) -> None:
+    p.add_argument("--metrics", type=lambda text: tuple(text.split(",")),
+                   default=metrics.ALL_METRICS, help="comma list, e.g. em,es")
+    p.add_argument("--label", default=None)
+    p.add_argument("--out", default=None)
+    p.add_argument("--csv", default=None)
 
 
 def build_parser() -> _Parser:
@@ -402,25 +395,28 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_gen_dataset, command_parser=p)
 
-    p = sub.add_parser("eval", help="paired with/without-alignment scoring")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--dataset", default=None)
-    source.add_argument("--records", default=None,
-                        help="score a pre-computed EvalRecord JSONL instead of generating")
+    p = sub.add_parser("validate", help="check a dataset against the scenario rules")
+    p.add_argument("--dataset", required=True)
+    p.set_defaults(func=cmd_validate)
+
+    p = sub.add_parser("eval", help="generate both arms over a dataset and score them")
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--vocab", required=True)
+    _add_provider_flags(p)
     p.add_argument("--save-records", default=None,
                    help="also write the generated EvalRecord JSONL here")
-    p.add_argument("--vocab", default=None)
-    _add_provider_flags(p)
     p.add_argument("--arm", choices=["both", "aligned", "unaligned"], default="both")
-    p.add_argument("--metrics", default=None, help="comma list, e.g. em,es")
     p.add_argument("--use-baseline", action="store_true")
-    p.add_argument("--validate-only", action="store_true")
-    p.add_argument("--label", default=None)
     p.add_argument("--backtrack", type=int, default=align_mod.AlignConfig.backtrack_tokens)
-    p.add_argument("--out", default=None)
-    p.add_argument("--csv", default=None)
+    _add_report_flags(p)
     _add_sampler_flags(p)
     p.set_defaults(func=cmd_eval, command_parser=p)
+
+    p = sub.add_parser("score", help="score a saved EvalRecord JSONL")
+    p.add_argument("--records", required=True)
+    p.add_argument("--vocab", default=None, help="needed to score fta")
+    _add_report_flags(p)
+    p.set_defaults(func=cmd_score, command_parser=p)
 
     p = sub.add_parser("bench", help="lookup latency and alignment-step stats")
     p.add_argument("--vocab", default=None, help="vocabulary file (default: synthetic)")

@@ -119,19 +119,8 @@ def rouge_l(gen: bytes, refs: bytes | Sequence[bytes]) -> float:
 
 
 def _first_words(data: bytes, n: int) -> bytes:
+    """The first ``n`` words (all of them, when fewer), rejoined by single spaces."""
     return b" ".join(_words(data)[:n])
-
-
-def fuzzy_first_n_words(gen: bytes, ref: bytes, n: int) -> tuple[float, float]:
-    """Truncate both sides to their first n words, then (edit similarity, rouge-l).
-
-    Texts shorter than n words are compared in full.  The kept words are
-    rejoined with single spaces, so inter-word whitespace runs collapse.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g, r = _first_words(gen, n), _first_words(ref, n)
-    return edit_similarity(g, r), rouge_l(g, r)
 
 
 def pass_at_k(n: int, c: int, k: int) -> float:

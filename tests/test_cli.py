@@ -1,6 +1,9 @@
 import base64
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from tokalign import (
     write_eval_records,
 )
 from tokalign import bench as bench_mod
-from tokalign.cli import main
+from tokalign.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -185,6 +188,25 @@ class TestAlign:
         assert "missing.jsonl" in err
         assert out.read_bytes() == b'{"id": "earlier"}\n'
 
+    @pytest.mark.parametrize("spelling", ["same", "dot"])
+    def test_out_naming_the_prompt_file_is_one(
+        self, capsys, tmp_path, demo_paths, demo_prompt_file, spelling
+    ):
+        # align reads its prompts while it writes, so opening --out would empty them
+        before = (tmp_path / "prompts.jsonl").read_bytes()
+        out = demo_prompt_file if spelling == "same" else f"{tmp_path}/./prompts.jsonl"
+        code, stdout, err = run(
+            capsys, "align", "--vocab", demo_paths["vocab"],
+            "--provider", f"scripted:{demo_paths['table']}",
+            "--prompt-file", demo_prompt_file, "--out", out,
+        )
+        assert code == 1
+        assert stdout == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "argument --out: " in errors[0]
+        assert (tmp_path / "prompts.jsonl").read_bytes() == before
+
+
 
 def reader_argv(kind, path, demo_paths, demo_prompt_file):
     """A command that reads ``path`` with the reader named by ``kind``."""
@@ -194,8 +216,8 @@ def reader_argv(kind, path, demo_paths, demo_prompt_file):
                     "--prompt-file", str(path)],
         "table": ["align", "--vocab", demo_paths["vocab"], "--provider", f"scripted:{path}",
                   "--prompt-file", demo_prompt_file],
-        "dataset": ["eval", "--dataset", str(path), "--validate-only"],
-        "records": ["eval", "--records", str(path), "--metrics", "em"],
+        "dataset": ["validate", "--dataset", str(path)],
+        "records": ["score", "--records", str(path), "--metrics", "em"],
         "corpus": ["align", "--vocab", demo_paths["vocab"], "--provider", f"ngram:{path}",
                    "--prompt-file", demo_prompt_file],
     }[kind]
@@ -467,15 +489,13 @@ class TestExitCodes:
 
 
 class TestLoadProvider:
-    def test_missing_provider_is_two(self, capsys, demo_paths, demo_prompt_file):
-        code, out, err = run(
-            capsys, "align", "--vocab", demo_paths["vocab"], "--prompt-file", demo_prompt_file,
-        )
+    def test_missing_provider_is_two(self, capsys, tmp_path):
+        # a usage error before any file is read: the vocabulary here does not exist
+        code, out, err = run(capsys, "align", "--vocab", str(tmp_path / "missing.json"))
         assert code == 1
         assert out == ""
-        assert err.splitlines() == [
-            "tokalign: error: a --provider is required (scripted:<table.json> or ngram:<corpus>)"
-        ]
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["tokalign align: error: the following arguments are required: --provider"]
 
     def test_unknown_provider_spec_is_two(self, capsys, demo_paths, demo_prompt_file):
         code, out, err = run(
@@ -548,10 +568,7 @@ class TestGenDataset:
             "--scenario", "all", "--seed", "3", "--out-dir", str(tmp_path),
         )
         for name in ("subword", "punctuation", "prefix_sep", "prefix_indent", "contiguous_space"):
-            code, out, _ = run(
-                capsys, "eval", "--dataset", str(tmp_path / f"{name}.jsonl"),
-                "--validate-only",
-            )
+            code, out, _ = run(capsys, "validate", "--dataset", str(tmp_path / f"{name}.jsonl"))
             assert code == 0
             assert "0 invalid" in out
         # one tampered example makes the file invalid, a data error
@@ -559,9 +576,7 @@ class TestGenDataset:
         bad = examples[0]
         bad.prompt += b" "
         scenarios.write_dataset(str(tmp_path / "bad.jsonl"), examples)
-        code, out, _ = run(
-            capsys, "eval", "--dataset", str(tmp_path / "bad.jsonl"), "--validate-only"
-        )
+        code, out, _ = run(capsys, "validate", "--dataset", str(tmp_path / "bad.jsonl"))
         assert code == 2
         assert f"INVALID {bad.source_id}@{bad.cut_offset}: " in out
         assert f"validated {len(examples)} examples, 1 invalid" in out
@@ -676,7 +691,7 @@ class TestEval:
         assert code == 0
         second = tmp_path / "second.json"
         code, _, _ = run(
-            capsys, "eval", "--records", str(records_path), "--metrics", "em,es",
+            capsys, "score", "--records", str(records_path), "--metrics", "em,es",
             "--out", str(second), "--label", "subword",
         )
         assert code == 0
@@ -718,34 +733,45 @@ class TestEval:
         )
         assert code == 1
         assert out == ""
-        assert err.splitlines() == [f"tokalign: error: a {missing} is required " + {
-            "--vocab": "(a vocabulary file)",
-            "--provider": "(scripted:<table.json> or ngram:<corpus>)",
-        }[missing]]
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"tokalign eval: error: the following arguments are required: {missing}"]
 
     def test_records_scored_for_fta_need_vocab(self, capsys, tmp_path):
         # the default metrics include fta; checked before the records are read
-        code, out, err = run(capsys, "eval", "--records", str(tmp_path / "missing.jsonl"))
-        assert code == 1
-        assert out == ""
-        assert err.splitlines() == [
-            "tokalign: error: a --vocab is required (a vocabulary file) to score fta;"
-            " or leave fta out of --metrics"
-        ]
-
-    @pytest.mark.parametrize("flag", ["--records", "--out", "--csv", "--save-records", "--label"])
-    def test_validate_only_with_an_ignored_flag_is_one(self, capsys, tmp_path, flag):
-        # checked before any file is read: the records or dataset here does not exist
-        missing = str(tmp_path / "missing.jsonl")
-        if flag == "--records":
-            argv = ["--records", missing, "--metrics", "em"]
-        else:
-            argv = ["--dataset", missing, flag, str(tmp_path / "written")]
-        code, out, err = run(capsys, "eval", *argv, "--validate-only")
+        code, out, err = run(capsys, "score", "--records", str(tmp_path / "missing.jsonl"))
         assert code == 1
         assert out == ""
         errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "argument --validate-only: " in errors[0]
+        assert errors == [
+            "tokalign score: error: argument --vocab: required to score fta;"
+            " or leave fta out of --metrics"
+        ]
+
+    @pytest.mark.parametrize(
+        "job, flag",
+        [
+            pytest.param("validate", flag, id=f"validate {flag[0]}")
+            for flag in (["--vocab", "v.json"], ["--provider", "scripted:t.json"],
+                         ["--metrics", "em"], ["--out", "r.json"], ["--csv", "r.csv"],
+                         ["--save-records", "s.jsonl"], ["--label", "x"],
+                         ["--records", "r.jsonl"], ["--mode", "nucleus"])
+        ] + [
+            pytest.param("score", flag, id=f"score {flag[0]}")
+            for flag in (["--provider", "scripted:t.json"], ["--save-records", "s.jsonl"],
+                         ["--arm", "aligned"], ["--use-baseline"], ["--backtrack", "2"],
+                         ["--seed", "1"])
+        ],
+    )
+    def test_each_job_rejects_other_jobs_flags(self, capsys, tmp_path, monkeypatch, job, flag):
+        # a flag the job would not read is a usage error before any file is
+        # read or written: the input here does not exist
+        monkeypatch.chdir(tmp_path)
+        source = "--dataset" if job == "validate" else "--records"
+        code, out, err = run(capsys, job, source, "missing.jsonl", *flag)
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"unrecognized arguments: {' '.join(flag)}" in errors[0]
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("label", ["a,b", "\u00e9"])
@@ -757,7 +783,7 @@ class TestEval:
         ])
         table = tmp_path / "report.csv"
         code, _, _ = run(
-            capsys, "eval", "--records", str(records), "--metrics", "em,es",
+            capsys, "score", "--records", str(records), "--metrics", "em,es",
             "--label", label, "--out", str(tmp_path / "report.json"), "--csv", str(table),
         )
         assert code == 0
@@ -770,9 +796,30 @@ class TestEval:
         ]
 
     def test_dataset_or_records_required(self, capsys):
-        code, _, err = run(capsys, "eval", "--metrics", "em")
-        assert code == 1
-        assert "required" in err
+        for job, source in (("eval", "--dataset"), ("validate", "--dataset"), ("score", "--records")):
+            code, _, err = run(capsys, job)
+            assert code == 1
+            assert f"the following arguments are required: {source}" in err
+
+
+def readme_commands():
+    """Every ``tokalign ...`` command in the README's shell blocks, as argv lists."""
+    with open(Path(__file__).resolve().parent.parent / "README.md", encoding="utf-8") as fh:
+        blocks = re.findall(r"^```bash\n(.*?)^```", fh.read(), re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("tokalign ") and "..." not in line]
+
+
+def test_readme_commands_parse():
+    # a renamed command or flag fails here instead of leaving the README stale
+    commands = readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: tokalign {' '.join(argv)}")
 
 
 class TestBench:

@@ -3,8 +3,8 @@
 A fixed set of small commands runs in-process through ``cli.main``:
 datasets with their stats sidecars, a trained vocabulary, ``align``
 results (aligned, plain and nucleus), eval reports, CSV tables and saved
-records (both arms, the baseline control arm, and a rescoring of saved
-records), a ``--validate-only`` pass, and the regenerated bundled data.
+records (both arms, the baseline control arm, and a ``score`` of saved
+records), a ``validate`` pass, and the regenerated bundled data.
 The sha256 of every file written, and of each command's stdout with the
 output directory replaced by ``<out>``, must equal the digest recorded
 below.
@@ -47,10 +47,10 @@ COMMANDS = [
                        "--provider", "ngram:bundled:code", "--max-new-tokens", "4",
                        "--use-baseline", "--arm", "unaligned", "--out", "{out}/baseline.json",
                        "--save-records", "{out}/baseline_records.jsonl"]),
-    ("eval-records", ["eval", "--records", "{out}/records.jsonl", "--vocab", "{out}/vocab.json",
+    ("eval-records", ["score", "--records", "{out}/records.jsonl", "--vocab", "{out}/vocab.json",
                       "--label", "rescored", "--out", "{out}/rescored.json",
                       "--csv", "{out}/rescored.csv"]),
-    ("eval-validate", ["eval", "--dataset", "{out}/punctuation.jsonl", "--validate-only"]),
+    ("eval-validate", ["validate", "--dataset", "{out}/punctuation.jsonl"]),
 ]
 
 GOLDEN = {

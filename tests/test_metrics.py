@@ -10,7 +10,6 @@ from tokalign import (
     edit_similarity,
     exact_match,
     first_token_accuracy,
-    fuzzy_first_n_words,
     levenshtein,
     make_rng,
     pass_at_k,
@@ -166,23 +165,41 @@ class TestRougeL:
                 assert got == pytest.approx(2 * p * r / (p + r))
 
 
+def fuzzy_scores(gen: bytes, ref: bytes) -> tuple[float, float]:
+    record = EvalRecord("e", gen, [ref], "aligned")
+    scores = score_record(record, ("fuzzy_es_50", "fuzzy_rouge_50"), None)
+    return scores["fuzzy_es_50"], scores["fuzzy_rouge_50"]
+
+
 class TestFuzzyFirstN:
+    # the fuzzy metrics score the first FUZZY_N words of each side
+    WORDS = [b"w%d" % (i % 7) for i in range(FUZZY_N + 10)]
+
     def test_identical_long_texts(self):
-        text = b" ".join(b"w%d" % (i % 7) for i in range(60))
-        assert fuzzy_first_n_words(text, text, 50) == (1.0, 1.0)
+        text = b" ".join(self.WORDS)
+        assert fuzzy_scores(text, text) == (1.0, 1.0)
 
     def test_shorter_than_n_compared_in_full(self):
-        es, rl = fuzzy_first_n_words(b"a b", b"a b", 50)
-        assert es == rl == 1.0
+        short = b" ".join(self.WORDS[:3])
+        long = b" ".join([b"x", *self.WORDS[1:]])
+        first_n = b" ".join([b"x", *self.WORDS[1:FUZZY_N]])
+        assert fuzzy_scores(short, long) == (
+            edit_similarity(short, first_n), rouge_l(short, first_n)
+        )
 
     def test_truncation_at_n(self):
-        es, rl = fuzzy_first_n_words(b"a b c d", b"a x c d", 3)
-        assert es == edit_similarity(b"a b c", b"a x c")
-        assert rl == rouge_l(b"a b c", b"a x c")
+        # the texts differ at index 2 and after index FUZZY_N - 1; only index 2 counts
+        gen = self.WORDS[:FUZZY_N] + [b"tail"]
+        ref = self.WORDS[:2] + [b"x"] + self.WORDS[3:FUZZY_N] + [b"other", b"words"]
+        es, rl = fuzzy_scores(b" ".join(gen), b" ".join(ref))
+        assert es == edit_similarity(b" ".join(gen[:FUZZY_N]), b" ".join(ref[:FUZZY_N]))
+        assert rl == rouge_l(b" ".join(gen[:FUZZY_N]), b" ".join(ref[:FUZZY_N]))
+        assert es < 1.0 and rl < 1.0
 
-    def test_n_validation(self):
-        with pytest.raises(ValueError):
-            fuzzy_first_n_words(b"a", b"b", 0)
+    def test_kept_words_rejoined_by_single_spaces(self):
+        spaced = b"  \n\t".join(self.WORDS)
+        assert fuzzy_scores(spaced, b" ".join(self.WORDS)) == (1.0, 1.0)
+        assert edit_similarity(spaced, b" ".join(self.WORDS)) < 1.0
 
 
 class TestPassAtK:
@@ -242,8 +259,9 @@ class TestReports:
         # the word-level metrics reach their functions unchanged
         for record, row in zip(self._records(), report.per_example):
             assert row["rouge_l"] == rouge_l(record.generated, record.references)
-            fuzzy = fuzzy_first_n_words(record.generated, record.references[0], FUZZY_N)
-            assert (row["fuzzy_es_50"], row["fuzzy_rouge_50"]) == fuzzy
+            gen, ref = (b" ".join(t.split()[:FUZZY_N]) for t in (record.generated, *record.references))
+            assert row["fuzzy_es_50"] == edit_similarity(gen, ref)
+            assert row["fuzzy_rouge_50"] == rouge_l(gen, ref)
 
     def test_deltas_present_with_both_arms(self, trained_vocab):
         report = score_records(self._records(), ("em",), trained_vocab)
