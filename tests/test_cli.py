@@ -207,7 +207,6 @@ class TestAlign:
         assert (tmp_path / "prompts.jsonl").read_bytes() == before
 
 
-
 def reader_argv(kind, path, demo_paths, demo_prompt_file):
     """A command that reads ``path`` with the reader named by ``kind``."""
     table = f"scripted:{demo_paths['table']}"
@@ -495,7 +494,9 @@ class TestLoadProvider:
         assert code == 1
         assert out == ""
         errors = [line for line in err.splitlines() if "error:" in line]
-        assert errors == ["tokalign align: error: the following arguments are required: --provider"]
+        assert errors == [
+            "tokalign align: error: the following arguments are required: --provider"
+        ]
 
     def test_unknown_provider_spec_is_two(self, capsys, demo_paths, demo_prompt_file):
         code, out, err = run(
@@ -796,24 +797,20 @@ class TestEval:
         ]
 
     def test_dataset_or_records_required(self, capsys):
-        for job, source in (("eval", "--dataset"), ("validate", "--dataset"), ("score", "--records")):
+        for job, source in [("eval", "--dataset"), ("validate", "--dataset"),
+                            ("score", "--records")]:
             code, _, err = run(capsys, job)
             assert code == 1
             assert f"the following arguments are required: {source}" in err
 
 
-def readme_commands():
-    """Every ``tokalign ...`` command in the README's shell blocks, as argv lists."""
+def test_readme_commands_parse():
+    # a renamed command or flag fails here instead of leaving the README stale
     with open(Path(__file__).resolve().parent.parent / "README.md", encoding="utf-8") as fh:
         blocks = re.findall(r"^```bash\n(.*?)^```", fh.read(), re.S | re.M)
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
-    return [shlex.split(line, comments=True)[1:] for line in lines
-            if line.startswith("tokalign ") and "..." not in line]
-
-
-def test_readme_commands_parse():
-    # a renamed command or flag fails here instead of leaving the README stale
-    commands = readme_commands()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("tokalign ") and "..." not in line]
     assert len(commands) >= 8
     for argv in commands:
         try:

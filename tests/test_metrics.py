@@ -259,7 +259,9 @@ class TestReports:
         # the word-level metrics reach their functions unchanged
         for record, row in zip(self._records(), report.per_example):
             assert row["rouge_l"] == rouge_l(record.generated, record.references)
-            gen, ref = (b" ".join(t.split()[:FUZZY_N]) for t in (record.generated, *record.references))
+            gen, ref = (
+                b" ".join(text.split()[:FUZZY_N]) for text in (record.generated, *record.references)
+            )
             assert row["fuzzy_es_50"] == edit_similarity(gen, ref)
             assert row["fuzzy_rouge_50"] == rouge_l(gen, ref)
 
