@@ -153,7 +153,10 @@ def aligned_generate(
 
     Every alignment step takes its compatible ids from
     ``cache.lookup(trie, prefix)``; ``MaskCache(trie, 0)`` stores nothing,
-    so each lookup then queries the index.
+    so each lookup then queries the index.  A step whose mask holds one id
+    is forced: it takes that id without calling the provider or checking
+    a row, and in nucleus mode still takes the one ``rng.random()`` a
+    draw would, so outputs are those of a loop that asks every step.
     """
     prompt = bytes(prompt)
     if provider.vocab_size != len(vocab):
@@ -172,6 +175,7 @@ def aligned_generate(
     # made at call time, so a wrapper installed on the module sees every call.
     next_distribution = provider.next_distribution
     size = len(vocab)
+    nucleus = sampler_cfg.mode == "nucleus"
     clock = time.perf_counter_ns
 
     t_align = clock()
@@ -180,20 +184,29 @@ def aligned_generate(
             raise AlignmentError(
                 f"alignment exceeded {max_steps} steps without consuming the prefix"
             )
-        dist = next_distribution(context)
-        if type(dist) is not np.ndarray or dist.dtype is not _FLOAT64:
-            dist = np.asarray(dist, dtype=np.float64)
-        check_distribution(dist, size)
         t_step = clock()
         ids = cache.lookup(trie, prefix)
+        step_ns = clock() - t_step
         if len(ids) == 0:
             raise DeadEndError(prefix, context, len(mask_sizes))
-        probs = mask_distribution(dist, ids)
-        step_ns = clock() - t_step
+        if len(ids) == 1:
+            # a forced step: the draw is decided, so the provider is not
+            # asked; a nucleus draw would still have taken one number
+            if nucleus:
+                rng.random()
+            chosen = ids.item(0)
+        else:
+            dist = next_distribution(context)
+            if type(dist) is not np.ndarray or dist.dtype is not _FLOAT64:
+                dist = np.asarray(dist, dtype=np.float64)
+            check_distribution(dist, size)
+            t_mask = clock()
+            probs = mask_distribution(dist, ids)
+            step_ns += clock() - t_mask
+            chosen = ids.item(sample(probs, sampler_cfg, rng))
         if step_ns > per_lookup_max_ns:
             per_lookup_max_ns = step_ns
         mask_sizes.append(len(ids))
-        chosen = ids.item(sample(probs, sampler_cfg, rng))
         prefix = advance(prefix, chosen, vocab)
         context.append(chosen)
     alignment_us = (clock() - t_align) / 1000.0

@@ -156,11 +156,23 @@ def _arms(args, vocab: Vocabulary, provider, names) -> dict:
 # Subcommands
 
 
+def _stdin_stat() -> os.stat_result | None:
+    """The status of the file behind stdin, or None when it has no descriptor."""
+    try:
+        return os.fstat(sys.stdin.fileno())
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
 def cmd_align(args) -> int:
     # align reads its prompts while it writes, so opening --out first would empty them
-    if (args.prompt_file not in (None, "-") and args.out not in (None, "-")
-            and os.path.exists(args.out) and os.path.samefile(args.prompt_file, args.out)):
-        args.command_parser.error("argument --out: is the same file as --prompt-file")
+    if args.out not in (None, "-") and os.path.exists(args.out):
+        if args.prompt_file in (None, "-"):
+            source, prompts = "standard input", _stdin_stat()
+        else:
+            source, prompts = "--prompt-file", os.stat(args.prompt_file)
+        if prompts is not None and os.path.samestat(prompts, os.stat(args.out)):
+            args.command_parser.error(f"argument --out: is the same file as {source}")
     vocab = load_vocabulary(_resolve(args.vocab))
     provider = _load_provider(args, vocab)
     arm = "unaligned" if args.no_align else "aligned"
@@ -185,6 +197,8 @@ def cmd_gen_dataset(args) -> int:
         args.command_parser.error(
             "argument --out: not allowed with --scenario all (each scenario goes to --out-dir)"
         )
+    if args.out and args.out_dir is not None:
+        args.command_parser.error("argument --out-dir: not allowed with --out")
     corpus = scenarios.load_corpus(_resolve(args.corpus))
     names = list(scenarios.SCENARIOS) if args.scenario == "all" else [args.scenario]
     # every scenario is generated before any file is written, so a scenario
@@ -192,13 +206,14 @@ def cmd_gen_dataset(args) -> int:
     datasets = {
         name: scenarios.generate_dataset(corpus, name, args.seed, args.per_doc) for name in names
     }
+    out_dir = args.out_dir or "."
     for name, (examples, stats) in datasets.items():
-        path = args.out or f"{args.out_dir}/{name}.jsonl"
+        path = args.out or f"{out_dir}/{name}.jsonl"
         scenarios.write_dataset(path, examples, stats)
         print(f"{name}: wrote {stats['emitted']} examples to {path} "
               f"({stats['skipped']} documents skipped)")
     if len(names) > 1:
-        combined = f"{args.out_dir}/dataset_stats.json"
+        combined = f"{out_dir}/dataset_stats.json"
         write_json(combined, {name: stats for name, (_, stats) in datasets.items()})
         print(f"combined stats: {combined}")
     return EXIT_OK
@@ -392,7 +407,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--per-doc", type=int, default=1)
     p.add_argument("--out", default=None, help="output file (single scenario only)")
-    p.add_argument("--out-dir", default=".")
+    p.add_argument("--out-dir", default=None, help="output directory (default: .)")
     p.set_defaults(func=cmd_gen_dataset, command_parser=p)
 
     p = sub.add_parser("validate", help="check a dataset against the scenario rules")

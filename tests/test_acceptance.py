@@ -368,7 +368,7 @@ def test_criterion_10_seeded_determinism(tmp_path):
         ]) == 0
         assert cli_main([
             "gen-dataset", "--corpus", "bundled:code", "--scenario", "subword",
-            "--seed", "7", "--out", str(base / "ds.jsonl"), "--out-dir", str(base),
+            "--seed", "7", "--out", str(base / "ds.jsonl"),
         ]) == 0
         assert cli_main([
             "align", "--vocab", "bundled:demo-vocab",

@@ -390,6 +390,7 @@ class TestAlwaysOnChecks:
                 calls["provider"] += 1
                 return ngram_provider.next_distribution(context)
 
+        forced_steps = 0
         for mode in ("greedy", "nucleus"):
             cfg = SamplerConfig(mode=mode, top_p=0.9, seed=3, max_new_tokens=5)
             result = aligned_generate(
@@ -397,8 +398,12 @@ class TestAlwaysOnChecks:
                 b"def get_total(items):\n    re", AlignConfig(), cfg,
             )
             assert result.alignment_steps > 0
-            assert calls["check"] == calls["provider"] == result.alignment_steps + 5
+            # a forced step (one compatible id) asks the provider nothing
+            forced = result.mask_sizes.count(1)
+            assert calls["check"] == calls["provider"] == result.alignment_steps - forced + 5
             calls.update(provider=0, check=0)
+            forced_steps += forced
+        assert forced_steps > 0
 
     def test_wrong_length_provider_output_is_value_error(self):
         vocab = Vocabulary([b"a", b"b", b"ab"])

@@ -10,7 +10,9 @@ B from 1 to 4 and greedy or nucleus draws, the loop must produce the
 same output, token ids, step count and mask sizes, or raise the same
 error with the same message and, for a dead end, the same prefix,
 context and step count.  Random dead ends are rare, so one is pinned
-as an explicit example.
+as an explicit example.  The reference asks the provider on every
+step; the loop skips a forced step (one compatible id), so it makes one
+provider call fewer per such step.
 
 Prompts are never empty: the reference rejected the empty prompt with a
 message of its own, which ``test_align.py`` covers.
@@ -143,6 +145,19 @@ class HashedRows:
         return row / row.sum()
 
 
+class Counting:
+    """Counts the calls made to a provider."""
+
+    def __init__(self, provider):
+        self.vocab_size = provider.vocab_size
+        self.calls = 0
+        self._provider = provider
+
+    def next_distribution(self, context):
+        self.calls += 1
+        return self._provider.next_distribution(context)
+
+
 alphabet_bytes = st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=3).map(bytes)
 
 
@@ -226,9 +241,12 @@ def test_loop_matches_step_api_reference(
     case, backtrack, sampler_cfg, provider_seed, zero_fraction, capacity
 ):
     vocab, prompt = case
-    provider = HashedRows(len(vocab), provider_seed, zero_fraction)
+    rows = HashedRows(len(vocab), provider_seed, zero_fraction)
+    reference_provider, provider = Counting(rows), Counting(rows)
     align_cfg = AlignConfig(backtrack_tokens=backtrack)
-    expected = run(reference_aligned_generate, vocab, provider, capacity, prompt, align_cfg, sampler_cfg)
+    expected = run(
+        reference_aligned_generate, vocab, reference_provider, capacity, prompt, align_cfg, sampler_cfg
+    )
     got = run(aligned_generate, vocab, provider, capacity, prompt, align_cfg, sampler_cfg)
     if isinstance(expected, Exception):
         assert type(got) is type(expected)
@@ -243,3 +261,4 @@ def test_loop_matches_step_api_reference(
     assert got.token_ids == expected.token_ids
     assert got.alignment_steps == expected.alignment_steps
     assert got.mask_sizes == expected.mask_sizes
+    assert provider.calls == reference_provider.calls - expected.mask_sizes.count(1)

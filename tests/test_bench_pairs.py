@@ -76,3 +76,28 @@ def test_setup_parts_are_medians_per_run_then_quartiles_per_arm():
     )
     assert parts["trie_s"]["change"]["median"] == pytest.approx(0.05)
     assert parts["trie_s"]["change"]["iqr"] == 0.0
+
+
+def test_gate_lines_show_each_metric_and_the_claim():
+    seeds = list(range(10))
+    parent = [1.0 + 0.01 * k for k in range(10)]
+    summary = {"end_to_end": {
+        "req_ms_p50": bench_pairs.summarise_metric(
+            LOWER, seeds, runs("req_ms_p50", parent, [v - 0.2 for v in parent])),
+        "tok_per_s": bench_pairs.summarise_metric(
+            HIGHER, seeds, runs("tok_per_s", parent, [v * 0.8 for v in parent])),
+    }}
+    lines = bench_pairs.gate_lines("w", summary)
+    assert len(lines) == 2
+    assert lines[0].startswith("w req_ms_p50: parent 1.045 change 0.845 ms, change_rel -19.14%")
+    assert "wins 10 losses 0, within_bound True (bound 15%)" in lines[0]
+    # 20% fewer tokens per second breaches the 15% bound
+    assert "change_rel -20.00%, wins 0 losses 10, within_bound False" in lines[1]
+    entry = summary["end_to_end"]["req_ms_p50"]
+    claim = bench_pairs.judge_claim("w", "req_ms_p50", entry)
+    assert bench_pairs.claim_line(claim, entry) == (
+        "claim w/req_ms_p50: met (wins 10 of 10, median gap 0.2 vs parent IQR 0.045)"
+    )
+    entry = summary["end_to_end"]["tok_per_s"]
+    claim = bench_pairs.judge_claim("w", "tok_per_s", entry)
+    assert bench_pairs.claim_line(claim, entry).startswith("claim w/tok_per_s: NOT met (wins 0 of 10")

@@ -1,8 +1,11 @@
 import base64
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +209,37 @@ class TestAlign:
         assert len(errors) == 1 and "argument --out: " in errors[0]
         assert (tmp_path / "prompts.jsonl").read_bytes() == before
 
+    @pytest.mark.parametrize("stdin", ["out", "other"])
+    def test_out_naming_stdin_is_one(self, tmp_path, demo_paths, demo_prompt_file, stdin):
+        # stdin needs a file descriptor, so the command runs in its own process
+        out = tmp_path / "q.jsonl"
+        if stdin == "out":
+            out.write_bytes((tmp_path / "prompts.jsonl").read_bytes())
+        else:
+            out.write_bytes(b'{"id": "earlier"}\n')
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        before = out.read_bytes()
+        with open(out if stdin == "out" else demo_prompt_file, "rb") as prompts:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from tokalign.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))",
+                 "align", "--vocab", demo_paths["vocab"],
+                 "--provider", f"scripted:{demo_paths['table']}", "--out", str(out)],
+                stdin=prompts, capture_output=True, text=True, env=env, timeout=120, check=False,
+            )
+        if stdin == "other":
+            # another file on stdin is read as usual
+            assert proc.returncode == 0, proc.stderr
+            assert [r["id"] for r in read_results(out)] == ["demo"]
+            return
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "argument --out: " in errors[0]
+        assert out.read_bytes() == before
+
 
 def reader_argv(kind, path, demo_paths, demo_prompt_file):
     """A command that reads ``path`` with the reader named by ``kind``."""
@@ -279,7 +313,7 @@ class TestExitCodes:
         elif command == "eval":
             dataset = str(tmp_path / "subword.jsonl")
             run(capsys, "gen-dataset", "--corpus", "bundled:code", "--scenario", "subword",
-                "--out", dataset, "--out-dir", str(tmp_path))
+                "--out", dataset)
             argv = ["eval", "--dataset", dataset, *provider, "--stop", value]
         else:
             argv = ["vocab", "train", "--corpus", "bundled:code", "--target-size", "300",
@@ -539,7 +573,7 @@ class TestGenDataset:
             code, _, _ = run(
                 capsys, "gen-dataset", "--corpus", "bundled:code",
                 "--scenario", "subword", "--seed", "7",
-                "--out", str(d / "s.jsonl"), "--out-dir", str(d),
+                "--out", str(d / "s.jsonl"),
             )
             assert code == 0
         assert (tmp_path / "r1" / "s.jsonl").read_bytes() == (
@@ -605,6 +639,19 @@ class TestGenDataset:
         assert len(errors) == 1 and "argument --out: " in errors[0]
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_dir_beside_out_is_one(self, capsys, tmp_path):
+        # checked before any file is read: the corpus and the directory do not exist
+        code, out, err = run(
+            capsys, "gen-dataset", "--corpus", str(tmp_path / "missing.jsonl"),
+            "--scenario", "subword", "--out", str(tmp_path / "s.jsonl"),
+            "--out-dir", str(tmp_path / "nodir"),
+        )
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "argument --out-dir: " in errors[0]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEval:
     @pytest.fixture()
@@ -612,7 +659,7 @@ class TestEval:
         run(
             capsys, "gen-dataset", "--corpus", "bundled:code",
             "--scenario", "subword", "--seed", "7",
-            "--out", str(tmp_path / "subword.jsonl"), "--out-dir", str(tmp_path),
+            "--out", str(tmp_path / "subword.jsonl"),
         )
         vocab_path = tmp_path / "v.json"
         run(

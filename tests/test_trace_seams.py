@@ -62,6 +62,9 @@ def test_each_arm_records_every_traced_layer(demo_vocab, demo_model):
         tracer.request = 1
         generate(provider, demo_vocab, fixtures.DEMO_PROMPT, cfg)
     assert aligned.alignment_steps > 0
+    # a forced step (one compatible id) calls neither the provider nor the
+    # sampler, so the request needs a step with a choice to reach them
+    assert any(size > 1 for size in aligned.mask_sizes), aligned.mask_sizes
     recorded = [
         {name for name, request in zip(tracer.names, tracer.requests) if request == r}
         for r in (0, 1)

@@ -22,6 +22,10 @@ each timed part of the build (``setup_parts_s``); and the traced pair.
 ``--claim WORKLOAD/METRIC`` adds a ``claim`` entry judged by the rule
 the benchmark's gate applies to a claimed gain: the change wins at least
 9 of 10 pairs, and the medians differ by more than the parent's IQR.
+
+After each workload it prints one line per end-to-end metric (both
+medians, ``change_rel``, wins, losses and ``within_bound``), and at the
+end the claim's verdict, so a breached bound shows without the JSON.
 """
 
 from __future__ import annotations
@@ -113,11 +117,15 @@ def summarise_metric(spec: dict, seeds: list[int], runs: dict) -> dict:
     }
 
 
+def median_gap(entry: dict) -> float:
+    """How far the change's median is better than the parent's, in the metric's direction."""
+    gap = entry["parent"]["median"] - entry["change"]["median"]
+    return -gap if entry["better"] == "higher" else gap
+
+
 def judge_claim(workload: str, metric: str, entry: dict) -> dict:
     """The claimed-gain rule on one metric's pairs."""
-    gap = entry["parent"]["median"] - entry["change"]["median"]
-    if entry["better"] == "higher":
-        gap = -gap
+    gap = median_gap(entry)
     pairs = len(entry["per_pair"])
     return {
         "metric": metric,
@@ -127,6 +135,23 @@ def judge_claim(workload: str, metric: str, entry: dict) -> dict:
                 "than the parent's IQR",
         "met": entry["wins"] >= CLAIM_WINS * pairs and gap > entry["parent"]["iqr"],
     }
+
+
+def gate_lines(workload: str, summary: dict) -> list[str]:
+    """One line per end-to-end metric: both medians, change_rel, wins, losses and the bound."""
+    return [
+        f"{workload} {name}: parent {m['parent']['median']:.4g} change {m['change']['median']:.4g} "
+        f"{m['unit']}, change_rel {m['change_rel']:+.2%}, wins {m['wins']} losses {m['losses']}, "
+        f"within_bound {m['within_bound']} (bound {m['bound']:.0%})"
+        for name, m in summary["end_to_end"].items()
+    ]
+
+
+def claim_line(claim: dict, entry: dict) -> str:
+    """The claim's verdict, with the wins and the median gap it rests on."""
+    return (f"claim {claim['workload']}/{claim['metric']}: {'met' if claim['met'] else 'NOT met'} "
+            f"(wins {entry['wins']} of {len(entry['per_pair'])}, median gap {median_gap(entry):.4g} "
+            f"vs parent IQR {entry['parent']['iqr']:.4g})")
 
 
 def summarise_setup_parts(runs: dict) -> dict:
@@ -226,10 +251,12 @@ def main(argv=None) -> int:
         result["workloads"][workload] = summarise_workload(
             declared["end_to_end"], args.seeds, runs, traced
         )
+        print("\n".join(gate_lines(workload, result["workloads"][workload])), flush=True)
     if args.claim:
         workload, _, metric = args.claim.partition("/")
         entry = result["workloads"][workload]["end_to_end"][metric]
         result["claim"] = judge_claim(workload, metric, entry)
+        print(claim_line(result["claim"], entry))
     out = args.out or ROOT / f"{args.name}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}")
