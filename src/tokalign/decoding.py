@@ -165,15 +165,10 @@ def _scan_distribution(dist: np.ndarray, size: int) -> None:
     """
     if dist.shape != (size,):
         raise ValueError(f"distribution must have shape ({size},), got {dist.shape}")
-    if (
-        type(dist) is np.ndarray
-        and dist.dtype is _FLOAT64
-        and dist.strides == _ROW_STRIDES
-        and size
-    ):
+    if type(dist) is np.ndarray and dist.dtype is _FLOAT64 and dist.strides == _ROW_STRIDES:
         ones, limit = _ones_and_limit(size)
-        # the dot product first: on a row not yet in cache, that order was
-        # the faster (24 against 27 µs at 50k ids)
+        # the dot product first: on 50k-entry rows not yet in cache, that
+        # order measured 23-25.5 µs per check against 26-28 µs (README)
         if abs(dist.dot(ones) - 1.0) <= limit and dist.view(np.uint64).max() < _INF_BITS:
             return
     if not dist.min() >= 0.0:

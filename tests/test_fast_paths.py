@@ -107,7 +107,7 @@ def reference_check(dist, size):
 def check_outcome(check, dist, size):
     try:
         check(dist, size)
-    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+    except Exception as exc:  # the exception type is part of the outcome
         return type(exc), str(exc)
     return None
 
