@@ -512,6 +512,11 @@ class NGramModel:
     falling off a cliff.  Genuinely unseen contexts back off to the
     uniform distribution over the vocabulary.
 
+    :meth:`observe` counts a sequence's (order + 1)-grams in one
+    ``Counter`` pass and adds each to its context's counter.  It raises
+    ValueError, naming the first id outside ``0..vocab_size-1``, before
+    it counts anything of that sequence.
+
     Every returned row is read-only.  Unseen contexts share one uniform
     row.  A seen context's row is built on first use and kept while the
     kept rows fit in ``_ROW_MEMO_BYTES``; past that, rows are built per
@@ -537,11 +542,19 @@ class NGramModel:
         self._row_capacity = _ROW_MEMO_BYTES // self._uniform.nbytes
 
     def observe(self, ids: Sequence[int]) -> None:
-        padded = (self._BEFORE_START,) * self.order + tuple(ids)
+        ids = tuple(ids)
+        if ids and (min(ids) < 0 or max(ids) >= self.vocab_size):
+            bad = next(i for i in ids if not 0 <= i < self.vocab_size)
+            raise ValueError(f"token id {bad} is outside 0..{self.vocab_size - 1}")
         k = self.order
-        for i in range(k, len(padded)):
-            ctx = padded[i - k : i]
-            self._counts.setdefault(ctx, Counter())[padded[i]] += 1
+        padded = (self._BEFORE_START,) * k + ids
+        counts = self._counts
+        for gram, n in Counter(zip(*(padded[j:] for j in range(k + 1)))).items():
+            ctx = gram[:k]
+            counter = counts.get(ctx)
+            if counter is None:
+                counter = counts[ctx] = Counter()
+            counter[gram[k]] += n
         self._rows.clear()
 
     def next_distribution(self, context: Sequence[int]) -> np.ndarray:

@@ -484,20 +484,6 @@ def pretokenize(text: bytes, options: PretokenizeOptions) -> list[bytes]:
     return out
 
 
-def _apply_merge(parts: tuple[bytes, ...], pair: tuple[bytes, bytes]) -> tuple[bytes, ...]:
-    merged = pair[0] + pair[1]
-    out: list[bytes] = []
-    i = 0
-    while i < len(parts):
-        if i + 1 < len(parts) and parts[i] == pair[0] and parts[i + 1] == pair[1]:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(parts[i])
-            i += 1
-    return tuple(out)
-
-
 def train_tiny_bpe(
     corpus: Iterable[bytes],
     target_size: int,
@@ -514,12 +500,17 @@ def train_tiny_bpe(
 
     Cost: the pairs of the D distinct chunks are counted once, O(total
     bytes of the distinct chunks), and each pair is indexed to the chunks
-    that hold it.  A merge then rewrites only the chunks indexed under its
-    pair, subtracting their old pairs and adding their new ones, and takes
-    the next pair from a heap keyed ``(-count, left + right)``; an entry
-    whose count no longer matches is stale and skipped.  So a merge
-    costs the bytes of the chunks holding its pair plus O(log H) per
-    changed pair count (H heap entries), not a pass over every chunk.
+    that hold it.  A merge then rewrites, in place, only the chunks indexed
+    under its pair.  At each merge site it moves the counts of the site's
+    two neighbour pairs to the pairs they become, and indexes the chunk
+    under those new pairs only: they are the only pairs a merge creates,
+    and every pair that survives it was indexed when it was created.  An
+    index entry for a pair that a later merge consumed is stale; its chunk
+    holds no site and is left alone.  The next pair comes from a heap
+    keyed ``(-count, left + right)``; an entry whose count no longer
+    matches is stale and skipped.  So a merge costs the parts of the
+    chunks holding its pair plus O(log H) per changed pair count (H heap
+    entries), not a pass over every chunk.
     """
     if target_size < 256 + len(specials):
         raise ConfigError(
@@ -534,14 +525,14 @@ def train_tiny_bpe(
     for doc in documents:
         chunk_counts.update(pretokenize(doc, options))
     # distinct chunks never collide: their parts always concatenate to the chunk
-    words: list[tuple[bytes, ...]] = [tuple(bytes((b,)) for b in c) for c in chunk_counts]
+    words: list[list[bytes]] = [[bytes((b,)) for b in c] for c in chunk_counts]
     freqs: list[int] = list(chunk_counts.values())
-    pair_counts: Counter[tuple[bytes, bytes]] = Counter()
+    pair_counts: dict[tuple[bytes, bytes], int] = {}
     where: dict[tuple[bytes, bytes], set[int]] = {}
     for w, parts in enumerate(words):
         freq = freqs[w]
         for pair in zip(parts, parts[1:]):
-            pair_counts[pair] += freq
+            pair_counts[pair] = pair_counts.get(pair, 0) + freq
             where.setdefault(pair, set()).add(w)
     heap = [(-n, a + b, (a, b)) for (a, b), n in pair_counts.items()]
     heapq.heapify(heap)
@@ -551,27 +542,38 @@ def train_tiny_bpe(
     merges: list[tuple[bytes, bytes]] = []
     n_merges = target_size - len(specials) - 256
     while len(merges) < n_merges and heap:
-        neg, _, best = heapq.heappop(heap)
+        neg, merged, best = heapq.heappop(heap)
         if pair_counts.get(best) != -neg:
             continue  # stale: the count changed after this entry was pushed
         merges.append(best)
-        delta: Counter[tuple[bytes, bytes]] = Counter()
+        left, right = best
+        delta: dict[tuple[bytes, bytes], int] = {}
         # a merge only lengthens parts, so ``best`` never occurs again
         for w in where.pop(best):
             parts = words[w]
-            new = _apply_merge(parts, best)
-            if len(new) == len(parts):
-                continue  # indexed under a pair an earlier merge consumed
             freq = freqs[w]
-            for pair in zip(parts, parts[1:]):
-                delta[pair] -= freq
-            for pair in zip(new, new[1:]):
-                delta[pair] += freq
-                where.setdefault(pair, set()).add(w)
-            words[w] = new
+            # leftmost sites first; each rewrite leaves parts[:i + 1] final
+            i = 0
+            while i < len(parts) - 1:
+                if parts[i] != left or parts[i + 1] != right:
+                    i += 1
+                    continue
+                delta[best] = delta.get(best, 0) - freq
+                if i:
+                    old, new = (parts[i - 1], left), (parts[i - 1], merged)
+                    delta[old] = delta.get(old, 0) - freq
+                    delta[new] = delta.get(new, 0) + freq
+                    where.setdefault(new, set()).add(w)
+                if i + 2 < len(parts):
+                    old, new = (right, parts[i + 2]), (merged, parts[i + 2])
+                    delta[old] = delta.get(old, 0) - freq
+                    delta[new] = delta.get(new, 0) + freq
+                    where.setdefault(new, set()).add(w)
+                parts[i : i + 2] = (merged,)
+                i += 1
         for pair, change in delta.items():
             if change:
-                n = pair_counts[pair] + change
+                n = pair_counts.get(pair, 0) + change
                 if n:
                     pair_counts[pair] = n
                     heapq.heappush(heap, (-n, pair[0] + pair[1], pair))

@@ -101,3 +101,17 @@ def test_gate_lines_show_each_metric_and_the_claim():
     entry = summary["end_to_end"]["tok_per_s"]
     claim = bench_pairs.judge_claim("w", "tok_per_s", entry)
     assert bench_pairs.claim_line(claim, entry).startswith("claim w/tok_per_s: NOT met (wins 0 of 10")
+
+
+def test_setup_part_lines_show_both_medians_and_change_rel():
+    def arms(parent, change):
+        return {"parent": {"median": parent}, "change": {"median": change}}
+
+    summary = {"setup_parts_s": {"vocab_s": arms(0.006, 0.0045), "trie_s": arms(0.0004, 0.0004),
+                                 "cache_s": arms(0.0, 0.0), "provider_s": arms(0.003, 0.0027)}}
+    assert bench_pairs.setup_part_lines("w", summary) == [
+        "w setup part vocab_s: parent 0.006 change 0.0045 s, change_rel -25.00%",
+        "w setup part trie_s: parent 0.0004 change 0.0004 s, change_rel +0.00%",
+        "w setup part cache_s: parent 0 change 0 s, change_rel n/a",
+        "w setup part provider_s: parent 0.003 change 0.0027 s, change_rel -10.00%",
+    ]

@@ -173,6 +173,16 @@ class TestNGram:
         with pytest.raises(ValueError):
             NGramModel(10, order=0, alpha=0.1)
 
+    @pytest.mark.parametrize("ids, bad", [([-1, 3], -1), ([7], 7), ([2, 5, -2], 5)])
+    def test_id_outside_vocabulary_rejected_before_counting(self, ids, bad):
+        model = NGramModel(5, order=1, alpha=0.0)
+        model.observe([1, 2])
+        with pytest.raises(ValueError, match=rf"token id {bad} is outside 0\.\.4"):
+            model.observe(ids)
+        # nothing of the rejected sequence was counted
+        assert np.array_equal(model.next_distribution([]), [0, 1, 0, 0, 0])
+        assert np.array_equal(model.next_distribution([2]), [0.2] * 5)
+
 
 class TestScripted:
     def test_default_only(self):

@@ -6,7 +6,8 @@ the key ``(-count, left + right, left)`` and rewrites every chunk.  The
 incremental trainer must give the same tokens, merges, specials and
 pretokenize options on random corpora drawn from small alphabets (runs
 such as ``aaaa`` hold overlapping pairs; ``ab``, ``bc`` and ``abc`` put
-``ab`` + ``c`` and ``a`` + ``bc`` in competition), under all four
+``ab`` + ``c`` and ``a`` + ``bc`` in competition; pinned examples such as
+``aaaaa``, ``abab abab`` and ``abcabc`` put merge sites side by side), under all four
 ``PretokenizeOptions``, with specials, and with targets past the point
 where the corpus runs out of pairs.  On the bundled code corpus the
 saved files must be byte-identical.
@@ -110,6 +111,11 @@ def corpora(draw):
 )
 @example(docs=[b"aaaa aaa aaaaa"], options=ALL_OPTIONS[0], specials=[], extra=60)
 @example(docs=[b"ab ab bc bc abc abc"], options=ALL_OPTIONS[3], specials=[b"ab"], extra=9)
+# merge sites that touch or overlap: a missed neighbour pair would change later merges
+@example(docs=[b"aaaaa"], options=ALL_OPTIONS[0], specials=[], extra=60)
+@example(docs=[b"abab abab"], options=ALL_OPTIONS[3], specials=[], extra=60)
+@example(docs=[b"abcabc"], options=ALL_OPTIONS[1], specials=[], extra=60)
+@example(docs=[b"aaaaa", b"abab abab", b"abcabc"], options=ALL_OPTIONS[2], specials=[], extra=60)
 def test_incremental_trainer_equals_full_recount(docs, options, specials, extra):
     target = 256 + len(specials) + extra
     assert_same_vocabulary(

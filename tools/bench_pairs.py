@@ -24,8 +24,12 @@ the benchmark's gate applies to a claimed gain: the change wins at least
 9 of 10 pairs, and the medians differ by more than the parent's IQR.
 
 After each workload it prints one line per end-to-end metric (both
-medians, ``change_rel``, wins, losses and ``within_bound``), and at the
-end the claim's verdict, so a breached bound shows without the JSON.
+medians, ``change_rel``, wins, losses and ``within_bound``), then one
+line per timed part of the build (both unscaled medians and
+``change_rel``), and at the end the claim's verdict, so a breached bound
+shows without the JSON.  The benchmark scales ``setup_s`` by a reference
+build timed around it, so the scaled figure can move against the raw
+build; the part lines show which raw part moved.
 """
 
 from __future__ import annotations
@@ -147,6 +151,17 @@ def gate_lines(workload: str, summary: dict) -> list[str]:
     ]
 
 
+def setup_part_lines(workload: str, summary: dict) -> list[str]:
+    """One line per timed part of the build: both arms' unscaled medians and change_rel."""
+    lines = []
+    for part, arms in summary["setup_parts_s"].items():
+        parent, change = arms["parent"]["median"], arms["change"]["median"]
+        rel = f"{change / parent - 1.0:+.2%}" if parent else "n/a"
+        lines.append(f"{workload} setup part {part}: parent {parent:.4g} change {change:.4g} s, "
+                     f"change_rel {rel}")
+    return lines
+
+
 def claim_line(claim: dict, entry: dict) -> str:
     """The claim's verdict, with the wins and the median gap it rests on."""
     return (f"claim {claim['workload']}/{claim['metric']}: {'met' if claim['met'] else 'NOT met'} "
@@ -251,7 +266,9 @@ def main(argv=None) -> int:
         result["workloads"][workload] = summarise_workload(
             declared["end_to_end"], args.seeds, runs, traced
         )
-        print("\n".join(gate_lines(workload, result["workloads"][workload])), flush=True)
+        summary = result["workloads"][workload]
+        print("\n".join(gate_lines(workload, summary) + setup_part_lines(workload, summary)),
+              flush=True)
     if args.claim:
         workload, _, metric = args.claim.partition("/")
         entry = result["workloads"][workload]["end_to_end"][metric]
