@@ -26,6 +26,30 @@ _WHITESPACE_TOKENS = [
 ]
 
 
+# The range rules of the benchmark's counts.  ``tokalign bench`` calls them
+# before it reads a corpus or builds a vocabulary; the functions that take
+# the values call them again.
+
+
+def check_synthetic_size(size: int) -> None:
+    if size < 256:
+        raise ConfigError("size", f"{size} tokens cannot hold the 256 single bytes")
+
+
+def check_lookup_counts(queries: int, warmup: int, naive_queries: int) -> None:
+    if queries < 1:
+        raise ConfigError("queries", f"need at least 1 timed query, got {queries}")
+    if naive_queries < 1:
+        raise ConfigError("naive_queries", f"need at least 1 naive query, got {naive_queries}")
+    if warmup < 0:
+        raise ConfigError("warmup", f"warm-up count must be >= 0, got {warmup}")
+
+
+def check_prompt_count(count: int) -> None:
+    if count < 1:
+        raise ConfigError("count", f"need at least 1 prompt, got {count}")
+
+
 def make_synthetic_vocabulary(size: int, seed: int = 0) -> Vocabulary:
     """Deterministic wordlike vocabulary of ``size`` tokens.
 
@@ -33,8 +57,7 @@ def make_synthetic_vocabulary(size: int, seed: int = 0) -> Vocabulary:
     pseudo-random lowercase words, roughly half space-prefixed, with
     lengths between 2 and 12 bytes.  Greedy-match encoding (no merges).
     """
-    if size < 256:
-        raise ConfigError("size", f"{size} tokens cannot hold the 256 single bytes")
+    check_synthetic_size(size)
     rng = make_rng(seed)
     tokens: list[bytes] = [bytes([i]) for i in range(256)]
     seen = set(tokens)
@@ -105,12 +128,7 @@ def bench_lookup(
     seed: int = 0,
 ) -> dict:
     """Per-query latency of index lookup, naive scan, and cached single-space mask."""
-    if queries < 1:
-        raise ConfigError("queries", f"need at least 1 timed query, got {queries}")
-    if naive_queries < 1:
-        raise ConfigError("naive_queries", f"need at least 1 naive query, got {naive_queries}")
-    if warmup < 0:
-        raise ConfigError("warmup", f"warm-up count must be >= 0, got {warmup}")
+    check_lookup_counts(queries, warmup, naive_queries)
     trie = build_trie(vocab)
     prefixes = _query_prefixes(vocab, queries + warmup, seed)
 
@@ -143,8 +161,7 @@ def boundary_prompts(
     A ValueError names the token minimum when no drawn document is long
     enough to cut.
     """
-    if count < 1:
-        raise ConfigError("count", f"need at least 1 prompt, got {count}")
+    check_prompt_count(count)
     rng = make_rng(seed)
     prompts = []
     docs = [text for _, text in corpus if text]

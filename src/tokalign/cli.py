@@ -291,7 +291,14 @@ def _emit_eval_report(args, records, vocab, label) -> int:
 
 
 def cmd_bench(args) -> int:
+    # every range rule is checked before any corpus is read or vocabulary built
     _check_seed(args.seed)
+    if not args.skip_steps:
+        bench_mod.check_prompt_count(args.prompts)
+    if not args.skip_lookup:
+        bench_mod.check_lookup_counts(args.queries, args.warmup, args.naive_queries)
+        if not args.vocab:
+            bench_mod.check_synthetic_size(args.vocab_size)
     report = {}
     if not args.skip_steps:
         # built first, so a bad step flag fails before the lookup benchmark runs

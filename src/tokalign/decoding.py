@@ -35,6 +35,7 @@ from __future__ import annotations
 import base64
 import time
 import weakref
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
@@ -514,8 +515,9 @@ class NGramModel:
 
     :meth:`observe` counts a sequence's (order + 1)-grams in one
     ``Counter`` pass and adds each to its context's counter.  It raises
-    ValueError, naming the first id outside ``0..vocab_size-1``, before
-    it counts anything of that sequence.
+    ValueError, naming the first id that is not an integer (NumPy
+    integers are integers) or else the first id outside
+    ``0..vocab_size-1``, before it counts anything of that sequence.
 
     Every returned row is read-only.  Unseen contexts share one uniform
     row.  A seen context's row is built on first use and kept while the
@@ -543,6 +545,13 @@ class NGramModel:
 
     def observe(self, ids: Sequence[int]) -> None:
         ids = tuple(ids)
+        try:
+            array("q", ids)  # one C-level pass that every id is an integer
+        except TypeError:
+            bad = next(i for i in ids if not hasattr(type(i), "__index__"))
+            raise ValueError(f"token id {bad!r} is not an integer") from None
+        except OverflowError:
+            pass  # too large for int64, so the range check below names it
         if ids and (min(ids) < 0 or max(ids) >= self.vocab_size):
             bad = next(i for i in ids if not 0 <= i < self.vocab_size)
             raise ValueError(f"token id {bad} is outside 0..{self.vocab_size - 1}")

@@ -20,6 +20,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 VOCAB_FILE_VERSION = 1
@@ -75,6 +76,11 @@ class Vocabulary:
     A vocabulary with merges and ``pretokenize`` memoizes the ids of each
     chunk it encodes successfully, up to ``_CHUNK_MEMO_ENTRIES`` chunks;
     chunk ids depend only on the chunk and the immutable merge table.
+    The memo starts empty, except in a vocabulary that
+    :func:`train_tiny_bpe` returns: that one starts with the ids of its
+    distinct training chunks, in the order they first appear in the
+    corpus, up to the same bound, which is the memo encoding the training
+    corpus once would leave.
     """
 
     def __init__(
@@ -154,18 +160,24 @@ class Vocabulary:
 
 
 def decode(vocab: Vocabulary, ids: Sequence[int]) -> bytes:
-    """Concatenate the byte sequences of ``ids``, in order."""
+    """Concatenate the byte sequences of ``ids``, in order.
+
+    An id that is not an integer or is outside ``0..len(vocab)-1`` raises
+    :class:`EncodingError` with its position as the offset.
+    """
     tokens = vocab.tokens
-    if len(ids) == 0 or min(ids) >= 0:
-        try:
+    try:
+        if len(ids) == 0 or min(ids) >= 0:
             return b"".join([tokens[i] for i in ids])
-        except IndexError:
-            pass  # the loop below names the first bad id's offset
+    except (IndexError, TypeError):
+        pass  # the loop below names the first bad id's offset
     out = bytearray()
     for pos, i in enumerate(ids):
-        if not 0 <= i < len(vocab.tokens):
+        if not hasattr(type(i), "__index__"):
+            raise EncodingError(f"token id {i!r} is not an integer", pos)
+        if not 0 <= i < len(tokens):
             raise EncodingError(f"unknown token id {i}", pos)
-        out += vocab.tokens[i]
+        out += tokens[i]
     return bytes(out)
 
 
@@ -511,6 +523,16 @@ def train_tiny_bpe(
     matches is stale and skipped.  So a merge costs the parts of the
     chunks holding its pair plus O(log H) per changed pair count (H heap
     entries), not a pass over every chunk.
+
+    The returned vocabulary's chunk memo starts filled: each distinct
+    training chunk, in the order it first appears in the corpus and up to
+    ``_CHUNK_MEMO_ENTRIES`` of them, maps to the ids of its final parts.
+    That is the memo the vocabulary would hold after encoding ``corpus``
+    once, because merges were applied in rank order at every site,
+    leftmost first, as encoding applies them (a merge only creates pairs
+    that hold its new token, and those rank later).  So encoding the
+    training corpus again, as building an n-gram provider from it does,
+    runs no BPE merging.
     """
     if target_size < 256 + len(specials):
         raise ConfigError(
@@ -583,4 +605,11 @@ def train_tiny_bpe(
     tokens = [bytes([i]) for i in range(256)] + [a + b for a, b in merges]
     special_ids = range(len(tokens), len(tokens) + len(specials))
     tokens.extend(bytes(s) for s in specials)
-    return Vocabulary(tokens, merges=merges, specials=special_ids, pretokenize=options)
+    vocab = Vocabulary(tokens, merges=merges, specials=special_ids, pretokenize=options)
+    # the memo encoding the corpus once would leave (see the docstring)
+    table = vocab._id_by_bytes
+    vocab._chunk_ids = {
+        chunk: [table[p] for p in parts]
+        for chunk, parts in zip(islice(chunk_counts, _CHUNK_MEMO_ENTRIES), words)
+    }
+    return vocab

@@ -5,7 +5,8 @@ The reference below is the loop ``aligned_generate`` used to run: an
 distribution and turns an empty mask into ``EmptyMaskError``, and an
 ``advance`` that returns a new state with a copied context.  On random
 greedy longest-match and ``train_tiny_bpe`` vocabularies, each with and
-without all 256 single bytes, random prompts (invalid UTF-8 included),
+without all 256 single bytes and with or without special tokens (some
+with the bytes of ordinary tokens), random prompts (invalid UTF-8 included),
 B from 1 to 4 and greedy or nucleus draws, the loop must produce the
 same output, token ids, step count and mask sizes, or raise the same
 error with the same message and, for a dead end, the same prefix,
@@ -161,6 +162,14 @@ class Counting:
 alphabet_bytes = st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=3).map(bytes)
 
 
+# Special tokens: an end marker, and bytes that ordinary tokens and
+# prompts also hold, which alignment must still never pick.
+specials_lists = st.lists(
+    st.one_of(st.just(b"<eos>"), st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=3).map(bytes)),
+    max_size=2, unique=True,
+)
+
+
 @st.composite
 def greedy_vocabularies(draw):
     # Tokens with a proper-prefix token, over letters that may lack a
@@ -173,7 +182,9 @@ def greedy_vocabularies(draw):
         tokens |= {word, word[: draw(st.integers(1, len(word) - 1))]}
     if draw(st.booleans()):
         tokens |= set(ALL_BYTES)
-    return Vocabulary(draw(st.permutations(sorted(tokens))))
+    entries = [(t, False) for t in sorted(tokens)] + [(t, True) for t in draw(specials_lists)]
+    entries = draw(st.permutations(entries))
+    return Vocabulary([t for t, _ in entries], specials=[i for i, (_, sp) in enumerate(entries) if sp])
 
 
 @st.composite
@@ -181,14 +192,18 @@ def bpe_vocabularies(draw):
     docs = draw(st.lists(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=24).map(bytes),
                          min_size=1, max_size=3))
     options = PretokenizeOptions(space_prefix=draw(st.booleans()), group_whitespace=draw(st.booleans()))
-    trained = train_tiny_bpe(docs, 256 + draw(st.integers(0, 16)), options)
+    specials = draw(specials_lists)
+    trained = train_tiny_bpe(docs, 256 + len(specials) + draw(st.integers(0, 16)), options, specials)
     if draw(st.booleans()):
         return trained
     # no merge holds a byte the corpus never uses, so those can go
     unused = sorted(set(range(256)) - set(b"".join(docs)))
     dropped = set(draw(st.lists(st.sampled_from(unused), max_size=8)))
-    tokens = [t for t in trained.tokens if len(t) > 1 or t[0] not in dropped]
-    return Vocabulary(tokens, merges=trained.merges, pretokenize=options)
+    tokens = [t for i, t in enumerate(trained.tokens)
+              if trained.is_special(i) or len(t) > 1 or t[0] not in dropped]
+    # the specials stay the last ids
+    specials_ids = range(len(tokens) - len(specials), len(tokens))
+    return Vocabulary(tokens, merges=trained.merges, specials=specials_ids, pretokenize=options)
 
 
 @st.composite

@@ -906,6 +906,39 @@ class TestBench:
         assert out == ""
         assert "argument --seed: seed must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize("skip_other_part", [False, True])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--prompts", "0"], "argument --prompts: need at least 1 prompt, got 0"),
+            (["--queries", "0"], "argument --queries: need at least 1 timed query, got 0"),
+            (["--naive-queries", "0"],
+             "argument --naive-queries: need at least 1 naive query, got 0"),
+            (["--warmup", "-1"], "argument --warmup: warm-up count must be >= 0, got -1"),
+            (["--vocab-size", "100"],
+             "argument --vocab-size: 100 tokens cannot hold the 256 single bytes"),
+        ],
+        ids=["prompts", "queries", "naive-queries", "warmup", "vocab-size"],
+    )
+    def test_bad_count_fails_before_the_corpus_is_read(self, capsys, monkeypatch, flags,
+                                                        message, skip_other_part):
+        import tokalign.cli as cli_module
+
+        # --prompts belongs to the step statistics, the rest to the lookup benchmark
+        other_part = "--skip-lookup" if flags[0] == "--prompts" else "--skip-steps"
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError(f"bench did work before {flags[0]} was checked")
+
+        monkeypatch.setattr(cli_module.scenarios, "load_corpus", not_reached)
+        monkeypatch.setattr(cli_module, "train_tiny_bpe", not_reached)
+        monkeypatch.setattr(cli_module, "load_vocabulary", not_reached)
+        monkeypatch.setattr(bench_mod, "make_synthetic_vocabulary", not_reached)
+        code, out, err = run(capsys, "bench", *flags, *([other_part] if skip_other_part else []))
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_corpus_too_short_for_prompts_is_two(self, capsys, tmp_path):
         corpus = tmp_path / "short.jsonl"
         corpus.write_text('{"text": "x = 1"}\n{"text": "y = 2"}\n')

@@ -1,6 +1,7 @@
 import base64
 import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -182,6 +183,26 @@ class TestNGram:
         # nothing of the rejected sequence was counted
         assert np.array_equal(model.next_distribution([]), [0, 1, 0, 0, 0])
         assert np.array_equal(model.next_distribution([2]), [0.2] * 5)
+
+    @pytest.mark.parametrize(
+        "ids, bad",
+        [([1.5, 2], "1.5"), ([2, np.float64(1.0)], "np.float64(1.0)"), (["x"], "'x'"),
+         ([None], "None"), ([2, 3.0, 7], "3.0")],
+    )
+    def test_non_integer_id_rejected_before_counting(self, ids, bad):
+        model = NGramModel(5, order=1, alpha=0.0)
+        model.observe([1, 2])
+        with pytest.raises(ValueError, match=rf"token id {re.escape(bad)} is not an integer"):
+            model.observe(ids)
+        assert np.array_equal(model.next_distribution([]), [0, 1, 0, 0, 0])
+        assert np.array_equal(model.next_distribution([2]), [0.2] * 5)
+
+    def test_numpy_integer_ids_counted(self):
+        model = NGramModel(5, order=1, alpha=0.0)
+        model.observe(np.array([1, 2], dtype=np.int32))
+        model.observe([np.int64(1), np.uint8(2)])
+        assert np.array_equal(model.next_distribution([]), [0, 1, 0, 0, 0])
+        assert np.array_equal(model.next_distribution([1]), [0, 0, 1, 0, 0])
 
 
 class TestScripted:

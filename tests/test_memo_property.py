@@ -2,7 +2,9 @@
 
 Vocabularies are trained by ``train_tiny_bpe`` on random corpora, then
 lose some single-byte tokens the corpus never uses, so texts drawn over a
-wider alphabet (invalid UTF-8 included) hit uncoverable bytes.  Texts are
+wider alphabet (invalid UTF-8 included) hit uncoverable bytes.  The memo
+a trained vocabulary starts with must be the one that a fresh copy
+builds by encoding the training corpus once.  Texts are
 joined from a small pool of pieces, so chunks repeat.  Each memo is also
 run with a tiny bound, so answers are checked before and after it fills.
 """
@@ -95,6 +97,33 @@ def test_encode_past_memo_bound_matches_reference(data, bound):
     queries = data.draw(texts(docs))
     with mock.patch.object(vocab_module, "_CHUNK_MEMO_ENTRIES", bound):
         check_encodes(vocab, queries, bound)
+
+
+@seed(240308688)
+@settings(PINNED, max_examples=150)
+@given(
+    docs=st.lists(st.lists(st.sampled_from(CORPUS_ALPHABET), max_size=24).map(bytes),
+                  min_size=1, max_size=4).filter(any),
+    space_prefix=st.booleans(),
+    group_whitespace=st.booleans(),
+    specials=st.lists(st.sampled_from([b"<eos>", b"a", b" a"]), max_size=2, unique=True),
+    merges=st.integers(0, 24),
+    bound=st.one_of(st.none(), st.integers(0, 3)),
+)
+def test_trained_memo_is_the_encode_once_memo(docs, space_prefix, group_whitespace, specials,
+                                              merges, bound):
+    # the trainer fills the memo; encoding the training documents once fills the same one
+    options = PretokenizeOptions(space_prefix=space_prefix, group_whitespace=group_whitespace)
+    if bound is None:
+        bound = vocab_module._CHUNK_MEMO_ENTRIES
+    with mock.patch.object(vocab_module, "_CHUNK_MEMO_ENTRIES", bound):
+        trained = train_tiny_bpe(docs, 256 + len(specials) + merges, options, specials)
+        fresh = Vocabulary(trained.tokens, merges=trained.merges, specials=trained.specials,
+                           pretokenize=trained.pretokenize)
+        assert fresh._chunk_ids == {}
+        for doc in docs:
+            encode(fresh, doc)
+    assert list(trained._chunk_ids.items()) == list(fresh._chunk_ids.items())
 
 
 def test_uncoverable_byte_offset_repeats():

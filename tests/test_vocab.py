@@ -1,6 +1,7 @@
 import base64
 import json
 
+import numpy as np
 import pytest
 
 from tokalign import (
@@ -188,6 +189,13 @@ class TestEncodeDecode:
         with pytest.raises(EncodingError) as err:
             decode(trained_vocab, [0, 10 ** 6])
         assert err.value.offset == 1
+
+    @pytest.mark.parametrize("bad", [1.0, np.float64(1.0), "x", None])
+    @pytest.mark.parametrize("before", [[], [0, 3]])
+    def test_decode_non_integer_id_reports_position(self, trained_vocab, before, bad):
+        with pytest.raises(EncodingError, match="is not an integer") as err:
+            decode(trained_vocab, [*before, bad, 1])
+        assert err.value.offset == len(before)
 
     def test_round_trip_random_byte_strings(self, trained_vocab):
         rng = make_rng(99)
