@@ -5,9 +5,10 @@ The token index and compatibility masks
 The index (built by ``build_trie``) answers: which tokens are
 compatible with a partial-token prefix?  A token is compatible when it
 starts with the prefix, or when it is itself a prefix of it (a shorter
-token that consumes part of the bytes).  Answers come back as ascending
-arrays of token ids, so masking a probability distribution touches only
-the compatible entries.
+token that consumes part of the bytes).  Answers come back as arrays of
+token ids in the index's bytewise token order (shorter proper prefixes
+first), so masking a probability distribution touches only the
+compatible entries.
 """
 
 import numpy as np

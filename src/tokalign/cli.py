@@ -34,13 +34,16 @@ from .decoding import (
     ScriptedModel,
     _check_seed,
     build_ngram_model,
+    check_ngram_config,
     generate,
 )
 from .trie import MaskCache, build_trie
 from .vocab import (
     PretokenizeOptions,
     Vocabulary,
+    check_target_size,
     load_vocabulary,
+    parse_json,
     save_vocabulary,
     train_tiny_bpe,
     write_json,
@@ -82,7 +85,7 @@ def _load_provider(args, vocab: Vocabulary):
         path = _resolve(spec[len("scripted:"):])
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                return ScriptedModel.from_json_dict(vocab, json.load(fh))
+                return ScriptedModel.from_json_dict(vocab, parse_json(fh.read()))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
     if spec.startswith("ngram:"):
@@ -125,9 +128,14 @@ def _attach_configs(args) -> None:
         args.align_cfg = align_mod.AlignConfig(backtrack_tokens=args.backtrack)
     if hasattr(args, "metrics"):
         metrics.check_metrics(args.metrics)
+    # before align and eval load the vocabulary, and vocab train reads the corpus
+    if hasattr(args, "provider"):
+        check_ngram_config(args.ngram_order, args.ngram_alpha)
+    if hasattr(args, "target_size"):
+        check_target_size(args.target_size, len(args.special or ()))
 
 
-def _open_or(path: str | None, std, mode: str, encoding: str):
+def _open_or(path: str | None, std, mode: str, encoding: str | None):
     """``path`` opened, or the stream ``std``, left open, for no path or "-"."""
     if path in (None, "-"):
         return contextlib.nullcontext(std)
@@ -177,12 +185,13 @@ def cmd_align(args) -> int:
     provider = _load_provider(args, vocab)
     arm = "unaligned" if args.no_align else "aligned"
     complete = _arms(args, vocab, provider, [arm])[arm]
-    # the prompts are opened first, so a missing prompt file leaves --out as it was
+    # the prompts are opened first, so a missing prompt file leaves --out as it was;
+    # they are read as bytes, so each line is decoded on its own
     with (
-        _open_or(args.prompt_file, sys.stdin, "r", "utf-8") as prompts,
+        _open_or(args.prompt_file, getattr(sys.stdin, "buffer", sys.stdin), "rb", None) as prompts,
         _open_or(args.out, sys.stdout, "w", "ascii") as out,
     ):
-        name = "<stdin>" if prompts is sys.stdin else args.prompt_file
+        name = "<stdin>" if args.prompt_file in (None, "-") else args.prompt_file
         for prompt_id, prompt in scenarios.read_text_docs(prompts, name, "prompt_b64"):
             doc = {"id": prompt_id, **complete(prompt).to_json_dict()}
             if not args.timings:
@@ -295,6 +304,8 @@ def cmd_bench(args) -> int:
     _check_seed(args.seed)
     if not args.skip_steps:
         bench_mod.check_prompt_count(args.prompts)
+        check_target_size(args.train_size)
+        check_ngram_config(args.ngram_order, args.ngram_alpha)
     if not args.skip_lookup:
         bench_mod.check_lookup_counts(args.queries, args.warmup, args.naive_queries)
         if not args.vocab:

@@ -3,9 +3,11 @@
 Providers return full probability vectors (not logits): masking and
 renormalization downstream are then unambiguous.  All stochasticity
 lives in the sampler, which draws from an explicit seeded generator
-(NumPy PCG64) via inverse-CDF over the kept set in token-id order, so
+(NumPy PCG64) via inverse-CDF over the kept set in position order, so
 identical seeds reproduce identical outputs byte for byte.  A greedy
-draw takes the first maximum, so ties go to the lowest id.
+draw takes the first maximum, so ties go to the first position.  A
+position is a token id in a provider row; in a masked row it is a place
+in the mask, whose ids come in the index's order (``trie.TokenMask``).
 
 Per-token code calls ndarray methods (``argmax``, ``sort``, ``cumsum``,
 ``searchsorted``, ``nonzero``) rather than the ``np.*`` functions that
@@ -215,12 +217,12 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def nucleus_keep_set(dist: np.ndarray, top_p: float, temperature: float = 1.0) -> np.ndarray:
-    """Ids of the smallest descending-probability prefix with mass >= top_p.
+    """Positions of the smallest descending-probability prefix with mass >= top_p.
 
     Temperature is applied in the log domain first (zero entries stay
-    zero).  Ties at equal probability order by ascending id; the boundary
-    token is included, so the kept set is never empty.  Returned ids are
-    ascending.
+    zero).  Ties at equal probability order by position, first first; the
+    boundary entry is included, so the kept set is never empty.  Returned
+    positions (token ids, for a provider row) are ascending.
     """
     return _keep_set(_apply_temperature(dist, temperature), top_p)[0]
 
@@ -247,7 +249,7 @@ def _keep_set(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Ascending ids, and their values, of those at or above a tail-mass threshold.
+    """Ascending positions, and their values, of those at or above a tail-mass threshold.
 
     The threshold is the largest value of the sorted stride sample whose
     estimated mass below it, ``_SAMPLE_STRIDE`` times the sum of the
@@ -280,14 +282,15 @@ def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | 
 def _keep_among(
     ids: np.ndarray | None, vals: np.ndarray, top_p: float
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The kept ids and values found by sorting ``vals = w[ids]`` (``ids`` None: all of ``w``).
+    """The kept positions and values from sorting ``vals = w[ids]`` (``ids`` None: all of ``w``).
 
-    ``ids`` holds every id whose value is at or above some threshold, so
-    ``vals`` are the largest values with all their ties, and their
-    descending running sums are the first running sums of the whole
+    ``ids`` holds every position of ``w`` whose value is at or above some
+    threshold, so ``vals`` are the largest values with all their ties, and
+    their descending running sums are the first running sums of the whole
     vector.  When those reach ``top_p`` the cut and its value ``v`` are a
-    full sort's; otherwise this returns None.  The kept ids are those
-    above ``v`` plus the lowest-id ties at ``v`` up to the cut count.
+    full sort's; otherwise this returns None.  The kept positions are those
+    above ``v`` plus, in position order, the first ties at ``v`` up to the
+    cut count.
     """
     top = vals.copy()
     top.sort()
@@ -300,7 +303,7 @@ def _keep_among(
     if len(top) - int(top.searchsorted(v, side="left")) == cut + 1:
         pos = (vals >= v).nonzero()[0]
     else:
-        # more ids reach v than the cut holds: keep the lowest-id ties
+        # more positions reach v than the cut holds: keep the first ties
         keep = vals > v
         keep[(vals == v).nonzero()[0][: cut + 1 - int(np.count_nonzero(keep))]] = True
         pos = keep.nonzero()[0]
@@ -311,8 +314,9 @@ def _draw_small(w: list[float], top_p: float, rng: np.random.Generator) -> int:
     """The nucleus draw of :func:`sample` for at most ``_LEFT_FOLD_MAX`` weights.
 
     The same IEEE operations in the same order as the NumPy path: a
-    descending running sum to the cut, the lowest-id ties, the kept mass
-    added left to right, then the inverse CDF walked with one draw.
+    descending running sum to the cut, the first ties in position order,
+    the kept mass added left to right, then the inverse CDF walked with one
+    draw.
     """
     if not w:
         raise ValueError("cannot sample from an empty distribution")
@@ -504,6 +508,14 @@ def generate(
 _ROW_MEMO_BYTES = 32 << 20
 
 
+def check_ngram_config(order: int, alpha: float) -> None:
+    """The range rules of :class:`NGramModel`, for callers that fail before any work."""
+    if order < 1:
+        raise ConfigError("order", f"n-gram order must be >= 1, got {order}")
+    if alpha < 0:
+        raise ConfigError("alpha", f"smoothing alpha must be >= 0, got {alpha}")
+
+
 class NGramModel:
     """Seeded-corpus n-gram provider with add-alpha smoothing.
 
@@ -517,7 +529,8 @@ class NGramModel:
     ``Counter`` pass and adds each to its context's counter.  It raises
     ValueError, naming the first id that is not an integer (NumPy
     integers are integers) or else the first id outside
-    ``0..vocab_size-1``, before it counts anything of that sequence.
+    ``0..vocab_size-1``, before it counts anything of that sequence.  A
+    ``bool`` id counts as the id it indexes (``True`` is 1).
 
     Every returned row is read-only.  Unseen contexts share one uniform
     row.  A seen context's row is built on first use and kept while the
@@ -531,10 +544,7 @@ class NGramModel:
     _BEFORE_START = -1
 
     def __init__(self, vocab_size: int, order: int, alpha: float):
-        if order < 1:
-            raise ConfigError("order", f"n-gram order must be >= 1, got {order}")
-        if alpha < 0:
-            raise ConfigError("alpha", f"smoothing alpha must be >= 0, got {alpha}")
+        check_ngram_config(order, alpha)
         self.vocab_size = vocab_size
         self.order = order
         self.alpha = alpha
@@ -579,8 +589,8 @@ class NGramModel:
         if counter is None:
             return self._uniform
         dist = np.full(self.vocab_size, self.alpha, dtype=np.float64)
-        for token, count in counter.items():
-            dist[token] += count
+        # the keys as one int64 array, so a bool key counts as the id it indexes
+        dist[np.fromiter(counter, np.int64, len(counter))] += list(counter.values())
         dist /= dist.sum()
         if len(self._rows) < self._row_capacity:
             dist = self._rows[key] = _frozen_row(dist)

@@ -191,8 +191,10 @@ def write_eval_records(path: str, records: Sequence[EvalRecord]) -> None:
 
 
 def read_eval_records(path: str) -> list[EvalRecord]:
-    with open(path, "r", encoding="ascii") as fh:
-        return list(read_json_lines(fh, path, lambda doc, _: EvalRecord.from_json_dict(doc)))
+    with open(path, "rb") as fh:
+        return list(
+            read_json_lines(fh, path, lambda doc, _: EvalRecord.from_json_dict(doc), "ascii")
+        )
 
 
 def check_metrics(names: Sequence[str]) -> None:

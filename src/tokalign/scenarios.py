@@ -268,15 +268,18 @@ def load_corpus(path: str) -> list[tuple[str, bytes]]:
                 with open(full, "rb") as fh:
                     docs.append((name, fh.read()))
         return docs
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return list(read_text_docs(fh, path, "text_b64"))
 
 
-def read_text_docs(fh: Iterable[str], name: str, b64_key: str) -> Iterator[tuple[str, bytes]]:
+def read_text_docs(
+    fh: Iterable[bytes | str], name: str, b64_key: str
+) -> Iterator[tuple[str, bytes]]:
     """Yield ``(id, bytes)`` for each ``{id?, text | <b64_key>}`` JSON line of ``fh``.
 
     The base64 field wins when both are present; a line without an ``id``
-    takes its line index.  Errors are :func:`read_json_lines` errors.
+    takes its line index.  Lines of bytes are UTF-8.  Errors are
+    :func:`read_json_lines` errors.
     """
     def convert(doc: dict, index: int) -> tuple[str, bytes]:
         if b64_key in doc:
@@ -296,5 +299,7 @@ def write_dataset(path: str, examples: Iterable[ScenarioExample], stats: dict | 
 
 
 def read_dataset(path: str) -> list[ScenarioExample]:
-    with open(path, "r", encoding="ascii") as fh:
-        return list(read_json_lines(fh, path, lambda doc, _: ScenarioExample.from_json_dict(doc)))
+    with open(path, "rb") as fh:
+        return list(
+            read_json_lines(fh, path, lambda doc, _: ScenarioExample.from_json_dict(doc), "ascii")
+        )

@@ -2,9 +2,9 @@
 
 The index answers one question fast: given a byte prefix ``P``, which
 tokens either *start with* ``P`` or *are a prefix of* ``P``?  The answer
-comes back as the ascending array of compatible token ids, so applying
-it to a probability vector costs O(number of compatible tokens), not
-O(vocabulary size).
+comes back as an array of the compatible token ids (a ``TokenMask``,
+below), so applying it to a probability vector costs O(number of
+compatible tokens), not O(vocabulary size).
 
 The non-special tokens are kept sorted bytewise.  The tokens that start
 with ``P`` then form one contiguous run, found by two bisections.  The
@@ -30,8 +30,9 @@ import numpy as np
 
 from .vocab import Vocabulary
 
-# A TokenMask is a read-only, strictly ascending int64 ndarray of the token
-# ids compatible with the query prefix.  Special tokens never appear.
+# A TokenMask is a read-only int64 ndarray of the compatible token ids, each
+# once, in the index's bytewise token order: that order decides only greedy
+# ties and the order a nucleus draw walks the mask.  Specials never appear.
 TokenMask = np.ndarray
 
 
@@ -75,12 +76,12 @@ class ByteTrie:
         return len(self._tokens)
 
     def matching_tokens(self, prefix: bytes) -> TokenMask:
-        """Ascending ids of tokens t with ``t.startswith(prefix) or prefix.startswith(t)``.
+        """Ids of tokens t with ``t.startswith(prefix) or prefix.startswith(t)``, in index order.
 
-        Cost: at most two bisections, a walk up the prefix chain of one
-        token, and one sort of the run of tokens starting with
-        ``prefix``.  An empty array is a legal result; callers decide
-        what a dead end means.
+        Cost: at most two bisections and a walk up the prefix chain of
+        one token.  With no proper prefix of ``prefix`` in the index the
+        mask is a view of the index's ids, not a copy.  An empty array is
+        a legal result; callers decide what a dead end means.
         """
         tokens, parent, id_at = self._tokens, self._parent, self._ids.item
         lo = hi = bisect_left(tokens, prefix)
@@ -94,7 +95,8 @@ class ByteTrie:
             else:
                 hi = len(tokens)
         # Every proper prefix of ``prefix`` sorts before it, so the longest
-        # one is in the prefix chain of the last token before the run.
+        # one is in the prefix chain of the last token before the run; the
+        # chain runs longest first, and a shorter prefix sorts first.
         exact: list[int] = []
         j = lo - 1
         while j >= 0 and not prefix.startswith(tokens[j]):
@@ -102,12 +104,10 @@ class ByteTrie:
         while j >= 0:
             exact.append(id_at(j))
             j = parent[j]
-        if lo == hi:
-            exact.sort()
-            ids = np.array(exact, dtype=np.int64)
-        else:
-            ids = np.concatenate((np.array(exact, dtype=np.int64), self._ids[lo:hi]))
-            ids.sort()
+        run = self._ids[lo:hi]
+        if not exact:
+            return run
+        ids = np.concatenate((exact[::-1], run), dtype=np.int64)
         ids.setflags(write=False)
         return ids
 

@@ -299,10 +299,20 @@ def load_vocabulary(path: str) -> Vocabulary:
     """Load a vocabulary from its JSON file format."""
     with open(path, "rb") as fh:
         try:
-            doc = json.load(fh)
+            doc = parse_json(fh.read())
         except json.JSONDecodeError as exc:
             raise VocabularyFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        except ValueError as exc:  # bytes that do not decode, or nesting past the parser
+            raise VocabularyFormatError(f"{path}: {exc}") from None
     return vocabulary_from_dict(doc, where=path)
+
+
+def parse_json(text: str | bytes) -> object:
+    """``json.loads``, except that nesting too deep to parse is a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
 
 
 def json_is(value: object, kind: type | tuple[type, ...]) -> bool:
@@ -393,19 +403,28 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
         fh.write("\n")
 
 
-def read_json_lines(fh: Iterable[str], name: str, convert: Callable[[dict, int], object]) -> Iterator:
+def read_json_lines(
+    fh: Iterable[bytes | str],
+    name: str,
+    convert: Callable[[dict, int], object],
+    encoding: str = "utf-8",
+) -> Iterator:
     """Yield ``convert(doc, index)`` for each non-blank JSON line of ``fh``.
 
-    ``index`` counts lines from 0.  A line that is not a JSON object, or
-    that ``convert`` rejects with a ValueError, raises a ValueError that
-    names ``name`` and the line number.
+    ``index`` counts lines from 0.  A line of bytes is decoded on its own
+    with ``encoding`` (a text line is taken as it is), so a byte that does
+    not decode is reported on its own line.  A line that does not decode,
+    is not a JSON object, or that ``convert`` rejects with a ValueError,
+    raises a ValueError that names ``name`` and the line number.
     """
     for index, line in enumerate(fh):
-        line = line.strip()
-        if not line:
-            continue
         try:
-            doc = json.loads(line)
+            if isinstance(line, bytes):
+                line = line.decode(encoding)
+            line = line.strip()
+            if not line:
+                continue
+            doc = parse_json(line)
             if not isinstance(doc, dict):
                 raise ValueError(f"expected an object, got {type(doc).__name__}")
             item = convert(doc, index)
@@ -496,6 +515,15 @@ def pretokenize(text: bytes, options: PretokenizeOptions) -> list[bytes]:
     return out
 
 
+def check_target_size(target_size: int, special_count: int = 0) -> None:
+    """The size rule of :func:`train_tiny_bpe`, for callers that fail before any work."""
+    if target_size < 256 + special_count:
+        raise ConfigError(
+            "target_size",
+            f"{target_size} tokens cannot hold the 256 single bytes plus {special_count} specials",
+        )
+
+
 def train_tiny_bpe(
     corpus: Iterable[bytes],
     target_size: int,
@@ -534,11 +562,7 @@ def train_tiny_bpe(
     training corpus again, as building an n-gram provider from it does,
     runs no BPE merging.
     """
-    if target_size < 256 + len(specials):
-        raise ConfigError(
-            "target_size",
-            f"{target_size} tokens cannot hold the 256 single bytes plus {len(specials)} specials",
-        )
+    check_target_size(target_size, len(specials))
     documents = [bytes(d) for d in corpus]
     if not documents or all(len(d) == 0 for d in documents):
         raise VocabularyError("training corpus is empty")

@@ -328,7 +328,7 @@ class TestSafetyBound:
     def test_long_single_token_prefix_completes(self):
         # the demo's first line is one 59-byte token, so backtracking leaves
         # an empty context; the table's default row is flat over the
-        # compatible tokens, so greedy takes the lowest id, a single byte,
+        # compatible tokens, so greedy takes the mask's first id, a single byte,
         # and alignment consumes the prefix one byte per step
         vocab = load_vocabulary(fixtures.data_path(fixtures.DEMO_VOCAB_FILE))
         with open(fixtures.data_path(fixtures.DEMO_TABLE_FILE)) as fh:

@@ -115,3 +115,16 @@ def test_setup_part_lines_show_both_medians_and_change_rel():
         "w setup part cache_s: parent 0 change 0 s, change_rel n/a",
         "w setup part provider_s: parent 0.003 change 0.0027 s, change_rel -10.00%",
     ]
+
+
+def test_digest_line_counts_equal_pairs_per_arm():
+    def result(aligned, plain):
+        return {"record": {"digests": {"aligned": aligned, "plain": plain}}}
+
+    runs = {
+        "parent": [result("a", "p"), result("a", "p"), result("a", "p")],
+        "change": [result("a", "p"), result("x", "p"), result("y", "p")],
+    }
+    assert bench_pairs.digest_line("w", runs) == (
+        "w digests equal to parent: aligned 1 of 3, plain 3 of 3"
+    )

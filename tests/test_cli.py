@@ -1,5 +1,6 @@
 import base64
 import csv
+import io
 import json
 import os
 import re
@@ -386,6 +387,37 @@ class TestExitCodes:
         assert len(errors) == 1 and f"argument {flag}: " in errors[0]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("align", ["--ngram-order", "0"]),
+            ("align", ["--ngram-alpha", "-1"]),
+            ("eval", ["--ngram-order", "0"]),
+            ("eval", ["--ngram-alpha", "-1"]),
+            ("vocab train", ["--target-size", "100"]),
+        ],
+        ids=["align-order", "align-alpha", "eval-order", "eval-alpha", "vocab-train-size"],
+    )
+    def test_bad_value_fails_before_any_file_is_read(self, capsys, monkeypatch, command, flags):
+        import tokalign.cli as cli_module
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError(f"{command} read a file before {flags[0]} was checked")
+
+        for name in ("load_corpus", "read_dataset", "read_text_docs"):
+            monkeypatch.setattr(cli_module.scenarios, name, not_reached)
+        monkeypatch.setattr(cli_module, "load_vocabulary", not_reached)
+        argv = {
+            "align": ["align", "--vocab", "v.json", "--provider", "ngram:c.jsonl"],
+            "eval": ["eval", "--dataset", "d.jsonl", "--vocab", "v.json",
+                     "--provider", "ngram:c.jsonl"],
+            "vocab train": ["vocab", "train", "--corpus", "c.jsonl", "--out", "v.json"],
+        }[command]
+        code, out, err = run(capsys, *argv, *flags)
+        assert code == 1
+        assert out == ""
+        assert f"argument {flags[0]}: " in err
+
     def test_escapes_in_flags_still_parse(self, capsys, tmp_path, demo_paths, demo_prompt_file):
         path = tmp_path / "v.json"
         code, _, _ = run(
@@ -437,6 +469,33 @@ class TestExitCodes:
         bad = tmp_path / "bad.jsonl"
         bad.write_text(content + "\n")
         assert_one_error_line(capsys, reader_argv(kind, bad, demo_paths, demo_prompt_file), bad)
+
+    @pytest.mark.parametrize("command", ["align", "align-stdin", "gen-dataset", "vocab train"])
+    def test_undecodable_byte_names_the_file_and_line(
+        self, capsys, monkeypatch, tmp_path, demo_paths, command
+    ):
+        # each line is decoded on its own, so the error names the line it is on
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"text": "x = 1"}\n{"text": "\xff"}\n')
+        align = ["align", "--vocab", demo_paths["vocab"],
+                 "--provider", f"scripted:{demo_paths['table']}", "--max-new-tokens", "1"]
+        argv = {
+            "align": [*align, "--prompt-file", str(bad)],
+            "align-stdin": align,
+            "gen-dataset": ["gen-dataset", "--corpus", str(bad), "--scenario", "subword",
+                            "--out", str(tmp_path / "d.jsonl")],
+            "vocab train": ["vocab", "train", "--corpus", str(bad), "--target-size", "300",
+                            "--out", str(tmp_path / "v.json")],
+        }[command]
+        if command == "align-stdin":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes())))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        name = "<stdin>" if command == "align-stdin" else bad
+        assert err.splitlines() == [
+            f"tokalign: error: {name}: line 2: 'utf-8' codec can't decode byte 0xff"
+            " in position 10: invalid start byte"
+        ]
 
     @pytest.mark.parametrize(
         "kind, field",
@@ -917,15 +976,22 @@ class TestBench:
             (["--warmup", "-1"], "argument --warmup: warm-up count must be >= 0, got -1"),
             (["--vocab-size", "100"],
              "argument --vocab-size: 100 tokens cannot hold the 256 single bytes"),
+            (["--train-size", "100"],
+             "argument --train-size: 100 tokens cannot hold the 256 single bytes"),
+            (["--ngram-order", "0"], "argument --ngram-order: n-gram order must be >= 1, got 0"),
+            (["--ngram-alpha", "-1"],
+             "argument --ngram-alpha: smoothing alpha must be >= 0, got -1.0"),
         ],
-        ids=["prompts", "queries", "naive-queries", "warmup", "vocab-size"],
+        ids=["prompts", "queries", "naive-queries", "warmup", "vocab-size", "train-size",
+             "ngram-order", "ngram-alpha"],
     )
     def test_bad_count_fails_before_the_corpus_is_read(self, capsys, monkeypatch, flags,
                                                         message, skip_other_part):
         import tokalign.cli as cli_module
 
-        # --prompts belongs to the step statistics, the rest to the lookup benchmark
-        other_part = "--skip-lookup" if flags[0] == "--prompts" else "--skip-steps"
+        # these belong to the step statistics, the rest to the lookup benchmark
+        step_flags = ("--prompts", "--train-size", "--ngram-order", "--ngram-alpha")
+        other_part = "--skip-lookup" if flags[0] in step_flags else "--skip-steps"
 
         def not_reached(*args, **kwargs):
             raise AssertionError(f"bench did work before {flags[0]} was checked")

@@ -103,7 +103,7 @@ GOLDEN = {
     "mixed_subword.jsonl.stats.json":
         "6f7c3d7c8f0498d378504c92eaca47fa1a25aaf945fbc8b0fb4aa9618c53c203",
     "nucleus.jsonl":
-        "0d42ec1aef83feef8b65eb96ba01693a600b913a677e4fa5b36e3395f4426dd6",
+        "272214debf7cbd3060a67da2da122505a43b314873cbb9d7aebc850b31bc5d5f",
     "plain.jsonl":
         "06b83eb0e1ab1ecb9c2e4df0a93dae93bbec589f143b93e7aedfa5b5179a068c",
     "prefix_indent.jsonl":

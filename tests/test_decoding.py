@@ -204,6 +204,16 @@ class TestNGram:
         assert np.array_equal(model.next_distribution([]), [0, 1, 0, 0, 0])
         assert np.array_equal(model.next_distribution([1]), [0, 0, 1, 0, 0])
 
+    def test_bool_ids_counted_as_the_ids_they_index(self):
+        # True indexes id 1 and False id 0, as in decode and the range check
+        model = NGramModel(5, order=1, alpha=0.0)
+        model.observe([True, 2])
+        assert np.array_equal(model.next_distribution([]), [0, 1, 0, 0, 0])
+        assert np.array_equal(model.next_distribution([1]), [0, 0, 1, 0, 0])
+        model = NGramModel(5, order=1, alpha=0.0)
+        model.observe([3, False])
+        assert np.array_equal(model.next_distribution([3]), [1, 0, 0, 0, 0])
+
 
 class TestScripted:
     def test_default_only(self):

@@ -47,17 +47,17 @@ GOLDEN = {
     "demo/plain/nucleus":
         "03c88fa2a2f1bb6e2146589df468a941ef0a92902c84730943b88babcda5d5e4",
     "prefix_indent/aligned/greedy":
-        "7d041c23be0c0deaf984393aba3066405fe35f02d1f9e13f8c2d0b2330feec77",
+        "6946196df2248ab8c0fe553fbc3f49e511ed53ef4883bd068652393f2cf609f8",
     "prefix_indent/aligned/nucleus":
-        "cd9e724881a0de539d89bc438b763bbf0a52708359567bbcbb2b4b17bbb3ef34",
+        "eb6a0360577dfab6af01be97f133b2fdf5ef68ac04efdb55117529b510790c63",
     "prefix_indent/plain/greedy":
         "c91c500035e9de6a0d6a40f43cf34b213382af6340db5daea8b8e7d67b4afd25",
     "prefix_indent/plain/nucleus":
         "2b203f75274cd00e97f1538883276ec31092af3914f7a0a10a5840d6f92481ca",
     "prefix_sep/aligned/greedy":
-        "04d85070e7767166a074286e40f339e287de2e38b570f82de62849d305b17945",
+        "0025da9ad597dd1e08e812a190f2f0371fdff5af3e67e0a533978ea967183906",
     "prefix_sep/aligned/nucleus":
-        "db1826f611e1506b40c810c43dd15aba206a571a84d1cf79859fd50689b526ae",
+        "b58992db643f7bc25ee35b86fff8845a78531fbffa46f09ac823d190a92a82ec",
     "prefix_sep/plain/greedy":
         "8128eee519c8b2645403bad8d050ffa0d3a6fdcce52c9585676ce9482342901e",
     "prefix_sep/plain/nucleus":
@@ -73,7 +73,7 @@ GOLDEN = {
     "subword/aligned/greedy":
         "7d5d49fe19fae3a7017abafe1b695cae019994abaea9d86238c8d92388dd923f",
     "subword/aligned/nucleus":
-        "b8ae759d64297260c3272dd990585feeee3ae87c52f67819a906010e4532337a",
+        "fe8ac395c953b9a49e9be1f7ffdf52c6597a5a146e177a4e6d6cd1a96fdd5c96",
     "subword/plain/greedy":
         "7ce9fcf289699ee833938eead1ca1411bc65acc56e7b69be7caafa6d07c0e0e6",
     "subword/plain/nucleus":

@@ -26,8 +26,9 @@ the benchmark's gate applies to a claimed gain: the change wins at least
 After each workload it prints one line per end-to-end metric (both
 medians, ``change_rel``, wins, losses and ``within_bound``), then one
 line per timed part of the build (both unscaled medians and
-``change_rel``), and at the end the claim's verdict, so a breached bound
-shows without the JSON.  The benchmark scales ``setup_s`` by a reference
+``change_rel``), then how many pairs' output digests equal the parent's
+for each benchmark arm (aligned and plain), and at the end the claim's
+verdict, so a breached bound or a changed output shows without the JSON.  The benchmark scales ``setup_s`` by a reference
 build timed around it, so the scaled figure can move against the raw
 build; the part lines show which raw part moved.
 """
@@ -162,6 +163,15 @@ def setup_part_lines(workload: str, summary: dict) -> list[str]:
     return lines
 
 
+def digest_line(workload: str, runs: dict) -> str:
+    """Per benchmark arm, in how many pairs the change's output digest equals the parent's."""
+    pairs = [(p["record"]["digests"], c["record"]["digests"])
+             for p, c in zip(runs["parent"], runs["change"])]
+    counts = ", ".join(f"{arm} {sum(p[arm] == c[arm] for p, c in pairs)} of {len(pairs)}"
+                       for arm in pairs[0][1])
+    return f"{workload} digests equal to parent: {counts}"
+
+
 def claim_line(claim: dict, entry: dict) -> str:
     """The claim's verdict, with the wins and the median gap it rests on."""
     return (f"claim {claim['workload']}/{claim['metric']}: {'met' if claim['met'] else 'NOT met'} "
@@ -267,8 +277,8 @@ def main(argv=None) -> int:
             declared["end_to_end"], args.seeds, runs, traced
         )
         summary = result["workloads"][workload]
-        print("\n".join(gate_lines(workload, summary) + setup_part_lines(workload, summary)),
-              flush=True)
+        lines = gate_lines(workload, summary) + setup_part_lines(workload, summary)
+        print("\n".join([*lines, digest_line(workload, runs)]), flush=True)
     if args.claim:
         workload, _, metric = args.claim.partition("/")
         entry = result["workloads"][workload]["end_to_end"][metric]
