@@ -35,6 +35,7 @@ id would:
 from __future__ import annotations
 
 import base64
+import math
 import time
 import weakref
 from array import array
@@ -512,8 +513,8 @@ def check_ngram_config(order: int, alpha: float) -> None:
     """The range rules of :class:`NGramModel`, for callers that fail before any work."""
     if order < 1:
         raise ConfigError("order", f"n-gram order must be >= 1, got {order}")
-    if alpha < 0:
-        raise ConfigError("alpha", f"smoothing alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < math.inf:  # NaN fails this too
+        raise ConfigError("alpha", f"smoothing alpha must be finite and >= 0, got {alpha}")
 
 
 class NGramModel:

@@ -980,7 +980,7 @@ class TestBench:
              "argument --train-size: 100 tokens cannot hold the 256 single bytes"),
             (["--ngram-order", "0"], "argument --ngram-order: n-gram order must be >= 1, got 0"),
             (["--ngram-alpha", "-1"],
-             "argument --ngram-alpha: smoothing alpha must be >= 0, got -1.0"),
+             "argument --ngram-alpha: smoothing alpha must be finite and >= 0, got -1.0"),
         ],
         ids=["prompts", "queries", "naive-queries", "warmup", "vocab-size", "train-size",
              "ngram-order", "ngram-alpha"],

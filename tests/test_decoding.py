@@ -174,6 +174,12 @@ class TestNGram:
         with pytest.raises(ValueError):
             NGramModel(10, order=0, alpha=0.1)
 
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_alpha_outside_range_rejected(self, alpha):
+        # a NaN or infinite alpha would make every seen context's row NaN
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            NGramModel(10, order=1, alpha=alpha)
+
     @pytest.mark.parametrize("ids, bad", [([-1, 3], -1), ([7], 7), ([2, 5, -2], 5)])
     def test_id_outside_vocabulary_rejected_before_counting(self, ids, bad):
         model = NGramModel(5, order=1, alpha=0.0)
