@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoding import (
-    _FLOAT64,
     _LEFT_FOLD_MAX,
     ConfigError,
     GenerationResult,
@@ -114,7 +113,7 @@ def mask_distribution(dist: np.ndarray, ids: TokenMask) -> np.ndarray:
     if n == 0:
         raise EmptyMaskError()
     subset = dist[ids]
-    if n <= _LEFT_FOLD_MAX and subset.dtype is _FLOAT64:
+    if n <= _LEFT_FOLD_MAX and subset.dtype.type is np.float64:
         # the sum NumPy would take, without its call overhead
         total = 0.0
         for x in subset.tolist():
@@ -196,10 +195,7 @@ def aligned_generate(
                 rng.random()
             chosen = ids.item(0)
         else:
-            dist = next_distribution(context)
-            if type(dist) is not np.ndarray or dist.dtype is not _FLOAT64:
-                dist = np.asarray(dist, dtype=np.float64)
-            check_distribution(dist, size)
+            dist = check_distribution(next_distribution(context), size)
             t_mask = clock()
             probs = mask_distribution(dist, ids)
             step_ns += clock() - t_mask

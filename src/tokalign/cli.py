@@ -31,11 +31,11 @@ from . import fixtures, metrics, scenarios
 from .decoding import (
     ConfigError,
     SamplerConfig,
-    ScriptedModel,
     _check_seed,
     build_ngram_model,
     check_ngram_config,
     generate,
+    load_scripted_model,
 )
 from .trie import MaskCache, build_trie
 from .vocab import (
@@ -43,7 +43,6 @@ from .vocab import (
     Vocabulary,
     check_target_size,
     load_vocabulary,
-    parse_json,
     save_vocabulary,
     train_tiny_bpe,
     write_json,
@@ -82,12 +81,7 @@ def _escape_bytes(text: str) -> bytes:
 def _load_provider(args, vocab: Vocabulary):
     spec = args.provider
     if spec.startswith("scripted:"):
-        path = _resolve(spec[len("scripted:"):])
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return ScriptedModel.from_json_dict(vocab, parse_json(fh.read()))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+        return load_scripted_model(_resolve(spec[len("scripted:"):]), vocab)
     if spec.startswith("ngram:"):
         path = _resolve(spec[len("ngram:"):])
         if path.endswith(".jsonl"):
@@ -173,7 +167,7 @@ def _stdin_stat() -> os.stat_result | None:
 
 
 def cmd_align(args) -> int:
-    # align reads its prompts while it writes, so opening --out first would empty them
+    # results written over their own prompts would leave no copy of the input
     if args.out not in (None, "-") and os.path.exists(args.out):
         if args.prompt_file in (None, "-"):
             source, prompts = "standard input", _stdin_stat()
@@ -185,19 +179,21 @@ def cmd_align(args) -> int:
     provider = _load_provider(args, vocab)
     arm = "unaligned" if args.no_align else "aligned"
     complete = _arms(args, vocab, provider, [arm])[arm]
-    # the prompts are opened first, so a missing prompt file leaves --out as it was;
-    # they are read as bytes, so each line is decoded on its own
-    with (
-        _open_or(args.prompt_file, getattr(sys.stdin, "buffer", sys.stdin), "rb", None) as prompts,
-        _open_or(args.out, sys.stdout, "w", "ascii") as out,
-    ):
-        name = "<stdin>" if args.prompt_file in (None, "-") else args.prompt_file
-        for prompt_id, prompt in scenarios.read_text_docs(prompts, name, "prompt_b64"):
-            doc = {"id": prompt_id, **complete(prompt).to_json_dict()}
-            if not args.timings:
-                # wall-clock fields would break bit-reproducibility of seeded runs
-                del doc["timings_us"]
-            out.write(json.dumps(doc) + "\n")
+    # prompts are read as bytes, so each line is decoded on its own
+    name = "<stdin>" if args.prompt_file in (None, "-") else args.prompt_file
+    with _open_or(args.prompt_file, getattr(sys.stdin, "buffer", sys.stdin), "rb", None) as fh:
+        docs = list(scenarios.read_text_docs(fh, name, "prompt_b64"))
+    # every prompt is completed before --out is opened, so a bad line (exit 2)
+    # or a failed alignment (exit 3) writes nothing
+    lines = []
+    for prompt_id, prompt in docs:
+        doc = {"id": prompt_id, **complete(prompt).to_json_dict()}
+        if not args.timings:
+            # wall-clock fields would break bit-reproducibility of seeded runs
+            del doc["timings_us"]
+        lines.append(json.dumps(doc) + "\n")
+    with _open_or(args.out, sys.stdout, "w", "ascii") as out:
+        out.writelines(lines)
     return EXIT_OK
 
 

@@ -45,7 +45,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .vocab import ConfigError, Vocabulary, decode, encode, json_field, json_is
+from .vocab import ConfigError, Vocabulary, decode, encode, json_field, json_is, parse_json
 
 DIST_SUM_TOLERANCE = 1e-6
 
@@ -91,12 +91,15 @@ def _forget_row(ref: weakref.KeyedRef) -> None:
         del _PASSED_ROWS[ref.key]
 
 
-def check_distribution(dist: np.ndarray, size: int) -> None:
-    """Enforce the provider contract on one provider output.
+def check_distribution(dist, size: int) -> np.ndarray:
+    """Enforce the provider contract on one provider output, and return it as float64.
 
     The contract: shape ``(size,)``, no negative or NaN entries, sum 1
-    within 1e-6.  Callers run it once on every provider output.  ``min``
-    propagates NaN and ``sum`` propagates inf, so two passes catch both.
+    within 1e-6.  Callers run it once on every provider output and use
+    the row it returns.  ``min`` propagates NaN and ``sum`` propagates
+    inf, so two passes catch both.  Input that is not an ndarray is
+    converted to float64 first; an array of another dtype must pass as it
+    is and as the float64 copy returned, the values the sampler reads.
     A contiguous float64 row that plainly passes (every entry +0 or
     positive finite, and a dot product with ones within 1e-6 of 1 less a
     rounding band) is accepted by one fast pass instead; any other row
@@ -106,6 +109,8 @@ def check_distribution(dist: np.ndarray, size: int) -> None:
     input is checked on every call, and the verdict and message are
     always the two scans'.
     """
+    if not isinstance(dist, np.ndarray):
+        dist = np.asarray(dist, dtype=np.float64)
     ref = _PASSED_ROWS.get(id(dist))
     if (
         ref is not None
@@ -114,15 +119,18 @@ def check_distribution(dist: np.ndarray, size: int) -> None:
         and dist.strides == _ROW_STRIDES
         and dist.shape == (size,)
     ):
-        return
+        return dist
     _scan_distribution(dist, size)
-    if (
+    if dist.dtype is not _FLOAT64:
+        dist = np.asarray(dist, dtype=np.float64)
+        _scan_distribution(dist, size)
+    elif (
         type(dist) is np.ndarray
         and type(dist.base) is bytes
-        and dist.dtype is _FLOAT64
         and dist.strides == _ROW_STRIDES
     ):
         _PASSED_ROWS[id(dist)] = weakref.KeyedRef(dist, _forget_row, id(dist))
+    return dist
 
 
 # Float64 bit patterns below +inf's are exactly +0 and the positive finite
@@ -197,8 +205,11 @@ class SamplerConfig:
         if self.mode == "nucleus":
             if not 0.0 < self.top_p <= 1.0:
                 raise ConfigError("top_p", "nucleus sampling requires top_p in (0, 1]")
-            if self.temperature <= 0.0:
-                raise ConfigError("temperature", "nucleus sampling requires temperature > 0")
+            if not 0.0 < self.temperature < math.inf:  # NaN fails this too
+                raise ConfigError(
+                    "temperature",
+                    f"nucleus sampling requires a finite temperature > 0, got {self.temperature}",
+                )
         if self.max_new_tokens < 0:
             raise ConfigError("max_new_tokens", "max_new_tokens must be >= 0")
         _check_seed(self.seed)
@@ -465,10 +476,7 @@ def run_free_phase(
         stop_at = first_stop_index(generated, stops) if stops else None
         if stop_at is not None:
             return stop_at
-        dist = next_distribution(context)
-        if type(dist) is not np.ndarray or dist.dtype is not _FLOAT64:
-            dist = np.asarray(dist, dtype=np.float64)
-        check_distribution(dist, size)
+        dist = check_distribution(next_distribution(context), size)
         chosen = sample(dist, cfg, rng)
         context.append(chosen)
         generated += tokens[chosen]
@@ -657,18 +665,6 @@ class ScriptedModel:
                 return probs
         return self.default
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "suffix_b64": base64.b64encode(s).decode("ascii"),
-                    "probs": [float(p) for p in probs],
-                }
-                for s, probs in sorted(self._rows, key=lambda r: r[0])
-            ],
-            "default": [float(p) for p in self.default],
-        }
-
     @classmethod
     def from_json_dict(cls, vocab: Vocabulary, doc: dict) -> "ScriptedModel":
         if not isinstance(doc, dict):
@@ -682,6 +678,15 @@ class ScriptedModel:
             suffix = base64.b64decode(json_field(row, "suffix_b64", str), validate=True)
             rows.append((suffix, _float_row(json_field(row, "probs", list), f"rows[{n}]")))
         return cls(vocab, rows, _float_row(json_field(doc, "default", list), "default"))
+
+
+def load_scripted_model(path: str, vocab: Vocabulary) -> ScriptedModel:
+    """Read a scripted table file; an error in its contents names ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return ScriptedModel.from_json_dict(vocab, parse_json(fh.read()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _frozen_row(values) -> np.ndarray:

@@ -378,7 +378,7 @@ class TestAlwaysOnChecks:
 
         def counting_check(dist, size):
             calls["check"] += 1
-            real_check(dist, size)
+            return real_check(dist, size)
 
         monkeypatch.setattr(align_module, "check_distribution", counting_check)
         monkeypatch.setattr(decoding_module, "check_distribution", counting_check)

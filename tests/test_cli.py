@@ -9,7 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from tokalign import (
@@ -18,7 +17,6 @@ from tokalign import (
     MaskCache,
     SamplerConfig,
     ScenarioExample,
-    ScriptedModel,
     Vocabulary,
     aligned_generate,
     build_ngram_model,
@@ -192,11 +190,40 @@ class TestAlign:
         assert "missing.jsonl" in err
         assert out.read_bytes() == b'{"id": "earlier"}\n'
 
+    @pytest.mark.parametrize("destination", ["out", "stdout"])
+    @pytest.mark.parametrize(
+        "second_line, exit_code",
+        [(b'{"text": "\xff"}\n', 2), (b'{"text": "acd"}\n', 3)],
+        ids=["undecodable", "dead-end"],
+    )
+    def test_failed_later_prompt_writes_nothing(
+        self, capsys, tmp_path, second_line, exit_code, destination
+    ):
+        # the first prompt completes; the second is bad data or a dead end
+        vocab = Vocabulary([b"a", b"ac", b"acd", b"cd"])
+        save_vocabulary(vocab, str(tmp_path / "v.json"))
+        forcing = [0.0] * 4
+        forcing[vocab.id_of(b"ac")] = 1.0
+        (tmp_path / "t.json").write_text(json.dumps({"rows": [], "default": forcing}))
+        prompts = tmp_path / "p.jsonl"
+        prompts.write_bytes(b'{"text": "a"}\n' + second_line)
+        out = tmp_path / "o.jsonl"
+        out.write_bytes(b'{"id": "earlier"}\n')
+        argv = ["align", "--vocab", str(tmp_path / "v.json"),
+                "--provider", f"scripted:{tmp_path / 't.json'}",
+                "--prompt-file", str(prompts), "--backtrack", "1", "--max-new-tokens", "2"]
+        if destination == "out":
+            argv += ["--out", str(out)]
+        code, stdout, err = run(capsys, *argv)
+        assert code == exit_code, err
+        assert stdout == ""
+        assert out.read_bytes() == b'{"id": "earlier"}\n'
+
     @pytest.mark.parametrize("spelling", ["same", "dot"])
     def test_out_naming_the_prompt_file_is_one(
         self, capsys, tmp_path, demo_paths, demo_prompt_file, spelling
     ):
-        # align reads its prompts while it writes, so opening --out would empty them
+        # results written over their own prompts would leave no copy of them
         before = (tmp_path / "prompts.jsonl").read_bytes()
         out = demo_prompt_file if spelling == "same" else f"{tmp_path}/./prompts.jsonl"
         code, stdout, err = run(
@@ -357,6 +384,10 @@ class TestExitCodes:
             ("bench", ["--vocab-size", "100"]),
             ("eval", ["--metrics", "bogus"]),
             ("bench", ["--seed", "-1"]),
+        ] + [
+            (command, ["--mode", "nucleus", "--temperature", value])
+            for command in ("align", "eval")
+            for value in ("nan", "inf")
         ],
     )
     def test_flag_value_out_of_range_is_one(
@@ -395,8 +426,10 @@ class TestExitCodes:
             ("eval", ["--ngram-order", "0"]),
             ("eval", ["--ngram-alpha", "-1"]),
             ("vocab train", ["--target-size", "100"]),
+            ("align", ["--temperature", "nan", "--mode", "nucleus"]),
         ],
-        ids=["align-order", "align-alpha", "eval-order", "eval-alpha", "vocab-train-size"],
+        ids=["align-order", "align-alpha", "eval-order", "eval-alpha", "vocab-train-size",
+             "align-temperature"],
     )
     def test_bad_value_fails_before_any_file_is_read(self, capsys, monkeypatch, command, flags):
         import tokalign.cli as cli_module
@@ -532,11 +565,10 @@ class TestExitCodes:
         vocab = Vocabulary([b"a", b"ac", b"acd", b"cd"])
         vocab_path = tmp_path / "v.json"
         save_vocabulary(vocab, str(vocab_path))
-        forcing = np.zeros(4)
+        forcing = [0.0] * 4
         forcing[vocab.id_of(b"ac")] = 1.0
-        model = ScriptedModel(vocab, [], forcing)
         table_path = tmp_path / "t.json"
-        table_path.write_text(json.dumps(model.to_json_dict()))
+        table_path.write_text(json.dumps({"rows": [], "default": forcing}))
         prompts = tmp_path / "p.jsonl"
         prompts.write_text(json.dumps({"id": "x", "text": "acd"}) + "\n")
         code, _, err = run(

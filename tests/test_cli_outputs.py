@@ -4,7 +4,7 @@ A fixed set of small commands runs in-process through ``cli.main``:
 datasets with their stats sidecars, a trained vocabulary, ``align``
 results (aligned, plain and nucleus), eval reports, CSV tables and saved
 records (both arms, the baseline control arm, and a ``score`` of saved
-records), a ``validate`` pass, and the regenerated bundled data.
+records), a ``validate`` pass, and the shipped bundled data.
 The sha256 of every file written, and of each command's stdout with the
 output directory replaced by ``<out>``, must equal the digest recorded
 below.
@@ -52,6 +52,11 @@ COMMANDS = [
                       "--csv", "{out}/rescored.csv"]),
     ("eval-validate", ["validate", "--dataset", "{out}/punctuation.jsonl"]),
 ]
+
+BUNDLED = (
+    fixtures.CODE_CORPUS_FILE, fixtures.DEMO_TABLE_FILE,
+    fixtures.DEMO_VOCAB_FILE, fixtures.PROSE_CORPUS_FILE,
+)
 
 GOLDEN = {
     "stdout:gen-all":
@@ -169,9 +174,11 @@ def run_commands(tmp_path, capsys) -> dict:
         assert code == 0, (name, captured.err)
         assert captured.err == "", name
         digests[f"stdout:{name}"] = _sha256(captured.out.replace(str(out), "<out>").encode())
-    fixtures.write_bundled_data(str(out / "bundled"))
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digests[path.relative_to(out).as_posix()] = _sha256(path.read_bytes())
+    for name in BUNDLED:
+        with open(fixtures.data_path(name), "rb") as fh:
+            digests[f"bundled/{name}"] = _sha256(fh.read())
     return digests
 
 

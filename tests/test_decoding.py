@@ -1,6 +1,7 @@
 import base64
 import itertools
 import json
+import math
 import re
 import warnings
 
@@ -21,7 +22,7 @@ from tokalign import (
     nucleus_keep_set,
     sample,
 )
-from tokalign.decoding import check_distribution, first_stop_index, run_free_phase
+from tokalign.decoding import ConfigError, check_distribution, first_stop_index, run_free_phase
 
 from conftest import byte_vocab
 
@@ -79,6 +80,16 @@ class TestSample:
         with pytest.raises(ValueError, match="shape"):
             check_distribution(np.full((2, 2), 0.25), 4)
 
+    def test_check_returns_the_float64_row_it_passed(self):
+        row = np.array([0.25, 0.75])
+        assert check_distribution(row, 2) is row
+        for given in ([0.25, 0.75], np.array([0.25, 0.75], dtype=np.float32)):
+            got = check_distribution(given, 2)
+            assert got.dtype == np.float64 and got.tolist() == [0.25, 0.75]
+        # the int64 sum wraps round to 1; the float64 values the sampler reads do not sum to 1
+        with pytest.raises(ValueError, match="sums to"):
+            check_distribution(np.array([2**63 - 1, 2**63 - 1, 3]), 3)
+
     def test_nucleus_empirical_frequencies(self):
         # top_p=0.8 keeps {0.6, 0.3}; renormalized to (2/3, 1/3)
         cfg = SamplerConfig(mode="nucleus", top_p=0.8, temperature=1.0, seed=42)
@@ -134,6 +145,12 @@ class TestSample:
         with pytest.raises(ValueError):
             SamplerConfig(mode="wild")
 
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])
+    def test_nucleus_temperature_must_be_finite_and_positive(self, temperature):
+        with pytest.raises(ConfigError, match="temperature") as info:
+            SamplerConfig(mode="nucleus", temperature=temperature)
+        assert info.value.field == "temperature"
 
 class TestNGram:
     def test_hand_counted_bigram(self):

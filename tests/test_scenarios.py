@@ -229,17 +229,6 @@ class TestCorpusLoading:
         docs = load_corpus(str(tmp_path))
         assert docs == [("one.txt", b"alpha"), ("two.txt", b"beta")]
 
-    def test_bundled_files_match_builders(self, tmp_path):
-        fixtures.write_bundled_data(str(tmp_path))
-        written = sorted(path.name for path in tmp_path.iterdir())
-        assert written == sorted([
-            fixtures.CODE_CORPUS_FILE, fixtures.PROSE_CORPUS_FILE,
-            fixtures.DEMO_VOCAB_FILE, fixtures.DEMO_TABLE_FILE,
-        ])
-        for name in written:
-            with open(fixtures.data_path(name), "rb") as fh:
-                assert (tmp_path / name).read_bytes() == fh.read(), name
-
 
 class TestValidators:
     def test_validator_flags_bad_examples(self):
