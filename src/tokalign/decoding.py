@@ -3,23 +3,26 @@
 Providers return full probability vectors (not logits): masking and
 renormalization downstream are then unambiguous.  All stochasticity
 lives in the sampler, which draws from an explicit seeded generator
-(NumPy PCG64) via inverse-CDF over the kept set in position order, so
-identical seeds reproduce identical outputs byte for byte.  A greedy
-draw takes the first maximum, so ties go to the first position.  A
-position is a token id in a provider row; in a masked row it is a place
-in the mask, whose ids come in the index's order (``trie.TokenMask``).
+(NumPy PCG64) via inverse-CDF over the kept set in descending weight
+order, ties in position order, so identical seeds reproduce identical
+outputs byte for byte.  A greedy draw takes the first maximum, so ties
+go to the first position.  A position is a token id in a provider row;
+in a masked row it is a place in the mask, whose ids come in the index's
+order (``trie.TokenMask``).
 
 Per-token code calls ndarray methods (``argmax``, ``sort``, ``cumsum``,
 ``searchsorted``, ``nonzero``) rather than the ``np.*`` functions that
 forward to them: the same C kernels with the same arguments, so draws
 are bit-identical, without the 1 to 1.6 µs a wrapper adds to each call.
 
-A nucleus draw never sorts ids, and each of its three size regimes keeps
-the ids, and makes the draw, that a stable descending argsort over every
-id would:
+A nucleus draw never sorts ids.  Each of its three size regimes keeps
+the ids a stable descending argsort over every id keeps, and draws in
+that order: one sort of the values, one descending running sum, and
+the cut and the drawn rank both read off that sum.  The drawn rank's
+value, counted among its ties in position order, gives the id.
 
 - up to 7 weights (most alignment steps): plain Python floats, because
-  NumPy adds that few float64 values left to right, as Python does;
+  NumPy's ``cumsum`` adds float64 values left to right, as Python does;
 - up to 4096 weights, or ``top_p`` 1: one sort of the values;
 - more: a sort of only the values at or above a threshold read off
   every 64th value.  Summed from the bottom, that sorted sample
@@ -39,8 +42,10 @@ import math
 import time
 import weakref
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
@@ -231,12 +236,21 @@ def make_rng(seed: int) -> np.random.Generator:
 def nucleus_keep_set(dist: np.ndarray, top_p: float, temperature: float = 1.0) -> np.ndarray:
     """Positions of the smallest descending-probability prefix with mass >= top_p.
 
-    Temperature is applied in the log domain first (zero entries stay
-    zero).  Ties at equal probability order by position, first first; the
-    boundary entry is included, so the kept set is never empty.  Returned
+    Temperature is applied first (see :func:`_apply_temperature`).  Ties
+    at equal probability order by position, first first; the boundary
+    entry is included, so the kept set is never empty.  Returned
     positions (token ids, for a provider row) are ascending.
     """
-    return _keep_set(_apply_temperature(dist, temperature), top_p)[0]
+    ids, vals, top, _, cut = _fold(_apply_temperature(dist, temperature), top_p)
+    v = top[-1 - cut]
+    if len(top) - int(top.searchsorted(v, side="left")) == cut + 1:
+        pos = (vals >= v).nonzero()[0]
+    else:
+        # more positions reach v than the cut holds: keep the first ties
+        keep = vals > v
+        keep[(vals == v).nonzero()[0][: cut + 1 - int(np.count_nonzero(keep))]] = True
+        pos = keep.nonzero()[0]
+    return pos if ids is None else ids[pos]
 
 
 # Up to this many entries a nucleus draw sorts every value: below it
@@ -248,16 +262,26 @@ _SAMPLE_STRIDE = 64
 # The estimated mass left below the candidates stays under this share of
 # 1 - top_p, so the candidates hold top_p despite the estimate's error.
 _TAIL_MARGIN = 0.95
-# NumPy sums at most this many float64 values as a left fold, the order
-# plain Python adds them in (tests/test_dense_reference.py checks it).
+# Up to this many weights a nucleus draw runs on Python floats, whose
+# sequential adds equal NumPy's cumsum (tests/test_dense_reference.py checks it).
 _LEFT_FOLD_MAX = 7
+# ids, vals, top, fold and cut, as :func:`_fold` returns them
+_Fold = tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, int]
 
 
-def _keep_set(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`nucleus_keep_set` of tempered weights, and the kept weights, without an id sort."""
+def _fold(w: np.ndarray, top_p: float) -> _Fold:
+    """The sort, descending running sum and cut of tempered weights, without an id sort.
+
+    Returns ``(ids, vals, top, fold, cut)``: ``vals = w[ids]`` (``ids``
+    None: all of ``w``) are the values sorted, ``top`` is them ascending,
+    ``fold`` the running sum of ``top`` from its largest value, and
+    ``cut`` the first index of ``fold`` at or above ``top_p`` (the last
+    index when none is).  ``fold`` is a full sort's running sum up to
+    ``cut``.
+    """
     found = _candidates(w, top_p)
-    kept = None if found is None else _keep_among(*found, top_p)
-    return _keep_among(None, w, top_p) if kept is None else kept
+    folded = None if found is None else _fold_among(*found, top_p)
+    return _fold_among(None, w, top_p) if folded is None else folded
 
 
 def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -291,84 +315,66 @@ def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | 
     return (ids, vals) if vals.sum() >= top_p else None
 
 
-def _keep_among(
-    ids: np.ndarray | None, vals: np.ndarray, top_p: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The kept positions and values from sorting ``vals = w[ids]`` (``ids`` None: all of ``w``).
+def _fold_among(ids: np.ndarray | None, vals: np.ndarray, top_p: float) -> _Fold | None:
+    """:func:`_fold` from sorting ``vals = w[ids]``, or None if ``ids`` cannot hold the cut.
 
     ``ids`` holds every position of ``w`` whose value is at or above some
     threshold, so ``vals`` are the largest values with all their ties, and
     their descending running sums are the first running sums of the whole
-    vector.  When those reach ``top_p`` the cut and its value ``v`` are a
-    full sort's; otherwise this returns None.  The kept positions are those
-    above ``v`` plus, in position order, the first ties at ``v`` up to the
-    cut count.
+    vector.  When those reach ``top_p`` the cut is a full sort's;
+    otherwise this returns None.
     """
     top = vals.copy()
     top.sort()
-    cut = int(top[::-1].cumsum().searchsorted(top_p, side="left"))
+    fold = top[::-1].cumsum()
+    cut = int(fold.searchsorted(top_p, side="left"))
     if cut == len(top):
         if ids is not None:
             return None
         cut -= 1
-    v = top[-1 - cut]
-    if len(top) - int(top.searchsorted(v, side="left")) == cut + 1:
-        pos = (vals >= v).nonzero()[0]
-    else:
-        # more positions reach v than the cut holds: keep the first ties
-        keep = vals > v
-        keep[(vals == v).nonzero()[0][: cut + 1 - int(np.count_nonzero(keep))]] = True
-        pos = keep.nonzero()[0]
-    return (pos if ids is None else ids[pos]), vals[pos]
+    return ids, vals, top, fold, cut
 
 
 def _draw_small(w: list[float], top_p: float, rng: np.random.Generator) -> int:
     """The nucleus draw of :func:`sample` for at most ``_LEFT_FOLD_MAX`` weights.
 
-    The same IEEE operations in the same order as the NumPy path: a
-    descending running sum to the cut, the first ties in position order,
-    the kept mass added left to right, then the inverse CDF walked with one
-    draw.
+    The same IEEE operations in the same order as the NumPy path: one
+    descending running sum, the cut and the drawn rank read off it, and
+    the rank's value found among its ties in position order.
     """
     if not w:
         raise ValueError("cannot sample from an empty distribution")
     desc = sorted(w, reverse=True)
-    acc = 0.0
-    for cut, x in enumerate(desc):
-        acc += x
-        if acc >= top_p:
-            break
-    v = desc[cut]
-    room = cut + 1 - desc.index(v)
-    kept = []
-    total = 0.0
-    for i, x in enumerate(w):
-        if x > v or (x == v and room):
-            if x == v:
-                room -= 1
-            kept.append(i)
-            total += x
+    fold = list(accumulate(desc))
+    cut = min(bisect_left(fold, top_p), len(fold) - 1)
+    total = fold[cut]
     if not total > 0.0:
         raise ValueError("cannot sample from an all-zero distribution")
-    u = rng.random()
-    acc = 0.0
-    for i in kept:
-        acc += w[i] / total
-        if acc > u:
-            return i
-    return kept[-1]
+    k = min(bisect_right(fold, rng.random() * total), cut)
+    v = desc[k]
+    pos = w.index(v)
+    for _ in range(k - desc.index(v)):  # skip the earlier ties
+        pos = w.index(v, pos + 1)
+    return pos
 
 
 def _apply_temperature(dist: np.ndarray, temperature: float) -> np.ndarray:
+    """``dist ** (1 / temperature)`` renormalized; T = 1 returns ``dist`` itself.
+
+    The weights are ``exp((log(p) - log(p_max)) / T)``, so the largest is
+    exactly 1 and no temperature, however low, underflows a valid row to
+    all zeros.  Zero probabilities stay zero; an all-zero row stays all
+    zero, for the draw to reject.
+    """
     if temperature == 1.0:
         return dist
     w = np.zeros_like(dist, dtype=np.float64)
     positive = dist > 0
-    # p^(1/T) == exp(log(p)/T); zero probabilities are never resurrected
-    w[positive] = np.exp(np.log(dist[positive]) / temperature)
-    total = w.sum()
-    # all zero, or every entry underflowed: left zero for the draw to reject
-    return w / total if total > 0.0 else w
+    if positive.any():
+        logs = np.log(dist[positive])
+        w[positive] = np.exp((logs - logs.max()) / temperature)
+        w /= w.sum()
+    return w
 
 
 def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> int:
@@ -376,7 +382,10 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
 
     ``dist`` is trusted to meet the provider contract (see
     :func:`check_distribution`); only an all-zero vector is rejected.
-    A nucleus draw takes exactly one ``rng.random()``.
+    A nucleus draw takes exactly one ``rng.random()``, ``u``, and walks
+    the kept set in the order the cut sorted it, descending weight with
+    ties in position order: it returns the first kept position whose
+    running sum exceeds ``u`` times the kept mass.
     """
     if type(dist) is not np.ndarray or dist.dtype is not _FLOAT64:
         dist = np.asarray(dist, dtype=np.float64)
@@ -388,15 +397,16 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
     w = _apply_temperature(dist, cfg.temperature)
     if len(w) <= _LEFT_FOLD_MAX:
         return _draw_small(w.tolist(), cfg.top_p, rng)
-    kept, probs = _keep_set(w, cfg.top_p)
-    # the kept set holds a maximum, so zero kept mass means an all-zero vector
-    total = probs.sum()
+    ids, vals, top, fold, cut = _fold(w, cfg.top_p)
+    # the fold starts at a maximum, so zero kept mass means an all-zero vector
+    total = fold.item(cut)
     if not total > 0.0:
         raise ValueError("cannot sample from an all-zero distribution")
-    cum = (probs / total).cumsum()
-    u = rng.random()
-    idx = min(int(cum.searchsorted(u, side="right")), len(kept) - 1)
-    return int(kept[idx])
+    k = min(int(fold.searchsorted(rng.random() * total, side="right")), cut)
+    # the k-th largest value, then its place among its ties: skip those above it
+    v = top.item(-1 - k)
+    pos = (vals == v).nonzero()[0][k - len(top) + int(top.searchsorted(v, side="right"))]
+    return int(pos if ids is None else ids[pos])
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,19 @@ class TestAlign:
         assert code == 0
         assert read_results(out)[0]["id"] == "s"
 
+    def test_low_temperature_nucleus_completes(self, capsys, monkeypatch):
+        # at T = 0.001 every exp(log(p) / T) of an n-gram row underflows to
+        # zero; the row must still be drawn from, not refused as all zero
+        prompt = b"def f(x):\n    re"
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"text": prompt.decode()})))
+        code, out, err = run(
+            capsys, "align", "--vocab", "bundled:demo-vocab",
+            "--provider", "ngram:bundled:code", "--mode", "nucleus",
+            "--temperature", "0.001", "--max-new-tokens", "4",
+        )
+        assert code == 0, err
+        assert base64.b64decode(json.loads(out)["output_b64"]).startswith(prompt)
+
     def test_timings_flag_adds_wall_clock_fields(self, capsys, tmp_path, demo_paths, demo_prompt_file):
         out = tmp_path / "t.jsonl"
         code, _, _ = run(

@@ -108,7 +108,7 @@ GOLDEN = {
     "mixed_subword.jsonl.stats.json":
         "6f7c3d7c8f0498d378504c92eaca47fa1a25aaf945fbc8b0fb4aa9618c53c203",
     "nucleus.jsonl":
-        "272214debf7cbd3060a67da2da122505a43b314873cbb9d7aebc850b31bc5d5f",
+        "b468bca58a2ee5fb7d37d22988de0e7c11d078c9efe022760d6d8e9c42e8aa55",
     "plain.jsonl":
         "06b83eb0e1ab1ecb9c2e4df0a93dae93bbec589f143b93e7aedfa5b5179a068c",
     "prefix_indent.jsonl":

@@ -58,9 +58,6 @@ class TestSample:
     def test_nucleus_all_zero_rejected_without_warnings(self, size, temperature):
         cfg = SamplerConfig(mode="nucleus", top_p=0.9, temperature=temperature)
         dist = np.zeros(size)
-        if temperature == 1e-4:
-            # every (1/size)^(1/T) underflows to zero
-            dist = np.full(size, 1.0 / size)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^cannot sample from an all-zero"):
@@ -136,6 +133,22 @@ class TestSample:
         rng = make_rng(4)
         draws = np.array([sample(dist, hot, rng) for _ in range(20_000)])
         assert abs(np.mean(draws == 0) - 0.5) < 0.02
+
+    @pytest.mark.parametrize("size", [3, 5000])
+    def test_low_temperature_leaves_a_valid_row_drawable(self, size):
+        # exp(log(p) / T) underflows every weight of these rows to zero;
+        # scaled by the largest first, the largest weight stays exactly 1
+        g = np.random.default_rng(size)
+        spiked = g.permutation(np.r_[0.4, np.full(size - 1, 0.6 / (size - 1))])
+        cold = SamplerConfig(mode="nucleus", top_p=0.9, temperature=1e-3)
+        assert all(sample(spiked, cold, make_rng(s)) == spiked.argmax() for s in range(50))
+        uniform = np.full(size, 1.0 / size)
+        colder = SamplerConfig(mode="nucleus", top_p=0.9, temperature=1e-4)
+        kept = nucleus_keep_set(uniform, 0.9)
+        assert np.array_equal(nucleus_keep_set(uniform, 0.9, 1e-4), kept)
+        assert all(sample(uniform, colder, make_rng(s)) in kept for s in range(50))
+        if size == 3:
+            assert sample(np.array([0.3, 0.3, 0.4]), cold, make_rng(0)) == 2
 
     def test_nucleus_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """The sparse alignment step and the sort-free nucleus draw against dense references.
 
-The reference functions below are the earlier dense implementations: a
-length-V boolean mask applied with ``np.where``, and a nucleus keep set
-built from a stable descending argsort over every id.  The sparse path
+The reference functions below are dense implementations: a length-V
+boolean mask applied with ``np.where``, and a nucleus keep set and draw
+built from a stable descending argsort over every id, the draw walking
+the kept ids in that order.  The sparse path
 must keep exactly the same ids, make exactly the same seeded draws and
 leave the generator in the same state, for tiny vectors (the
 interpreter path), small ones (a full value sort) and large ones (a sort
@@ -59,13 +60,15 @@ def reference_keep_set(dist, top_p, temperature=1.0):
 def reference_sample(dist, cfg, rng):
     if cfg.mode == "greedy":
         return int(np.argmax(dist))
-    kept = reference_keep_set(dist, cfg.top_p, cfg.temperature)
     w = _apply_temperature(dist, cfg.temperature)
-    probs = w[kept]
-    cum = np.cumsum(probs / probs.sum())
+    order = np.argsort(-w, kind="stable")
+    fold = np.cumsum(w[order])
+    cut = min(int(np.searchsorted(fold, cfg.top_p, side="left")), len(order) - 1)
+    if not fold[cut] > 0.0:
+        raise ValueError("cannot sample from an all-zero distribution")
     u = rng.random()
-    idx = min(int(np.searchsorted(cum, u, side="right")), len(kept) - 1)
-    return int(kept[idx])
+    k = min(int(np.searchsorted(fold, u * fold[cut], side="right")), cut)
+    return int(order[k])
 
 
 # Weights drawn from a small pool make ties and hard zeros common.
@@ -236,13 +239,13 @@ def test_candidate_selection_only_where_it_pays(kind, top_p, selects, monkeypatc
     dist = vector_50k(kind)
     assert (_candidates(dist, top_p) is not None) == selects
     sorted_sets = []
-    keep_among = decoding._keep_among
+    fold_among = decoding._fold_among
 
     def spy(ids, vals, p):
         sorted_sets.append(len(vals))
-        return keep_among(ids, vals, p)
+        return fold_among(ids, vals, p)
 
-    monkeypatch.setattr(decoding, "_keep_among", spy)
+    monkeypatch.setattr(decoding, "_fold_among", spy)
     assert np.array_equal(nucleus_keep_set(dist, top_p), reference_keep_set(dist, top_p))
     assert len(sorted_sets) == 1 and (sorted_sets[0] < len(dist)) == selects
     cfg = sampler("nucleus", top_p, 1.0, 11)
@@ -262,14 +265,14 @@ def test_candidates_whose_running_sum_falls_short(monkeypatch):
     found = _candidates(dist, top_p)
     assert found is not None and np.array_equal(found[0], ids)
     calls = []
-    keep_among = decoding._keep_among
+    fold_among = decoding._fold_among
 
     def spy(ids, vals, p):
-        kept = keep_among(ids, vals, p)
+        kept = fold_among(ids, vals, p)
         calls.append((ids is None, len(vals), kept is None))
         return kept
 
-    monkeypatch.setattr(decoding, "_keep_among", spy)
+    monkeypatch.setattr(decoding, "_fold_among", spy)
     assert np.array_equal(nucleus_keep_set(dist, top_p), reference_keep_set(dist, top_p))
     assert calls == [(False, len(ids), True), (True, len(dist), False)]
 
@@ -335,3 +338,28 @@ def test_zero_mass_on_mask_falls_back_to_uniform():
         for s in range(20):
             want = reference_sample(reference_mask_distribution(dist, mask), cfg, make_rng(s))
             assert int(ids[sample(probs, cfg, make_rng(s))]) == want
+
+
+@pytest.mark.parametrize("size", [7, 1_000, 6_000])
+def test_each_kept_id_gets_its_share_of_the_unit_interval(size):
+    # u swept over a grid of [0, 1): a kept id is drawn for a share of the
+    # grid within one step of its weight over the kept mass, and an id
+    # outside the keep set is never drawn (ties and zeros in each vector;
+    # 6,000 weights sort only the candidates)
+    g = np.random.default_rng(size)
+    if size <= _LEFT_FOLD_MAX:
+        w = np.array([0.25, 0.0, 0.1, 0.25, 0.0, 0.3, 0.1])
+    else:
+        w = g.choice([0.0, 0.0, 0.001, 0.001, 0.002], size)
+        w[g.choice(size, 40, replace=False)] = g.choice([0.5, 0.5, 1.0, 1.0, 2.0], 40)
+    dist = w / w.sum()
+    top_p = 0.9
+    assert (_candidates(dist, top_p) is not None) == (size > 4096)
+    kept = nucleus_keep_set(dist, top_p)
+    steps = 1 << 15
+    cfg = sampler("nucleus", top_p, 1.0, 0)
+    drawn = [sample(dist, cfg, FixedDraw(i / steps)) for i in range(steps)]
+    counts = np.bincount(drawn, minlength=size)
+    assert counts.sum() == counts[kept].sum() == steps
+    shares = counts[kept] / steps
+    assert np.all(np.abs(shares - dist[kept] / dist[kept].sum()) <= 1 / steps)

@@ -33,23 +33,23 @@ GOLDEN = {
     "contiguous_space/aligned/greedy":
         "d6f4f6335be2f7619ee16c38997d043866f7bf28b19e85414bdc7fa816ea2a84",
     "contiguous_space/aligned/nucleus":
-        "5d22809fd6903e3716ed886861e49baeea52529c581e829e2ec17d5090e89079",
+        "fd83e5a67aebad2a59a5fffd3692df9ca33e4ffab79319570b0c5b7b1f6ab40e",
     "contiguous_space/plain/greedy":
         "2553d5a8d5a77b030d1972d149556eb0d59e3709671388a30ba19a70c92a08c3",
     "contiguous_space/plain/nucleus":
-        "a32cbed27a766530d9942ea88af56ae0b2e30e833d57d86236cf4b88a7ccfa09",
+        "ee269616dc7636c7e0698bde5f16b18bfd66443cad52f2ec55b5e16c03800edf",
     "demo/aligned/greedy":
         "024cb4748606233023549c3820f47bb14540d575821d3a527e968277857c3ece",
     "demo/aligned/nucleus":
-        "2ab162b28bb1218b81b466ce16d51f5290ad8c535f16018653a5f8c8ced8ce0f",
+        "1a282fffc29d6ed1c75b33cb944b4cf443001635ed198f456adc497cb24d900a",
     "demo/plain/greedy":
         "9f965d26eac3f4b4cb5aa6b7ed11242dd661ab51f869ce211bed3c406e0e42e6",
     "demo/plain/nucleus":
-        "03c88fa2a2f1bb6e2146589df468a941ef0a92902c84730943b88babcda5d5e4",
+        "2f13aa2b4426bba3c87550bf5e7c0e424af14d3bb4000b9fb860e8dbe2a44b06",
     "prefix_indent/aligned/greedy":
         "6946196df2248ab8c0fe553fbc3f49e511ed53ef4883bd068652393f2cf609f8",
     "prefix_indent/aligned/nucleus":
-        "eb6a0360577dfab6af01be97f133b2fdf5ef68ac04efdb55117529b510790c63",
+        "6601d301013831ec6b9c57f08ae318118a12ad0edab8530a158a697c05d47f4a",
     "prefix_indent/plain/greedy":
         "c91c500035e9de6a0d6a40f43cf34b213382af6340db5daea8b8e7d67b4afd25",
     "prefix_indent/plain/nucleus":
@@ -57,7 +57,7 @@ GOLDEN = {
     "prefix_sep/aligned/greedy":
         "0025da9ad597dd1e08e812a190f2f0371fdff5af3e67e0a533978ea967183906",
     "prefix_sep/aligned/nucleus":
-        "b58992db643f7bc25ee35b86fff8845a78531fbffa46f09ac823d190a92a82ec",
+        "6fa4442581647b783b3ae7fe5c11cdf1cb82662bea50df93969fd54eccc180ff",
     "prefix_sep/plain/greedy":
         "8128eee519c8b2645403bad8d050ffa0d3a6fdcce52c9585676ce9482342901e",
     "prefix_sep/plain/nucleus":
@@ -65,15 +65,15 @@ GOLDEN = {
     "punctuation/aligned/greedy":
         "eff1b9ec15842277e997a8cce48b092cad8027b604c33ce3117bb97b595358fd",
     "punctuation/aligned/nucleus":
-        "e37d55cee66ef28033f39068b11ba1dee5ea9392a63134a21ac863a231ef5b4d",
+        "aa5dc1052ed75aa9e3f8f124076e36f9fc67019d34f231f11731c59bbed0c108",
     "punctuation/plain/greedy":
         "434fea371eba2f719dd12036ae11fe2c4f44b2ec2e1bcfa1905cef22c0327b4b",
     "punctuation/plain/nucleus":
-        "97f48c3871ff511f54010fd4269aca366156be2cdeeb95f635e634b54428b724",
+        "cf25608b43409fe4d6917451215a99b927a973bb67170b108bc2a59ad6cc7388",
     "subword/aligned/greedy":
         "7d5d49fe19fae3a7017abafe1b695cae019994abaea9d86238c8d92388dd923f",
     "subword/aligned/nucleus":
-        "fe8ac395c953b9a49e9be1f7ffdf52c6597a5a146e177a4e6d6cd1a96fdd5c96",
+        "19f91494e35722cd36f49162db697586f88c55164b5f67a7d2abbacb1c0436ec",
     "subword/plain/greedy":
         "7ce9fcf289699ee833938eead1ca1411bc65acc56e7b69be7caafa6d07c0e0e6",
     "subword/plain/nucleus":
