@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoding import (
-    _LEFT_FOLD_MAX,
     ConfigError,
     GenerationResult,
     LogitsProvider,
@@ -35,6 +34,11 @@ from .decoding import (
 )
 from .trie import ByteTrie, MaskCache, TokenMask
 from .vocab import Vocabulary, decode, encode
+
+# NumPy's ``add.reduce`` adds at most this many float64 values left to
+# right (longer arrays pairwise), so a Python left fold gives its bits
+# only this far (tests/test_dense_reference.py checks it).
+_ORDERED_SUM_MAX = 7
 
 
 class AlignmentError(RuntimeError):
@@ -113,7 +117,7 @@ def mask_distribution(dist: np.ndarray, ids: TokenMask) -> np.ndarray:
     if n == 0:
         raise EmptyMaskError()
     subset = dist[ids]
-    if n <= _LEFT_FOLD_MAX and subset.dtype.type is np.float64:
+    if n <= _ORDERED_SUM_MAX and subset.dtype.type is np.float64:
         # the sum NumPy would take, without its call overhead
         total = 0.0
         for x in subset.tolist():

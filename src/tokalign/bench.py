@@ -55,10 +55,28 @@ def make_synthetic_vocabulary(size: int, seed: int = 0) -> Vocabulary:
 
     All 256 single-byte tokens, some whitespace-run tokens, then
     pseudo-random lowercase words, roughly half space-prefixed, with
-    lengths between 2 and 12 bytes.  Greedy-match encoding (no merges).
+    lengths between 2 and 12 bytes, each kept the first time it is
+    drawn.  Greedy-match encoding (no merges).
+
+    A word is the draws of ``rng = make_rng(seed)``: its length
+    ``rng.integers(2, 13)``, its letters ``rng.integers(0, 26,
+    size=length)``, and a leading space when ``rng.random() < 0.5``.
+    They are read straight off the generator's raw 64-bit outputs by the
+    rule NumPy applies to them:
+
+    - a 32-bit draw takes the low half of the next output and leaves its
+      high half pending; the next 32-bit draw takes the pending half;
+    - ``random()`` takes one whole output, and a pending half stays
+      pending across it; it is below 0.5 when the output is below 2**63;
+    - a draw in [0, n) from a 32-bit ``x`` is ``(x * n) >> 32``, redrawn
+      while ``(x * n) mod 2**32 < 2**32 mod n`` (below 4 for n = 11,
+      below 22 for n = 26).
+
+    So the tokens equal those of the ``integers``/``random`` calls, as
+    ``tests/test_synthetic_vocabulary.py`` checks.
     """
     check_synthetic_size(size)
-    rng = make_rng(seed)
+    words = _words(make_rng(seed).bit_generator.random_raw)
     tokens: list[bytes] = [bytes([i]) for i in range(256)]
     seen = set(tokens)
     for ws in _WHITESPACE_TOKENS:
@@ -68,14 +86,112 @@ def make_synthetic_vocabulary(size: int, seed: int = 0) -> Vocabulary:
             tokens.append(ws)
             seen.add(ws)
     while len(tokens) < size:
-        length = int(rng.integers(2, 13))
-        word = bytes(_WORD_BYTES[i] for i in rng.integers(0, 26, size=length))
-        if rng.random() < 0.5:
-            word = b" " + word
+        word = next(words)
         if word not in seen:
             tokens.append(word)
             seen.add(word)
+    words.close()  # free the last chunk before the index arrays are built
     return Vocabulary(tokens)
+
+
+# Raw outputs read per chunk: small, so the per-half temporaries stay small.
+_CHUNK = 4096
+_LOW = np.uint64(0xFFFFFFFF)
+_LETTERS = np.frombuffer(_WORD_BYTES, dtype=np.uint8)
+
+
+def _bounded(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each 32-bit ``x``'s draw in [0, n), and whether NumPy redraws it instead."""
+    m = x * np.uint64(n)
+    return m >> np.uint64(32), (m & _LOW) < np.uint64((1 << 32) % n)
+
+
+def _words(random_raw, chunk: int = _CHUNK):
+    """The synthetic words, endlessly, from ``random_raw(count)``'s 64-bit outputs.
+
+    Each chunk of outputs is split into halves in draw order, and every
+    half's length draw and letter are computed once.  Without a redraw a
+    word's letters are then one run of halves, right after its length
+    half or, when that was the pending half, from the next output on,
+    so the loop over words only moves the cursor.  A word that touches a
+    half some draw would redraw goes through :func:`_drawn_word`.
+    """
+    raw = np.empty(0, dtype=np.uint64)
+    p, pend = 0, -1  # the next whole output; the pending half's index, or -1
+    while True:
+        # carry the unread tail, the pending half's output included
+        start = p if pend < 0 else pend >> 1
+        raw = np.concatenate((raw[start:], random_raw(chunk)))
+        p -= start
+        if pend >= 0:
+            pend -= 2 * start
+        halves = np.stack((raw & _LOW, raw >> np.uint64(32)), axis=1).ravel()
+        length_draws, length_redrawn = _bounded(halves, 11)
+        letter_draws, letter_redrawn = _bounded(halves, 26)
+        lengths = length_draws.tolist()
+        letters = _LETTERS[letter_draws].tobytes()
+        flagged = np.flatnonzero(length_redrawn | letter_redrawn).tolist()
+        flagged.append(len(halves))
+        spaced = (raw < np.uint64(1 << 63)).tolist()
+        f = 0
+        n = len(raw)
+        while p < n:
+            if pend < 0:
+                first = 2 * p  # the length half
+                s = first + 1  # the first letter half
+            else:
+                first = pend
+                s = 2 * p
+            e = s + 2 + lengths[first]  # one past the last letter half
+            if (e + 1) >> 1 >= n:
+                break  # the word runs past the chunk
+            while flagged[f] < first:
+                f += 1
+            if flagged[f] < e:
+                word, p, pend, tail = _drawn_word(raw.tolist(), p, pend, random_raw, chunk)
+                raw = np.asarray(tail, dtype=np.uint64)
+                yield word
+                break
+            word = letters[s:e]
+            p = (e + 1) >> 1
+            pend = e if e & 1 else -1
+            if spaced[p]:
+                word = b" " + word
+            p += 1
+            yield word
+
+
+def _drawn_word(raw: list[int], p: int, pend: int, random_raw, chunk: int):
+    """One word by NumPy's per-draw rule, from the cursor ``p``, ``pend`` of :func:`_words`.
+
+    Returns the word, the cursor after it and ``raw``, extended by more
+    ``random_raw(chunk)`` outputs when the redraws run past its end.
+    """
+
+    def output() -> int:
+        if p == len(raw):
+            raw.extend(random_raw(chunk).tolist())
+        return raw[p]
+
+    def draw(n: int) -> int:
+        nonlocal p, pend
+        while True:
+            if pend < 0:
+                x = output() & 0xFFFFFFFF
+                pend = 2 * p + 1
+                p += 1
+            else:
+                x = raw[pend >> 1] >> 32
+                pend = -1
+            m = x * n
+            if m & 0xFFFFFFFF >= (1 << 32) % n:
+                return m >> 32
+
+    length = 2 + draw(11)
+    word = bytes(_WORD_BYTES[draw(26)] for _ in range(length))
+    if output() < 1 << 63:
+        word = b" " + word
+    return word, p + 1, pend, raw
 
 
 def naive_matching_ids(vocab: Vocabulary, prefix: bytes) -> list[int]:

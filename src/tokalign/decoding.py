@@ -21,7 +21,7 @@ that order: one sort of the values, one descending running sum, and
 the cut and the drawn rank both read off that sum.  The drawn rank's
 value, counted among its ties in position order, gives the id.
 
-- up to 7 weights (most alignment steps): plain Python floats, because
+- up to 32 weights (most alignment steps): plain Python floats, because
   NumPy's ``cumsum`` adds float64 values left to right, as Python does;
 - up to 4096 weights, or ``top_p`` 1: one sort of the values;
 - more: a sort of only the values at or above a threshold read off
@@ -30,9 +30,10 @@ value, counted among its ties in position order, gives the id.
   largest one that leaves less than 95% of ``1 - top_p`` below it.  The
   values at or above it are the largest values with all their ties, so
   their running sums are the first running sums of the full descending
-  order.  When they are most of the vector (a flat one at a high
-  ``top_p``, or a long run of equal values at the threshold) or hold
-  less than ``top_p``, every value is sorted after one selection pass.
+  order.  When they hold less than ``top_p``, a lower threshold selects
+  once more.  When they are most of the vector (a flat one at a high
+  ``top_p``, or a long run of equal values at the threshold) or still
+  hold less than ``top_p``, every value is sorted.
 """
 
 from __future__ import annotations
@@ -262,9 +263,18 @@ _SAMPLE_STRIDE = 64
 # The estimated mass left below the candidates stays under this share of
 # 1 - top_p, so the candidates hold top_p despite the estimate's error.
 _TAIL_MARGIN = 0.95
-# Up to this many weights a nucleus draw runs on Python floats, whose
-# sequential adds equal NumPy's cumsum (tests/test_dense_reference.py checks it).
-_LEFT_FOLD_MAX = 7
+# Candidates that fall short are selected once more, with the threshold
+# this many sample values below the shortfall's estimate, because the gaps
+# between sorted sample values vary.  On the benchmark's 24,931-id mask of
+# b" " under 256 Zipf provider rows, at top_p 0.8, 0.9 and 0.95, a slack of
+# 0 left 69 of 274 second selections short, 1 left 15, 2 left 1 and 3 none.
+_RETRY_SLACK = 3
+# Up to this many weights a nucleus draw runs on Python floats.  Its
+# sequential adds equal NumPy's cumsum at any length
+# (tests/test_dense_reference.py checks it), so the bound only picks the
+# faster path: timed at 8 to 64 weights, the interpreter draw wins up to
+# about 48.
+_LEFT_FOLD_MAX = 32
 # ids, vals, top, fold and cut, as :func:`_fold` returns them
 _Fold = tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, int]
 
@@ -291,28 +301,43 @@ def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | 
     estimated mass below it, ``_SAMPLE_STRIDE`` times the sum of the
     sample values under it, stays below ``_TAIL_MARGIN * (1 - top_p)``.
     That takes the vector's total to be 1, as the provider contract and
-    :func:`_apply_temperature` give.  Exactness never rests on the
-    estimate: candidates holding less than ``top_p`` are refused, and a
-    cut that runs past them sorts every value.
+    :func:`_apply_temperature` give.  Candidates holding less than
+    ``top_p`` (a sample that missed the mass) are selected once more,
+    with the threshold lowered past the sample values whose estimated
+    mass covers the shortfall and ``_RETRY_SLACK`` more.  Exactness never
+    rests on the estimate: candidates that still fall short are refused,
+    and a cut that runs past them sorts every value.
 
     None when sorting every value is as cheap or the candidates cannot
     hold the cut: a small vector; ``top_p`` 1, whose cut falls near the
     last positive value; candidates that are most of the vector (a flat
     vector, or a long run of equal values at the threshold); candidates
-    holding less than ``top_p`` of the mass (a sample that missed it).
+    holding less than ``top_p`` of the mass after the second selection.
     """
     n = len(w)
     if n <= _FULL_SORT_MAX or top_p >= 1.0:
         return None
     sample = w[::_SAMPLE_STRIDE].copy()
     sample.sort()
-    under = sample.cumsum().searchsorted((1.0 - top_p) * _TAIL_MARGIN / _SAMPLE_STRIDE)
-    chosen = w >= sample[min(int(under), len(sample) - 1)]
-    if np.count_nonzero(chosen) > n // 2:
-        return None
-    ids = chosen.nonzero()[0]
-    vals = w[ids]
-    return (ids, vals) if vals.sum() >= top_p else None
+    below = sample.cumsum()
+    under = int(below.searchsorted((1.0 - top_p) * _TAIL_MARGIN / _SAMPLE_STRIDE))
+    under = min(under, len(sample) - 1)
+    for retry in (False, True):
+        chosen = w >= sample[under]
+        if np.count_nonzero(chosen) > n // 2:
+            return None
+        ids = chosen.nonzero()[0]
+        vals = w[ids]
+        short = top_p - vals.sum()
+        if short <= 0.0:
+            return ids, vals
+        if retry or under == 0:
+            break
+        # lower the threshold past the sample values whose estimated mass
+        # covers the shortfall, and a few more
+        under = int(below.searchsorted(below[under - 1] - short / _SAMPLE_STRIDE, side="right"))
+        under = max(under - _RETRY_SLACK, 0)
+    return None
 
 
 def _fold_among(ids: np.ndarray | None, vals: np.ndarray, top_p: float) -> _Fold | None:

@@ -12,6 +12,7 @@ every 64th value, leaves ``top_p`` above it).
 """
 
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -28,7 +29,14 @@ from tokalign import (
     sample,
 )
 from tokalign import decoding
-from tokalign.decoding import _LEFT_FOLD_MAX, _apply_temperature, _candidates
+from tokalign.align import _ORDERED_SUM_MAX
+from tokalign.decoding import (
+    _LEFT_FOLD_MAX,
+    _SAMPLE_STRIDE,
+    _TAIL_MARGIN,
+    _apply_temperature,
+    _candidates,
+)
 
 PINNED = settings(max_examples=400, deadline=None, database=None)
 TOP_PS = (0.15, 0.5, 0.9, 1.0)
@@ -277,6 +285,35 @@ def test_candidates_whose_running_sum_falls_short(monkeypatch):
     assert calls == [(False, len(ids), True), (True, len(dist), False)]
 
 
+def test_candidates_that_fall_short_are_selected_once_more(monkeypatch):
+    # the first threshold of this Zipf vector selects 1,775 values holding
+    # less than top_p; the lowered one holds it with under half the values
+    dist = zipf(8192, 1.1, np.random.default_rng(5))
+    top_p = 0.9
+    stride = np.sort(dist[::_SAMPLE_STRIDE])
+    under = int(stride.cumsum().searchsorted((1 - top_p) * _TAIL_MARGIN / _SAMPLE_STRIDE))
+    first = dist >= stride[under]
+    assert dist[first].sum() < top_p
+    ids, vals = _candidates(dist, top_p)
+    assert vals.sum() >= top_p
+    assert np.count_nonzero(first) < len(ids) < len(dist) // 2
+    sorted_sets = []
+    fold_among = decoding._fold_among
+
+    def spy(ids, vals, p):
+        sorted_sets.append(len(vals))
+        return fold_among(ids, vals, p)
+
+    monkeypatch.setattr(decoding, "_fold_among", spy)
+    assert np.array_equal(nucleus_keep_set(dist, top_p), reference_keep_set(dist, top_p))
+    assert sorted_sets == [len(ids)]
+    cfg = sampler("nucleus", top_p, 1.0, 0)
+    for s in range(20):
+        rng_dense, rng_sparse = make_rng(s), make_rng(s)
+        assert sample(dist, cfg, rng_sparse) == reference_sample(dist, cfg, rng_dense)
+        assert rng_sparse.random() == rng_dense.random()
+
+
 def test_candidates_stay_near_the_keep_set():
     # the tail-mass threshold selects at most 1.25 times the keep set of a
     # 50k Zipf-1.1 vector at top_p 0.9 (an upper quartile would select 1.80 times)
@@ -288,14 +325,24 @@ def test_candidates_stay_near_the_keep_set():
 
 @seed(240308688)
 @PINNED
-@given(st.lists(weight, min_size=1, max_size=_LEFT_FOLD_MAX))
+@given(st.lists(weight, min_size=1, max_size=_ORDERED_SUM_MAX))
 def test_numpy_adds_few_values_left_to_right(values):
-    # the interpreter path of `sample` reproduces NumPy's sums with plain
+    # `mask_distribution` reproduces NumPy's sum of a small mask with plain
     # float additions; that holds only while NumPy adds this few values in
     # order (longer arrays are summed pairwise)
     fold = functools.reduce(operator.add, values)
     assert np.add.reduce(np.array(values)) == fold
     assert np.cumsum(values)[-1] == fold
+
+
+def test_numpy_running_sum_is_a_left_fold():
+    # the interpreter path of `sample` reproduces NumPy's running sums with
+    # `itertools.accumulate`, at any length; its bound only picks the faster path
+    g = np.random.default_rng(0)
+    for n in range(1, 2 * _LEFT_FOLD_MAX + 1):
+        for _ in range(20):
+            values = np.where(g.random(n) < 0.5, g.choice(POOL, n), g.random(n)).tolist()
+            assert np.cumsum(values).tolist() == list(itertools.accumulate(values))
 
 
 class FixedDraw:
@@ -308,7 +355,7 @@ class FixedDraw:
         return self.u
 
 
-@pytest.mark.parametrize("n", [2, 8, 5000])
+@pytest.mark.parametrize("n", [2, 8, _LEFT_FOLD_MAX, _LEFT_FOLD_MAX + 1, 5000])
 def test_draw_exactly_on_a_cumulative_boundary(n):
     # u equal to a running sum selects the next id, as searchsorted(side="right") does
     dist = np.full(n, 1.0 / n)

@@ -16,7 +16,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from tokalign import EncodingError, NGramModel, Vocabulary, decode, mask_distribution
-from tokalign.decoding import _LEFT_FOLD_MAX, DIST_SUM_TOLERANCE, check_distribution
+from tokalign.align import _ORDERED_SUM_MAX
+from tokalign.decoding import DIST_SUM_TOLERANCE, check_distribution
 
 PINNED = settings(max_examples=100, deadline=None, database=None)
 VOCAB = Vocabulary([b"a", b"bc", b"\x00\xff", b" def", b"\n"], specials=[4])
@@ -51,13 +52,13 @@ def test_decode_join_matches_the_per_id_loop(ids):
 @given(
     values=st.lists(
         st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 1.0 / 3])),
-        min_size=_LEFT_FOLD_MAX + 3, max_size=40,
+        min_size=_ORDERED_SUM_MAX + 3, max_size=40,
     ),
     data=st.data(),
 )
 def test_small_mask_sum_is_numpys_bit_for_bit(values, data):
     dist = np.asarray(values, dtype=np.float64)
-    k = data.draw(st.integers(1, _LEFT_FOLD_MAX))
+    k = data.draw(st.integers(1, _ORDERED_SUM_MAX))
     ids = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(dist) - 1), min_size=k,
                                              max_size=k))), dtype=np.int64)
     subset = dist[ids]
