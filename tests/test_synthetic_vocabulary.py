@@ -198,11 +198,13 @@ def test_redrawn_half(kind):
     assert fast_words(raw, 100, CHUNK) == want
 
 
-def test_zero_outputs_in_a_row():
-    # whole zero outputs: redraws that run across several outputs and chunks
+@pytest.mark.parametrize("run", [4, 40])
+def test_zero_outputs_in_a_row(run):
+    # whole zero outputs: one word's redraws run across several outputs and,
+    # for 40, past the outputs read so far
     h = place("chunk-last-half")
     raw = list(STREAM)
-    raw[h // 2 - 1:h // 2 + 3] = [0] * 4
+    raw[h // 2 - 1:h // 2 - 1 + run] = [0] * run
     want, uses = rule_words(raw, 100)
-    assert sum(role == "redrawn" for role, _ in uses.values()) >= 8
+    assert sum(role == "redrawn" for role, _ in uses.values()) >= 2 * run
     assert fast_words(raw, 100, CHUNK) == want
