@@ -8,7 +8,8 @@ starts with the prefix, or when it is itself a prefix of it (a shorter
 token that consumes part of the bytes).  Answers come back as arrays of
 token ids in the index's bytewise token order (shorter proper prefixes
 first), so masking a probability distribution touches only the
-compatible entries.
+compatible entries.  A mask cache starts empty and keeps the masks its
+lookups fetched.
 """
 
 import numpy as np
@@ -24,8 +25,8 @@ for prefix in (b"re", b"ret", b"retu", b"x"):
     single = sum(1 for i in ids if len(vocab.tokens[i]) == 1)
     print(f"prefix {prefix!r}: {len(ids)} tokens ({single} single-byte), multi: {names}")
 
-# the mask cache keeps hot prefixes around; the single space is
-# pre-seeded because completion requests end with it constantly
+# the mask cache keeps hot prefixes around: a prefix's first lookup
+# misses and stores its mask, and later lookups hit
 cache = MaskCache(trie, capacity=1024)
 cache.lookup(trie, b" ")
 cache.lookup(trie, b" ")

@@ -5,7 +5,8 @@ Lookup latency and alignment step counts
 Masking every decoding step is only viable if the compatibility query
 is far cheaper than the model call.  On a 50k-token vocabulary the index
 answers in microseconds where a linear scan takes milliseconds, and the
-pre-seeded cache answers the hottest key in fractions of a microsecond.
+cache answers a key it has seen (here the single space) in fractions of
+a microsecond.
 
 The second half measures how many constrained steps alignment takes on
 prompts that end exactly at token boundaries: the count concentrates at

@@ -28,7 +28,6 @@ from .decoding import (
     build_ngram_model,
     generate,
     make_rng,
-    nucleus_keep_set,
     sample,
 )
 from .metrics import (

@@ -55,8 +55,9 @@ class EmptyMaskError(AlignmentError):
 class DeadEndError(AlignmentError):
     """No token fits the leftover prefix, so alignment cannot continue.
 
-    A single-byte token for the prefix's first byte would itself be
-    compatible, so no fallback can recover from a dead end.
+    An earlier step took a token whose leftover bytes no token covers,
+    which only a vocabulary lacking some single-byte token allows.  Other
+    earlier choices, the backtracked tokens for one, would have completed.
     """
 
     def __init__(self, prefix: bytes, context: list[int], steps_taken: int):

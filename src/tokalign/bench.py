@@ -252,7 +252,7 @@ def bench_lookup(
     trie_us = _time_calls(ByteTrie.matching_tokens, trie, prefixes[warmup:])
     naive_us = _time_calls(naive_matching_ids, vocab, prefixes[warmup : warmup + naive_queries])
     cache = MaskCache(trie)
-    cache.lookup(trie, b" ")  # warm (pre-seeded already)
+    cache.lookup(trie, b" ")  # warm: the first lookup stores the mask
     cached_us = _time_calls(cache.lookup, trie, [b" "] * queries)
 
     return {

@@ -15,11 +15,12 @@ Per-token code calls ndarray methods (``argmax``, ``sort``, ``cumsum``,
 forward to them: the same C kernels with the same arguments, so draws
 are bit-identical, without the 1 to 1.6 µs a wrapper adds to each call.
 
-A nucleus draw never sorts ids.  Each of its three size regimes keeps
-the ids a stable descending argsort over every id keeps, and draws in
-that order: one sort of the values, one descending running sum, and
-the cut and the drawn rank both read off that sum.  The drawn rank's
-value, counted among its ties in position order, gives the id.
+A nucleus draw never sorts ids; :func:`sample` alone reads its cut,
+and no function returns the kept set.  Each of its three size regimes
+keeps the ids a stable descending argsort over every id keeps, and
+draws in that order: one sort of the values, one descending running
+sum, and the cut and the drawn rank both read off that sum.  The drawn
+rank's value, counted among its ties in position order, gives the id.
 
 - up to 32 weights (most alignment steps): plain Python floats, because
   NumPy's ``cumsum`` adds float64 values left to right, as Python does;
@@ -234,26 +235,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def nucleus_keep_set(dist: np.ndarray, top_p: float, temperature: float = 1.0) -> np.ndarray:
-    """Positions of the smallest descending-probability prefix with mass >= top_p.
-
-    Temperature is applied first (see :func:`_apply_temperature`).  Ties
-    at equal probability order by position, first first; the boundary
-    entry is included, so the kept set is never empty.  Returned
-    positions (token ids, for a provider row) are ascending.
-    """
-    ids, vals, top, _, cut = _fold(_apply_temperature(dist, temperature), top_p)
-    v = top[-1 - cut]
-    if len(top) - int(top.searchsorted(v, side="left")) == cut + 1:
-        pos = (vals >= v).nonzero()[0]
-    else:
-        # more positions reach v than the cut holds: keep the first ties
-        keep = vals > v
-        keep[(vals == v).nonzero()[0][: cut + 1 - int(np.count_nonzero(keep))]] = True
-        pos = keep.nonzero()[0]
-    return pos if ids is None else ids[pos]
-
-
 # Up to this many entries a nucleus draw sorts every value: below it
 # sorting only the candidates saves little.
 _FULL_SORT_MAX = 4096
@@ -261,13 +242,14 @@ _FULL_SORT_MAX = 4096
 # estimate the mass below each sampled value.
 _SAMPLE_STRIDE = 64
 # The estimated mass left below the candidates stays under this share of
-# 1 - top_p, so the candidates hold top_p despite the estimate's error.
+# 1 - top_p, so that on unmasked 50k vectors the candidates hold top_p.
+# Masked rows fall short more often: on the benchmark's 24,931-id mask of
+# b" " under 256 Zipf provider rows (FixedCostProvider seeds 0-7), the first
+# selection fell short in 195 rows at top_p 0.9, 71 at 0.8 and 8 at 0.95.
 _TAIL_MARGIN = 0.95
-# Candidates that fall short are selected once more, with the threshold
-# this many sample values below the shortfall's estimate, because the gaps
-# between sorted sample values vary.  On the benchmark's 24,931-id mask of
-# b" " under 256 Zipf provider rows, at top_p 0.8, 0.9 and 0.95, a slack of
-# 0 left 69 of 274 second selections short, 1 left 15, 2 left 1 and 3 none.
+# Those are selected once more, with the threshold this many sample values
+# below the shortfall's estimate, as the gaps between sorted sample values
+# vary: a slack of 0 left 69 of the 274 short, 1 left 15, 2 left 1, 3 none.
 _RETRY_SLACK = 3
 # Up to this many weights a nucleus draw runs on Python floats.  Its
 # sequential adds equal NumPy's cumsum at any length
@@ -275,23 +257,6 @@ _RETRY_SLACK = 3
 # faster path: timed at 8 to 64 weights, the interpreter draw wins up to
 # about 48.
 _LEFT_FOLD_MAX = 32
-# ids, vals, top, fold and cut, as :func:`_fold` returns them
-_Fold = tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, int]
-
-
-def _fold(w: np.ndarray, top_p: float) -> _Fold:
-    """The sort, descending running sum and cut of tempered weights, without an id sort.
-
-    Returns ``(ids, vals, top, fold, cut)``: ``vals = w[ids]`` (``ids``
-    None: all of ``w``) are the values sorted, ``top`` is them ascending,
-    ``fold`` the running sum of ``top`` from its largest value, and
-    ``cut`` the first index of ``fold`` at or above ``top_p`` (the last
-    index when none is).  ``fold`` is a full sort's running sum up to
-    ``cut``.
-    """
-    found = _candidates(w, top_p)
-    folded = None if found is None else _fold_among(*found, top_p)
-    return _fold_among(None, w, top_p) if folded is None else folded
 
 
 def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -340,14 +305,16 @@ def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | 
     return None
 
 
-def _fold_among(ids: np.ndarray | None, vals: np.ndarray, top_p: float) -> _Fold | None:
-    """:func:`_fold` from sorting ``vals = w[ids]``, or None if ``ids`` cannot hold the cut.
+def _fold_among(ids: np.ndarray | None, vals: np.ndarray, top_p: float) -> tuple | None:
+    """The sort, running sum and cut of ``vals = w[ids]``, or None if ``ids`` cannot hold the cut.
 
-    ``ids`` holds every position of ``w`` whose value is at or above some
-    threshold, so ``vals`` are the largest values with all their ties, and
-    their descending running sums are the first running sums of the whole
-    vector.  When those reach ``top_p`` the cut is a full sort's;
-    otherwise this returns None.
+    Returns ``(ids, vals, top, fold, cut)``: ``top`` is ``vals``
+    ascending, ``fold`` its running sum from the largest value, and
+    ``cut`` the first index of ``fold`` at or above ``top_p`` (the last
+    index when none is).  ``ids`` None means all of ``w``; otherwise it
+    holds every position at or above some threshold, so the running sums
+    are the whole vector's first ones, and a cut among them is a full
+    sort's.  None means they never reach ``top_p``.
     """
     top = vals.copy()
     top.sort()
@@ -406,7 +373,7 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
     """Draw one index of ``dist`` under the configured policy.
 
     ``dist`` is trusted to meet the provider contract (see
-    :func:`check_distribution`); only an all-zero vector is rejected.
+    :func:`check_distribution`); only an empty or all-zero vector is rejected.
     A nucleus draw takes exactly one ``rng.random()``, ``u``, and walks
     the kept set in the order the cut sorted it, descending weight with
     ties in position order: it returns the first kept position whose
@@ -422,7 +389,9 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
     w = _apply_temperature(dist, cfg.temperature)
     if len(w) <= _LEFT_FOLD_MAX:
         return _draw_small(w.tolist(), cfg.top_p, rng)
-    ids, vals, top, fold, cut = _fold(w, cfg.top_p)
+    found = _candidates(w, cfg.top_p)
+    folded = None if found is None else _fold_among(*found, cfg.top_p)
+    ids, vals, top, fold, cut = _fold_among(None, w, cfg.top_p) if folded is None else folded
     # the fold starts at a maximum, so zero kept mass means an all-zero vector
     total = fold.item(cut)
     if not total > 0.0:

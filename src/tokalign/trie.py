@@ -120,9 +120,9 @@ def build_trie(vocab: Vocabulary) -> ByteTrie:
 class MaskCache:
     """Bounded LRU cache of compatible-id arrays keyed by prefix bytes.
 
-    Pre-seeded with the single-space mask, the hot key in completion
-    workloads.  Purely an accelerator: hits are bit-identical to fresh
-    index queries, and capacity 0 disables storage entirely.  Not
+    A new cache is empty; only :meth:`lookup` stores a mask, from the
+    index it is given (``trie`` here is unread).  Hits are bit-identical
+    to fresh index queries, and capacity 0 stores nothing.  Not
     internally synchronized; concurrent writers must serialize.
     """
 
@@ -133,15 +133,6 @@ class MaskCache:
         self.hits = 0
         self.misses = 0
         self._store: OrderedDict[bytes, TokenMask] = OrderedDict()
-        if capacity > 0:
-            self._insert(b" ", trie.matching_tokens(b" "))
-
-    def _insert(self, key: bytes, mask: TokenMask) -> None:
-        # only called for a key the store lacks, so it goes in last and
-        # overflows the capacity by at most that one entry
-        self._store[key] = mask
-        if len(self._store) > self.capacity:
-            self._store.popitem(last=False)
 
     def lookup(self, trie: ByteTrie, prefix: bytes) -> TokenMask:
         if type(prefix) is not bytes:
@@ -154,7 +145,10 @@ class MaskCache:
         self.misses += 1
         mask = trie.matching_tokens(prefix)
         if self.capacity > 0:
-            self._insert(prefix, mask)
+            # a missed key goes in last, so the store overflows by at most it
+            self._store[prefix] = mask
+            if len(self._store) > self.capacity:
+                self._store.popitem(last=False)
         return mask
 
     def __len__(self) -> int:

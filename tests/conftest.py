@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tokalign import (
@@ -69,3 +70,19 @@ def byte_vocab(extra=(), merges=None, specials=(), pretokenize=None):
     """All 256 single-byte tokens plus the given extras."""
     tokens = [bytes([i]) for i in range(256)] + [bytes(t) for t in extra]
     return Vocabulary(tokens, merges=merges, specials=specials, pretokenize=pretokenize)
+
+
+class FixedDraw:
+    """A generator stand-in whose draw is a chosen value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+# Draws at both ends of [0, 1) and in its middle.  A nucleus cut that keeps
+# a different mass draws a different id at the last of them, unless the two
+# masses differ only in their last bits.
+EDGE_DRAWS = (0.0, 0.5, float(np.nextafter(1.0, 0.0)))

@@ -109,9 +109,11 @@ class TestAlignStep:
         assert ids.tolist() == [0, 2]
         assert np.allclose(densify(ids, probs, 4), [0.5, 0.0, 0.5, 0.0])
 
-    def test_preseeded_cache_transparent(self, trained_vocab, trained_trie):
+    def test_cached_mask_transparent(self, trained_vocab, trained_trie):
         dist = np.full(len(trained_vocab), 1.0 / len(trained_vocab))
-        warm_ids, warm = masked(dist, trained_trie, MaskCache(trained_trie), b" ")
+        cache = MaskCache(trained_trie)
+        cache.lookup(trained_trie, b" ")
+        warm_ids, warm = masked(dist, trained_trie, cache, b" ")
         cold_ids, cold = masked(dist, trained_trie, MaskCache(trained_trie, capacity=0), b" ")
         assert np.array_equal(warm_ids, cold_ids)
         assert np.array_equal(warm, cold)

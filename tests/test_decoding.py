@@ -19,12 +19,11 @@ from tokalign import (
     build_ngram_model,
     generate,
     make_rng,
-    nucleus_keep_set,
     sample,
 )
 from tokalign.decoding import ConfigError, check_distribution, first_stop_index, run_free_phase
 
-from conftest import byte_vocab
+from conftest import EDGE_DRAWS, FixedDraw, byte_vocab
 
 
 def grid_distributions(n_tokens, step=0.05):
@@ -105,16 +104,21 @@ class TestSample:
                 if dist.sum() == 0:
                     continue
                 for top_p in (0.15, 0.5, 0.8, 1.0):
-                    kept = set(nucleus_keep_set(dist, top_p).tolist())
                     order = sorted(range(n_tokens), key=lambda i: (-dist[i], i))
                     expected = []
+                    sums = []
                     cum = 0.0
                     for i in order:
                         expected.append(i)
                         cum += dist[i]
+                        sums.append(cum)
                         if cum >= top_p:
                             break
-                    assert kept == set(expected), (dist, top_p)
+                    # the first kept id whose running sum exceeds u times the kept mass
+                    cfg = SamplerConfig(mode="nucleus", top_p=top_p)
+                    for u in EDGE_DRAWS:
+                        want = next(i for i, c in zip(expected, sums) if c > u * cum)
+                        assert sample(dist, cfg, FixedDraw(u)) == want, (dist, top_p, u)
 
     def test_temperature_keeps_zeros_zero(self):
         cfg = SamplerConfig(mode="nucleus", top_p=1.0, temperature=0.25, seed=1)
@@ -144,11 +148,21 @@ class TestSample:
         assert all(sample(spiked, cold, make_rng(s)) == spiked.argmax() for s in range(50))
         uniform = np.full(size, 1.0 / size)
         colder = SamplerConfig(mode="nucleus", top_p=0.9, temperature=1e-4)
-        kept = nucleus_keep_set(uniform, 0.9)
-        assert np.array_equal(nucleus_keep_set(uniform, 0.9, 1e-4), kept)
-        assert all(sample(uniform, colder, make_rng(s)) in kept for s in range(50))
+        untempered = SamplerConfig(mode="nucleus", top_p=0.9)
+        for u in EDGE_DRAWS:
+            draw = FixedDraw(u)
+            assert sample(uniform, colder, draw) == sample(uniform, untempered, draw)
+        kept = int(np.cumsum(uniform).searchsorted(0.9)) + 1  # the first ids, in position order
+        assert all(sample(uniform, colder, make_rng(s)) < kept for s in range(50))
         if size == 3:
             assert sample(np.array([0.3, 0.3, 0.4]), cold, make_rng(0)) == 2
+
+    @pytest.mark.parametrize("mode", ["greedy", "nucleus"])
+    def test_empty_vector_refused(self, mode):
+        for temperature in (1.0, 0.5):
+            cfg = SamplerConfig(mode=mode, top_p=0.9, temperature=temperature)
+            with pytest.raises(ValueError):
+                sample(np.array([]), cfg, make_rng(0))
 
     def test_nucleus_config_validation(self):
         with pytest.raises(ValueError):

@@ -3,12 +3,13 @@
 The reference functions below are dense implementations: a length-V
 boolean mask applied with ``np.where``, and a nucleus keep set and draw
 built from a stable descending argsort over every id, the draw walking
-the kept ids in that order.  The sparse path
-must keep exactly the same ids, make exactly the same seeded draws and
-leave the generator in the same state, for tiny vectors (the
-interpreter path), small ones (a full value sort) and large ones (a sort
-of the values at or above a threshold whose estimated tail mass, from
-every 64th value, leaves ``top_p`` above it).
+the kept ids in that order.  The sparse path must make exactly the same
+draws, at chosen values of ``u`` and seeded ones, and leave the
+generator in the same state, for tiny vectors (the interpreter path),
+small ones (a full value sort) and large ones (a sort of the values at
+or above a threshold whose estimated tail mass, from every 64th value,
+leaves ``top_p`` above it).  A draw at ``u`` just below 1 lands on the
+last kept id, so it pins the cut.
 """
 
 import functools
@@ -20,14 +21,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from tokalign import (
-    EmptyMaskError,
-    SamplerConfig,
-    make_rng,
-    mask_distribution,
-    nucleus_keep_set,
-    sample,
-)
+from tokalign import EmptyMaskError, SamplerConfig, make_rng, mask_distribution, sample
 from tokalign import decoding
 from tokalign.align import _ORDERED_SUM_MAX
 from tokalign.decoding import (
@@ -37,6 +31,8 @@ from tokalign.decoding import (
     _apply_temperature,
     _candidates,
 )
+
+from conftest import EDGE_DRAWS, FixedDraw
 
 PINNED = settings(max_examples=400, deadline=None, database=None)
 TOP_PS = (0.15, 0.5, 0.9, 1.0)
@@ -109,6 +105,13 @@ def sampler(mode, top_p, temperature, seed_):
     return SamplerConfig(mode=mode, top_p=top_p, temperature=temperature, seed=seed_)
 
 
+def assert_edge_draws_like_reference(dist, top_p, temperature=1.0):
+    # the same kept mass, hence the same cut, and the same draw order
+    cfg = sampler("nucleus", top_p, temperature, 0)
+    for u in EDGE_DRAWS:
+        assert sample(dist, cfg, FixedDraw(u)) == reference_sample(dist, cfg, FixedDraw(u))
+
+
 @seed(240308688)
 @PINNED
 @given(
@@ -117,10 +120,7 @@ def sampler(mode, top_p, temperature, seed_):
     temperature=st.sampled_from(TEMPERATURES),
 )
 def test_keep_set_equals_argsort_reference(dist, top_p, temperature):
-    assert np.array_equal(
-        nucleus_keep_set(dist, top_p, temperature),
-        reference_keep_set(dist, top_p, temperature),
-    )
+    assert_edge_draws_like_reference(dist, top_p, temperature)
 
 
 @seed(240308688)
@@ -197,10 +197,7 @@ def large_distributions(draw):
     seed_=st.integers(0, 2**32 - 1),
 )
 def test_large_vectors_equal_argsort_reference(dist, top_p, temperature, seed_):
-    assert np.array_equal(
-        nucleus_keep_set(dist, top_p, temperature),
-        reference_keep_set(dist, top_p, temperature),
-    )
+    assert_edge_draws_like_reference(dist, top_p, temperature)
     cfg = sampler("nucleus", top_p, temperature, seed_)
     rng_dense, rng_sparse = make_rng(seed_), make_rng(seed_)
     assert sample(dist, cfg, rng_sparse) == reference_sample(dist, cfg, rng_dense)
@@ -254,12 +251,12 @@ def test_candidate_selection_only_where_it_pays(kind, top_p, selects, monkeypatc
         return fold_among(ids, vals, p)
 
     monkeypatch.setattr(decoding, "_fold_among", spy)
-    assert np.array_equal(nucleus_keep_set(dist, top_p), reference_keep_set(dist, top_p))
-    assert len(sorted_sets) == 1 and (sorted_sets[0] < len(dist)) == selects
     cfg = sampler("nucleus", top_p, 1.0, 11)
     rng_dense, rng_sparse = make_rng(11), make_rng(11)
     assert sample(dist, cfg, rng_sparse) == reference_sample(dist, cfg, rng_dense)
+    assert len(sorted_sets) == 1 and (sorted_sets[0] < len(dist)) == selects
     assert rng_sparse.random() == rng_dense.random()
+    assert_edge_draws_like_reference(dist, top_p)
 
 
 def test_candidates_whose_running_sum_falls_short(monkeypatch):
@@ -281,8 +278,10 @@ def test_candidates_whose_running_sum_falls_short(monkeypatch):
         return kept
 
     monkeypatch.setattr(decoding, "_fold_among", spy)
-    assert np.array_equal(nucleus_keep_set(dist, top_p), reference_keep_set(dist, top_p))
+    cfg = sampler("nucleus", top_p, 1.0, 0)
+    assert sample(dist, cfg, FixedDraw(0.5)) == reference_sample(dist, cfg, FixedDraw(0.5))
     assert calls == [(False, len(ids), True), (True, len(dist), False)]
+    assert_edge_draws_like_reference(dist, top_p)
 
 
 def test_candidates_that_fall_short_are_selected_once_more(monkeypatch):
@@ -305,9 +304,10 @@ def test_candidates_that_fall_short_are_selected_once_more(monkeypatch):
         return fold_among(ids, vals, p)
 
     monkeypatch.setattr(decoding, "_fold_among", spy)
-    assert np.array_equal(nucleus_keep_set(dist, top_p), reference_keep_set(dist, top_p))
-    assert sorted_sets == [len(ids)]
     cfg = sampler("nucleus", top_p, 1.0, 0)
+    assert sample(dist, cfg, FixedDraw(0.5)) == reference_sample(dist, cfg, FixedDraw(0.5))
+    assert sorted_sets == [len(ids)]
+    assert_edge_draws_like_reference(dist, top_p)
     for s in range(20):
         rng_dense, rng_sparse = make_rng(s), make_rng(s)
         assert sample(dist, cfg, rng_sparse) == reference_sample(dist, cfg, rng_dense)
@@ -345,16 +345,6 @@ def test_numpy_running_sum_is_a_left_fold():
             assert np.cumsum(values).tolist() == list(itertools.accumulate(values))
 
 
-class FixedDraw:
-    """A generator stand-in whose draw is a chosen value."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 @pytest.mark.parametrize("n", [2, 8, _LEFT_FOLD_MAX, _LEFT_FOLD_MAX + 1, 5000])
 def test_draw_exactly_on_a_cumulative_boundary(n):
     # u equal to a running sum selects the next id, as searchsorted(side="right") does
@@ -366,12 +356,17 @@ def test_draw_exactly_on_a_cumulative_boundary(n):
 
 def test_top_p_one_round_off_reaches_zero_probability_ids():
     # ten 0.1s sum to 0.9999999999999999 < 1.0, so the cut runs past the
-    # last positive entry and the zero-probability ids are kept too
-    dist = np.array([0.0, 0.1, 0.0] + [0.1] * 9 + [0.0])
-    assert np.cumsum(np.sort(dist)[::-1])[-1] < 1.0
-    kept = nucleus_keep_set(dist, 1.0)
-    assert np.array_equal(kept, reference_keep_set(dist, 1.0))
-    assert kept.tolist() == list(range(13))
+    # last positive entry into the zero-probability ids, which are still
+    # never drawn (13 weights take the interpreter path, 40 the NumPy one)
+    short = np.array([0.0, 0.1, 0.0] + [0.1] * 9 + [0.0])
+    long = np.zeros(40)
+    long[3::4] = 0.1
+    cfg = sampler("nucleus", 1.0, 1.0, 0)
+    for dist in (short, long):
+        assert np.cumsum(np.sort(dist)[::-1])[-1] < 1.0
+        assert len(reference_keep_set(dist, 1.0)) == len(dist)
+        assert_edge_draws_like_reference(dist, 1.0)
+        assert all(dist[sample(dist, cfg, FixedDraw(i / 64))] > 0.0 for i in range(64))
 
 
 def test_zero_mass_on_mask_falls_back_to_uniform():
@@ -402,7 +397,7 @@ def test_each_kept_id_gets_its_share_of_the_unit_interval(size):
     dist = w / w.sum()
     top_p = 0.9
     assert (_candidates(dist, top_p) is not None) == (size > 4096)
-    kept = nucleus_keep_set(dist, top_p)
+    kept = reference_keep_set(dist, top_p)
     steps = 1 << 15
     cfg = sampler("nucleus", top_p, 1.0, 0)
     drawn = [sample(dist, cfg, FixedDraw(i / steps)) for i in range(steps)]

@@ -85,3 +85,20 @@ def test_trained_vocabulary_matches_oracle(data, trained_vocab):
     queries = data.draw(prefixes(trained_vocab))
     queries += data.draw(st.lists(st.binary(max_size=6), max_size=10))
     check_against_oracle(trained_vocab, queries)
+
+
+@seed(240308688)
+@settings(PINNED, max_examples=60)
+@given(data=st.data(), vocab=vocabularies())
+def test_cache_holds_only_what_lookups_asked_for(data, vocab):
+    # a new cache is empty and only a lookup stores a mask, so the entries
+    # are the distinct keys looked up, up to the capacity
+    trie = build_trie(vocab)
+    keys = data.draw(prefixes(vocab))
+    queries = data.draw(st.lists(st.sampled_from(keys), max_size=40))
+    for capacity in (0, 1, 8):
+        cache = MaskCache(trie, capacity=capacity)
+        for prefix in queries:
+            assert np.array_equal(cache.lookup(trie, prefix), trie.matching_tokens(prefix))
+        assert cache.hits + cache.misses == len(queries)
+        assert len(cache) == min(capacity, len(set(queries)))

@@ -152,10 +152,13 @@ class TestMaskCache:
         assert cache.hits == hits_before + 1
         assert np.array_equal(first, second)
 
-    def test_single_space_preseeded(self, trained_trie):
+    def test_new_cache_is_empty_until_lookup(self, trained_trie):
         cache = MaskCache(trained_trie)
-        assert cache.lookup(trained_trie, b" ") is not None
-        assert cache.hits == 1 and cache.misses == 0
+        assert len(cache) == 0
+        first = cache.lookup(trained_trie, b" ")
+        assert cache.hits == 0 and cache.misses == 1 and len(cache) == 1
+        assert cache.lookup(trained_trie, b" ") is first
+        assert cache.hits == 1 and cache.misses == 1
 
     def test_cached_equals_fresh_randomized(self, trained_trie):
         rng = make_rng(7)
@@ -169,11 +172,15 @@ class TestMaskCache:
 
     def test_lru_eviction(self, trained_trie):
         cache = MaskCache(trained_trie, capacity=2)
-        cache.lookup(trained_trie, b"a")  # evicts nothing: " " + "a"
-        cache.lookup(trained_trie, b"b")  # evicts " "
+        cache.lookup(trained_trie, b"a")
+        cache.lookup(trained_trie, b"b")  # evicts nothing: "a" + "b"
         assert len(cache) == 2
-        cache.lookup(trained_trie, b" ")
-        assert cache.misses == 3  # the pre-seeded entry was evicted
+        cache.lookup(trained_trie, b" ")  # evicts "a", the least recently used
+        assert cache.misses == 3
+        cache.lookup(trained_trie, b"b")
+        assert cache.hits == 1 and len(cache) == 2
+        cache.lookup(trained_trie, b"a")
+        assert cache.misses == 4  # "a" was evicted
 
     def test_capacity_zero_stores_nothing(self, trained_trie):
         cache = MaskCache(trained_trie, capacity=0)
