@@ -145,7 +145,7 @@ class MaskCache:
         self.misses += 1
         mask = trie.matching_tokens(prefix)
         if self.capacity > 0:
-            # a missed key goes in last, so the store overflows by at most it
+            # the missed key goes in last, so only it can overflow the capacity
             self._store[prefix] = mask
             if len(self._store) > self.capacity:
                 self._store.popitem(last=False)

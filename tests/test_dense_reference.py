@@ -9,7 +9,7 @@ generator in the same state, for tiny vectors (the interpreter path),
 small ones (a full value sort) and large ones (a sort of the values at
 or above a threshold whose estimated tail mass, from every 64th value,
 leaves ``top_p`` above it).  A draw at ``u`` just below 1 lands on the
-last kept id, so it pins the cut.
+last kept id of positive weight, so it pins the kept mass.
 """
 
 import functools
