@@ -174,7 +174,6 @@ def aligned_generate(
     max_steps = len(prefix)
     rng = make_rng(sampler_cfg.seed)
     mask_sizes: list[int] = []
-    per_lookup_max_ns = 0
     # Per-request constants; the module-level helpers stay global lookups
     # made at call time, so a wrapper installed on the module sees every call.
     next_distribution = provider.next_distribution
@@ -188,9 +187,7 @@ def aligned_generate(
             raise AlignmentError(
                 f"alignment exceeded {max_steps} steps without consuming the prefix"
             )
-        t_step = clock()
         ids = cache.lookup(trie, prefix)
-        step_ns = clock() - t_step
         if len(ids) == 0:
             raise DeadEndError(prefix, context, len(mask_sizes))
         if len(ids) == 1:
@@ -201,12 +198,8 @@ def aligned_generate(
             chosen = ids.item(0)
         else:
             dist = check_distribution(next_distribution(context), size)
-            t_mask = clock()
             probs = mask_distribution(dist, ids)
-            step_ns += clock() - t_mask
             chosen = ids.item(sample(probs, sampler_cfg, rng))
-        if step_ns > per_lookup_max_ns:
-            per_lookup_max_ns = step_ns
         mask_sizes.append(len(ids))
         prefix = advance(prefix, chosen, vocab)
         context.append(chosen)
@@ -227,10 +220,6 @@ def aligned_generate(
         output=prompt + out,
         token_ids=context,
         mask_sizes=mask_sizes,
-        timings_us={
-            "alignment": alignment_us,
-            "free": free_us,
-            "per_lookup_max": per_lookup_max_ns / 1000.0,
-        },
+        timings_us={"alignment": alignment_us, "free": free_us},
     )
 

@@ -79,20 +79,36 @@ class LogitsProvider(Protocol):
     def next_distribution(self, context: Sequence[int]) -> np.ndarray: ...
 
 
+class _PassedRow(weakref.KeyedRef):
+    """A weak reference to a row that passed, keyed by its id, with its greedy pick.
+
+    ``pick`` is the row's first maximum, None until a greedy draw reads it.
+    """
+
+    __slots__ = ("pick",)
+
+    def __new__(cls, row: np.ndarray):
+        return super().__new__(cls, row, _forget_row, id(row))
+
+    def __init__(self, row: np.ndarray):
+        super().__init__(row, _forget_row, id(row))
+        self.pick: int | None = None
+
+
 # Rows that passed both scans of check_distribution: a weak reference to
 # each, by id.  Only exact float64 ndarrays with strides (8,) whose base
 # is a ``bytes`` object are kept: bytes never change and NumPy refuses to
-# make such an array writeable, so a kept row's values are the values
-# that passed.  Its dtype, strides and shape can still be reassigned in
-# place, so every call tests them again.  An entry goes when its row is
-# freed.  Sharing the memo between callers changes no verdict, only how
-# often a row is scanned.
-_PASSED_ROWS: dict[int, weakref.KeyedRef] = {}
+# make such an array writeable, so a kept row's values, and so its first
+# maximum, are the values that passed.  Its dtype, strides and shape can
+# still be reassigned in place, so every call tests them again.  An entry
+# goes when its row is freed.  Sharing the memo between callers changes
+# no verdict or draw, only how often a row is scanned.
+_PASSED_ROWS: dict[int, _PassedRow] = {}
 _FLOAT64 = np.dtype(np.float64)
 _ROW_STRIDES = (_FLOAT64.itemsize,)
 
 
-def _forget_row(ref: weakref.KeyedRef) -> None:
+def _forget_row(ref: _PassedRow) -> None:
     """Drop a freed row's entry, unless the id already names a newer row."""
     if _PASSED_ROWS.get(ref.key) is ref:
         del _PASSED_ROWS[ref.key]
@@ -136,7 +152,7 @@ def check_distribution(dist, size: int) -> np.ndarray:
         and type(dist.base) is bytes
         and dist.strides == _ROW_STRIDES
     ):
-        _PASSED_ROWS[id(dist)] = weakref.KeyedRef(dist, _forget_row, id(dist))
+        _PASSED_ROWS[id(dist)] = _PassedRow(dist)
     return dist
 
 
@@ -374,6 +390,9 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
 
     ``dist`` is trusted to meet the provider contract (see
     :func:`check_distribution`); only an empty or all-zero vector is rejected.
+    A greedy draw over a row that :func:`check_distribution` remembers
+    (float64 over ``bytes``, with its strides unchanged) finds the row's
+    first maximum once and reads it from the memo on later draws.
     A nucleus draw takes exactly one ``rng.random()``, ``u``, and walks
     the kept set in the order the cut sorted it, descending weight with
     ties in position order: it returns the first kept position whose
@@ -382,6 +401,14 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
     if type(dist) is not np.ndarray or dist.dtype is not _FLOAT64:
         dist = np.asarray(dist, dtype=np.float64)
     if cfg.mode == "greedy":
+        ref = _PASSED_ROWS.get(id(dist))
+        if ref is not None and ref() is dist and dist.strides == _ROW_STRIDES:
+            # it passed, so it sums to 1 and its maximum is positive
+            if ref.pick is None:
+                ref.pick = int(dist.argmax())
+            return ref.pick
+        if dist.size == 0:
+            raise ValueError("cannot sample from an empty distribution")
         best = int(dist.argmax())
         if not dist.item(best) > 0.0:
             raise ValueError("cannot sample from an all-zero distribution")
@@ -416,9 +443,8 @@ class GenerationResult:
     token the session emitted, untruncated.  ``mask_sizes`` holds one
     compatible-id count per alignment step, so ``alignment_steps`` is
     its length; a count of 1 marks a forced step, which made no provider
-    call.  Timings are microseconds; ``per_lookup_max`` is the slowest
-    single alignment step's mask lookup plus renormalization over the
-    compatible ids (a forced step has no renormalization).
+    call.  ``timings_us`` holds the wall-clock microseconds of the
+    alignment phase and of the free phase.
     """
 
     prompt: bytes
@@ -509,7 +535,7 @@ def generate(
         prompt=bytes(prompt),
         output=bytes(prompt) + out,
         token_ids=context,
-        timings_us={"alignment": 0.0, "free": free_us, "per_lookup_max": 0.0},
+        timings_us={"alignment": 0.0, "free": free_us},
     )
 
 

@@ -213,7 +213,7 @@ class TestAlignedGenerate:
         assert result.mask_sizes[0] == 2  # {newline, indented return}
         assert result.timings_us["alignment"] > 0
         doc = result.to_json_dict()
-        assert set(doc["timings_us"]) == {"alignment", "free", "per_lookup_max"}
+        assert set(doc["timings_us"]) == {"alignment", "free"}
 
     def test_empty_prompt_rejected(self, trained_vocab, ngram_provider, trained_trie):
         with pytest.raises(ValueError):

@@ -128,3 +128,21 @@ def test_digest_line_counts_equal_pairs_per_arm():
     assert bench_pairs.digest_line("w", runs) == (
         "w digests equal to parent: aligned 1 of 3, plain 3 of 3"
     )
+
+
+def test_added_ms_is_per_run_difference_then_quartiles():
+    def result(aligned, plain):
+        return {"metrics": {"req_ms_p50": {"value": aligned}, "plain_req_ms_p50": {"value": plain}}}
+
+    runs = {
+        # overhead_x rises (about 1.53 -> 1.65) while the added cost falls (0.032 -> 0.026 ms)
+        "parent": [result(0.09 + 0.001 * k, 0.06) for k in range(5)],
+        "change": [result(0.064 + 0.001 * k, 0.04) for k in range(5)],
+    }
+    added = bench_pairs.summarise_added_ms(runs)
+    assert added["parent"] == pytest.approx({"median": 0.032, "q1": 0.031, "q3": 0.033, "iqr": 0.002})
+    assert added["change"]["median"] == pytest.approx(0.026)
+    assert bench_pairs.added_ms_line("w", {"added_ms": added}) == (
+        "w added ms (req_ms_p50 - plain_req_ms_p50, median [q1, q3]): "
+        "parent 0.032 [0.031, 0.033] change 0.026 [0.025, 0.027]"
+    )

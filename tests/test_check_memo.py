@@ -5,7 +5,9 @@ a float64 array over a ``bytes`` object, whose values can never change.
 These tests hold it to the two-scan check kept below as the reference:
 the same verdict and message on every call, whatever memory a row lives
 in, however often it is checked, and whether or not its memory is
-rewritten between checks.
+rewritten between checks.  A greedy draw over a remembered row keeps the
+row's first maximum in its memo entry; the last tests hold every such
+draw to ``argmax`` over the row as it reads at the time of the draw.
 """
 
 import math
@@ -25,12 +27,15 @@ from tokalign import (
     build_ngram_model,
     build_trie,
     generate,
+    make_rng,
+    sample,
 )
 from tokalign import decoding as decoding_module
 from tokalign.decoding import DIST_SUM_TOLERANCE, _frozen_row, check_distribution
 
 SIZE = 6
 KINDS = ("bytes", "bytearray", "memoryview", "owned", "owned-read-only")
+GREEDY = SamplerConfig(mode="greedy")
 
 
 def reference_check(dist, size):
@@ -271,3 +276,99 @@ def test_one_scan_per_distinct_row(scans, trained_vocab, trained_trie, code_text
     scans.clear()
     assert one_pass() == first
     assert scans == []
+
+
+def reference_greedy(dist):
+    """The greedy draw before picks were remembered: the first maximum, on every draw."""
+    return int(np.asarray(dist, dtype=np.float64).argmax())
+
+
+@st.composite
+def tied_rows(draw):
+    """A valid row whose weights are small integers, so ties and zeros are common."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+    i = draw(st.integers(0, len(weights) - 1))
+    weights[i] = max(weights[i], 1)
+    return np.asarray(weights, dtype=np.float64) / sum(weights)
+
+
+@seed(2028)
+@settings(max_examples=100, deadline=None, database=None)
+@given(values=tied_rows(), draws=st.integers(1, 4))
+def test_remembered_row_keeps_its_first_maximum(values, draws):
+    row = _frozen_row(values)
+    check_distribution(row, len(values))
+    assert remembered(row)
+    rng = make_rng(0)
+    expected = int(np.argmax(values))
+    assert [sample(row, GREEDY, rng) for _ in range(draws)] == [expected] * draws
+    assert decoding_module._PASSED_ROWS[id(row)].pick == expected
+
+
+def test_first_greedy_draw_stores_the_pick():
+    row = _frozen_row([0.1, 0.4, 0.4, 0.1])
+    check_distribution(row, 4)
+    assert decoding_module._PASSED_ROWS[id(row)].pick is None
+    assert sample(row, GREEDY, make_rng(0)) == 1
+    assert decoding_module._PASSED_ROWS[id(row)].pick == 1
+
+
+@pytest.mark.parametrize("memory", ["owned", "bytearray", "read-only view"])
+def test_draws_over_rewritable_memory_follow_each_rewrite(memory):
+    first, second = [0.1, 0.6, 0.3], [0.5, 0.2, 0.3]
+    if memory == "owned":
+        buffer = row = np.array(first)
+    elif memory == "bytearray":
+        buffer = row = np.frombuffer(bytearray(np.array(first).tobytes()), dtype=np.float64)
+    else:
+        buffer = np.array(first)
+        row = buffer.view()
+        row.setflags(write=False)
+    rng = make_rng(0)
+    for values in (first, second, first):
+        buffer[:] = values
+        check_distribution(row, 3)
+        assert not remembered(row)
+        assert sample(row, GREEDY, rng) == reference_greedy(values)
+
+
+@pytest.mark.parametrize("view", ["shape", "strides", "float32", "int64", "reshaped", "float32 view"])
+def test_row_viewed_another_way_draws_without_the_pick(view):
+    row = _frozen_row([0.2, 0.1, 0.6, 0.1])
+    check_distribution(row, 4)
+    assert sample(row, GREEDY, make_rng(0)) == 2
+    # a stored pick no draw could give, so any read of it shows
+    decoding_module._PASSED_ROWS[id(row)].pick = 99
+    with warnings.catch_warnings():
+        # assigning strides is deprecated since NumPy 2.4
+        warnings.simplefilter("ignore", DeprecationWarning)
+        if view == "shape":
+            row.shape = (2, 2)
+        elif view == "strides":
+            row.strides = (0,)
+        elif view in ("float32", "int64"):
+            row.dtype = np.dtype(view)
+        elif view == "reshaped":
+            row = row.reshape(2, 2)
+        else:
+            row = row.view(np.float32)
+    assert sample(row, GREEDY, make_rng(0)) == reference_greedy(row) != 99
+
+
+def test_row_freed_and_replaced_under_its_id_gets_a_fresh_pick():
+    first, second = np.array([0.1, 0.6, 0.3]).tobytes(), np.array([0.5, 0.2, 0.3]).tobytes()
+    row = np.frombuffer(first, dtype=np.float64)
+    check_distribution(row, 3)
+    assert sample(row, GREEDY, make_rng(0)) == 1
+    key = id(row)
+    del row
+    assert key not in decoding_module._PASSED_ROWS
+    for _ in range(100):
+        # CPython hands a freed object's memory to the next one of its size
+        row = np.frombuffer(second, dtype=np.float64)
+        if id(row) == key:
+            break
+    assert id(row) == key
+    check_distribution(row, 3)
+    assert decoding_module._PASSED_ROWS[key].pick is None
+    assert sample(row, GREEDY, make_rng(0)) == 0

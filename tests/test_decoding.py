@@ -161,7 +161,7 @@ class TestSample:
     def test_empty_vector_refused(self, mode):
         for temperature in (1.0, 0.5):
             cfg = SamplerConfig(mode=mode, top_p=0.9, temperature=temperature)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="cannot sample from an empty distribution"):
                 sample(np.array([]), cfg, make_rng(0))
 
     def test_nucleus_config_validation(self):

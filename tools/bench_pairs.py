@@ -16,21 +16,27 @@ runs at the first seed.  The output keeps the layout of the earlier
 ``BENCH_*.json`` files: the method and environment; per end-to-end
 metric the parent's and change's median and quartiles, wins, losses and
 the per-pair values; the digests of both arms with ``equal_to_parent``;
-failed-request counts; the unscaled ``raw_setup_s`` and the quartiles of
-each timed part of the build (``setup_parts_s``); and the traced pair.
+failed-request counts; the quartiles of each run's additive overhead
+(``added_ms``: ``req_ms_p50`` less ``plain_req_ms_p50``); the unscaled
+``raw_setup_s`` and the quartiles of each timed part of the build
+(``setup_parts_s``); and the traced pair.
 
 ``--claim WORKLOAD/METRIC`` adds a ``claim`` entry judged by the rule
 the benchmark's gate applies to a claimed gain: the change wins at least
 9 of 10 pairs, and the medians differ by more than the parent's IQR.
 
 After each workload it prints one line per end-to-end metric (both
-medians, ``change_rel``, wins, losses and ``within_bound``), then one
-line per timed part of the build (both unscaled medians and
-``change_rel``), then how many pairs' output digests equal the parent's
-for each benchmark arm (aligned and plain), and at the end the claim's
-verdict, so a breached bound or a changed output shows without the JSON.  The benchmark scales ``setup_s`` by a reference
-build timed around it, so the scaled figure can move against the raw
-build; the part lines show which raw part moved.
+medians, ``change_rel``, wins, losses and ``within_bound``), one line
+with both arms' additive overhead (median and quartiles), then one line
+per timed part of the build (both unscaled medians and ``change_rel``),
+then how many pairs' output digests equal the parent's for each
+benchmark arm (aligned and plain), and at the end the claim's verdict,
+so a breached bound or a changed output shows without the JSON.  The
+additive overhead is a report, not a gate: a saving in work both arms
+share raises ``overhead_x`` while the aligned arm's added cost holds.
+The benchmark scales ``setup_s`` by a reference build timed around it,
+so the scaled figure can move against the raw build; the part lines
+show which raw part moved.
 """
 
 from __future__ import annotations
@@ -179,6 +185,25 @@ def claim_line(claim: dict, entry: dict) -> str:
             f"vs parent IQR {entry['parent']['iqr']:.4g})")
 
 
+def summarise_added_ms(runs: dict) -> dict:
+    """Per arm, quartiles over runs of the aligned arm's added ms: req_ms_p50 - plain_req_ms_p50."""
+    def added(run: dict) -> float:
+        metrics = run["metrics"]
+        return metrics["req_ms_p50"]["value"] - metrics["plain_req_ms_p50"]["value"]
+
+    return {arm: quartiles([added(r) for r in runs[arm]]) for arm in ARMS}
+
+
+def added_ms_line(workload: str, summary: dict) -> str:
+    """Both arms' additive overhead: median and quartiles, in ms."""
+    def spread(q: dict) -> str:
+        return f"{q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]"
+
+    added = summary["added_ms"]
+    return (f"{workload} added ms (req_ms_p50 - plain_req_ms_p50, median [q1, q3]): "
+            f"parent {spread(added['parent'])} change {spread(added['change'])}")
+
+
 def summarise_setup_parts(runs: dict) -> dict:
     """Per part and arm, quartiles over runs of the part's median over a run's builds."""
     def run_median(run: dict, part: str) -> float:
@@ -199,6 +224,7 @@ def summarise_workload(specs: list[dict], seeds: list[int], runs: dict, traced: 
         "digests": digests,
         "all_correct": all(r["correct"] for arm in ARMS for r in runs[arm]),
         "failed": {arm: sum(r["failed"] for r in runs[arm]) for arm in ARMS},
+        "added_ms": summarise_added_ms(runs),
         "raw_setup_s": {arm: quartiles([r["record"]["raw"]["setup_s"] for r in runs[arm]])
                         for arm in ARMS},
         "setup_parts_s": summarise_setup_parts(runs),
@@ -249,6 +275,8 @@ def main(argv=None) -> int:
             "wins": "pairs in which the change's value is better than the parent's in the "
                     "metric's direction; ties count for neither",
             "traced": "one extra pair per workload with --trace 1 at the first seed, parent first",
+            "added_ms": "per run, req_ms_p50 - plain_req_ms_p50 in ms (the aligned arm's "
+                        "additive overhead), then the quartiles over runs; a report, not a gate",
             "raw_setup_s": "the unscaled build time the benchmark records under raw.setup_s, "
                            "for reference",
             "setup_parts_s": "per part of the build (" + ", ".join(SETUP_PARTS) + "), the "
@@ -277,7 +305,8 @@ def main(argv=None) -> int:
             declared["end_to_end"], args.seeds, runs, traced
         )
         summary = result["workloads"][workload]
-        lines = gate_lines(workload, summary) + setup_part_lines(workload, summary)
+        lines = [*gate_lines(workload, summary), added_ms_line(workload, summary),
+                 *setup_part_lines(workload, summary)]
         print("\n".join([*lines, digest_line(workload, runs)]), flush=True)
     if args.claim:
         workload, _, metric = args.claim.partition("/")
