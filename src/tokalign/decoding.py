@@ -65,7 +65,8 @@ class LogitsProvider(Protocol):
     vector is checked (:func:`check_distribution`); a float64 row built
     by ``np.frombuffer`` over a ``bytes`` object is scanned only the
     first time it is returned, so a provider that hands out the same
-    such rows again and again pays the full check once per row.  An
+    such rows again and again pays the full check once per row.  A
+    greedy draw finds such a row's first maximum once too.  An
     alignment step whose mask holds one id does not call the provider:
     its draw is decided.
 
