@@ -566,9 +566,9 @@ class NGramModel:
     uniform distribution over the vocabulary.
 
     :meth:`observe` counts a sequence's (order + 1)-grams in one
-    ``Counter`` pass and adds each to its context's counter.  It raises
-    ValueError, naming the first id that is not an integer (NumPy
-    integers are integers) or else the first id outside
+    ``Counter`` pass and adds each to its context's plain dict of next-id
+    counts.  It raises ValueError, naming the first id that is not an
+    integer (NumPy integers are integers) or else the first id outside
     ``0..vocab_size-1``, before it counts anything of that sequence.  A
     ``bool`` id counts as the id it indexes (``True`` is 1).
 
@@ -588,7 +588,7 @@ class NGramModel:
         self.vocab_size = vocab_size
         self.order = order
         self.alpha = alpha
-        self._counts: dict[tuple[int, ...], Counter[int]] = {}
+        self._counts: dict[tuple[int, ...], dict[int, int]] = {}
         self._uniform = _frozen_row(np.full(vocab_size, 1.0 / vocab_size))
         self._rows: dict[tuple[int, ...], np.ndarray] = {}
         self._row_capacity = _ROW_MEMO_BYTES // self._uniform.nbytes
@@ -609,11 +609,12 @@ class NGramModel:
         padded = (self._BEFORE_START,) * k + ids
         counts = self._counts
         for gram, n in Counter(zip(*(padded[j:] for j in range(k + 1)))).items():
-            ctx = gram[:k]
-            counter = counts.get(ctx)
-            if counter is None:
-                counter = counts[ctx] = Counter()
-            counter[gram[k]] += n
+            ctx, nxt = gram[:k], gram[k]
+            seen = counts.get(ctx)
+            if seen is None:
+                counts[ctx] = {nxt: n}
+            else:
+                seen[nxt] = seen.get(nxt, 0) + n
         self._rows.clear()
 
     def next_distribution(self, context: Sequence[int]) -> np.ndarray:

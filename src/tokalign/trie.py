@@ -13,16 +13,18 @@ token records the position of its longest proper-prefix token
 (``parent``), so they are found by following that chain from the token
 just before the run.
 
+The index belongs to the :class:`~tokalign.vocab.Vocabulary`, which
+builds it once and also encodes and looks up ids through it.  A
+:class:`ByteTrie` is a view of it: it sorts nothing and copies nothing.
 The index is three flat structures, one entry per token in sorted
-order: the list of token bytes (shared with the vocabulary), a
+order: the list of token bytes (shared with the vocabulary's tuple), a
 read-only int64 array of their ids, and the ``parent`` positions in a
-machine-int ``array``.  At 50k tokens that is about 21 bytes per entry.
-The module and class keep their trie names.
+machine-int ``array``, about 20 bytes per entry.  The module and class
+keep their trie names.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from collections import OrderedDict
 
@@ -41,30 +43,18 @@ class TrieError(ValueError):
 
 
 class ByteTrie:
-    """Immutable sorted-token index over the non-special vocabulary.
+    """Mask queries over a vocabulary's sorted-token index.
 
-    Build once, share freely across threads; queries never mutate.
+    A view of ``vocab``'s index, so building one costs nothing per token.
+    Share freely across threads; queries never mutate.
     """
 
     def __init__(self, vocab: Vocabulary):
-        # ids in bytewise token order, sorted by key: no (bytes, id) pair per token
-        order = sorted(vocab.non_special_ids(), key=vocab.tokens.__getitem__)
-        if not order:
+        if not vocab._index_tokens:
             raise TrieError("vocabulary has no non-special tokens; matching is impossible")
-        self._tokens = tokens = [vocab.tokens[i] for i in order]
-        self._ids = np.array(order, dtype=np.int64)
-        self._ids.setflags(write=False)
-        # parent[j]: position of the longest token that is a proper prefix of
-        # token j, or -1.  Every token sorting between a prefix q and a token
-        # starting with q also starts with q, so that longest prefix is on the
-        # prefix chain of token j - 1 (it, its parent, its parent's parent...).
-        self._parent = parent = array("i", [-1]) * len(tokens)
-        k = -1
-        for j, token in enumerate(tokens):
-            while k >= 0 and not token.startswith(tokens[k]):
-                k = parent[k]
-            parent[j] = k
-            k = j
+        self._tokens = vocab._index_tokens
+        self._ids = vocab._index_ids
+        self._parent = vocab._index_parent
 
     @property
     def node_count(self) -> int:

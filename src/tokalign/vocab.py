@@ -18,10 +18,14 @@ import base64
 import heapq
 import json
 import re
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 VOCAB_FILE_VERSION = 1
 
@@ -73,6 +77,15 @@ class Vocabulary:
     of real byte-level BPE deployments, and what makes space-prefix and
     indentation tokens canonical).  When None, merges apply globally.
 
+    Construction builds one sorted-token index over the non-special
+    tokens: their bytes in bytewise order, a read-only int64 array of
+    their ids, and for each the position of its longest proper-prefix
+    token.  Greedy encoding, :meth:`id_of` and the compatibility masks of
+    :class:`~tokalign.trie.ByteTrie` (a view of this index) all read it;
+    there is no bytes -> id dict.  BPE encoding reads the single-byte ids
+    from a 256-entry table and carries each part's id through the merge
+    loop, one merged id per merge rank.
+
     A vocabulary with merges and ``pretokenize`` memoizes the ids of each
     chunk it encodes successfully, up to ``_CHUNK_MEMO_ENTRIES`` chunks;
     chunk ids depend only on the chunk and the immutable merge table.
@@ -96,42 +109,83 @@ class Vocabulary:
         )
         self.specials: frozenset[int] = frozenset(specials)
         self.pretokenize = pretokenize
-        self._id_by_bytes: dict[bytes, int] = self._validate()
-        self._max_token_len = max(map(len, self._id_by_bytes), default=0)
+        self._build_index()
+        self._max_token_len = max(map(len, self._index_tokens), default=0)
         if self.merges is not None:
-            self._merge_rank = {pair: r for r, pair in enumerate(self.merges)}
+            self._build_merge_tables()
         self._chunk_ids: dict[bytes, list[int]] = {}
 
-    def _validate(self) -> dict[bytes, int]:
-        """Check the tables; return each non-special token's bytes -> id."""
-        if not self.tokens:
+    def _build_index(self) -> None:
+        """Sort the non-special tokens into the index, checking the token table.
+
+        Of an empty token and a repeated non-special byte sequence, the
+        one at the lower id is reported, as one pass in id order would.
+        """
+        tokens = self.tokens
+        if not tokens:
             raise VocabularyValidationError("vocabulary has no tokens")
-        seen: dict[bytes, int] = {}
-        for i, t in enumerate(self.tokens):
-            if len(t) == 0:
-                raise VocabularyValidationError(f"token {i} has empty byte sequence")
-            if i in self.specials:
-                continue
-            if t in seen:
+        # ids in bytewise token order, sorted by key: no (bytes, id) pair per token;
+        # the sort is stable, so equal tokens stay in id order
+        order = sorted(self.non_special_ids(), key=tokens.__getitem__)
+        self._index_tokens = index = [tokens[i] for i in order]
+        # parent[j]: position of the longest token that is a proper prefix of
+        # token j, or -1.  Every token sorting between a prefix q and a token
+        # starting with q also starts with q, so that longest prefix is on the
+        # prefix chain of token j - 1 (it, its parent, its parent's parent...).
+        self._index_parent = parent = array("i", [-1]) * len(index)
+        repeats: list[int] = []
+        k = -1
+        for j, token in enumerate(index):
+            while k >= 0 and not token.startswith(index[k]):
+                k = parent[k]
+            if k >= 0 and k == j - 1 and token == index[k]:
+                repeats.append(j)
+            parent[j] = k
+            k = j
+        first_empty = len(tokens) if all(tokens) else tokens.index(b"")
+        if repeats:
+            # the lowest repeating id is the second of its run, after the run's first
+            j = min(repeats, key=order.__getitem__)
+            if order[j] < first_empty:
                 raise VocabularyValidationError(
-                    f"duplicate byte sequence for tokens {seen[t]} and {i}: {t!r}"
+                    f"duplicate byte sequence for tokens {order[j - 1]} and {order[j]}: {index[j]!r}"
                 )
-            seen[t] = i
+        if first_empty < len(tokens):
+            raise VocabularyValidationError(f"token {first_empty} has empty byte sequence")
         for i in self.specials:
-            if not 0 <= i < len(self.tokens):
+            if not 0 <= i < len(tokens):
                 raise VocabularyValidationError(f"special id {i} out of range")
-        if self.merges is not None:
-            for r, (left, right) in enumerate(self.merges):
-                for side, name in ((left, "left"), (right, "right")):
-                    if side not in seen:
-                        raise VocabularyValidationError(
-                            f"merge {r}: {name} side {side!r} is not a token"
-                        )
-                if left + right not in seen:
+        self._index_ids = np.array(order, dtype=np.int64)
+        self._index_ids.setflags(write=False)
+
+    def _build_merge_tables(self) -> None:
+        """The BPE tables, from one pass over the tokens; the first bad merge raises.
+
+        ``_byte_ids`` holds each byte's single-byte token id (-1 when there
+        is none), ``_merge_rank`` maps (left id, right id) to the merge's
+        rank, and ``_merge_ids`` each rank's merged token id.
+        """
+        merges = self.merges
+        singles = [bytes((b,)) for b in range(256)]
+        wanted = [part for a, b in merges for part in (a, b, a + b)]
+        ids = dict.fromkeys(singles + wanted, -1)
+        specials = self.specials
+        for i, t in enumerate(self.tokens):
+            if t in ids and i not in specials:
+                ids[t] = i
+        for r, (left, right) in enumerate(merges):
+            for side, name in ((left, "left"), (right, "right")):
+                if ids[side] < 0:
                     raise VocabularyValidationError(
-                        f"merge {r}: merged sequence {(left + right)!r} is not a token"
+                        f"merge {r}: {name} side {side!r} is not a token"
                     )
-        return seen
+            if ids[left + right] < 0:
+                raise VocabularyValidationError(
+                    f"merge {r}: merged sequence {(left + right)!r} is not a token"
+                )
+        self._byte_ids = [ids[b] for b in singles]
+        self._merge_rank = {(ids[a], ids[b]): r for r, (a, b) in enumerate(merges)}
+        self._merge_ids = [ids[a + b] for a, b in merges]
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -143,10 +197,16 @@ class Vocabulary:
 
     def id_of(self, token: bytes) -> int:
         """Id of a non-special token by its exact bytes."""
-        try:
-            return self._id_by_bytes[bytes(token)]
-        except KeyError:
-            raise VocabularyError(f"no non-special token with bytes {token!r}") from None
+        j = self._find(bytes(token))
+        if j < 0:
+            raise VocabularyError(f"no non-special token with bytes {token!r}")
+        return self._index_ids.item(j)
+
+    def _find(self, token: bytes) -> int:
+        """Index position of the non-special token with exactly these bytes, or -1."""
+        index = self._index_tokens
+        j = bisect_left(index, token)
+        return j if j < len(index) and index[j] == token else -1
 
     def non_special_ids(self) -> list[int]:
         return [i for i in range(len(self.tokens)) if i not in self.specials]
@@ -156,7 +216,7 @@ class Vocabulary:
 
     def has_all_byte_tokens(self) -> bool:
         """True when every one of the 256 single-byte tokens is present."""
-        return all(bytes([b]) in self._id_by_bytes for b in range(256))
+        return all(self._find(bytes((b,))) >= 0 for b in range(256))
 
 
 def decode(vocab: Vocabulary, ids: Sequence[int]) -> bytes:
@@ -198,22 +258,22 @@ def encode(vocab: Vocabulary, text: bytes) -> list[int]:
 
 
 def _encode_greedy(vocab: Vocabulary, text: bytes) -> list[int]:
-    table = vocab._id_by_bytes
+    index, parent, id_at = vocab._index_tokens, vocab._index_parent, vocab._index_ids.item
     max_len = vocab._max_token_len
     ids: list[int] = []
     pos = 0
     n = len(text)
     while pos < n:
-        match = None
-        for length in range(min(max_len, n - pos), 0, -1):
-            candidate = table.get(text[pos : pos + length])
-            if candidate is not None:
-                match = candidate
-                break
-        if match is None:
+        # The longest token that ``head`` starts with is the last token <= head,
+        # or else the nearest one on that token's prefix chain.
+        head = text[pos : pos + max_len]
+        j = bisect_right(index, head) - 1
+        while j >= 0 and not head.startswith(index[j]):
+            j = parent[j]
+        if j < 0:
             raise EncodingError(f"byte 0x{text[pos]:02x} not coverable", pos)
-        ids.append(match)
-        pos += len(vocab.tokens[match])
+        ids.append(id_at(j))
+        pos += len(index[j])
     return ids
 
 
@@ -240,26 +300,24 @@ def _encode_bpe(vocab: Vocabulary, text: bytes) -> list[int]:
 
 
 def _bpe_chunk(vocab: Vocabulary, text: bytes, base_offset: int) -> list[int]:
-    table = vocab._id_by_bytes
-    parts: list[bytes] = []
-    for offset, b in enumerate(text):
-        single = bytes([b])
-        if single not in table:
-            raise EncodingError(f"byte 0x{b:02x} not coverable", base_offset + offset)
-        parts.append(single)
+    ids = list(map(vocab._byte_ids.__getitem__, text))
+    if -1 in ids:
+        offset = ids.index(-1)
+        raise EncodingError(f"byte 0x{text[offset]:02x} not coverable", base_offset + offset)
     rank = vocab._merge_rank
-    while len(parts) > 1:
+    merged = vocab._merge_ids
+    while len(ids) > 1:
         best_rank = None
         best_i = -1
-        for i in range(len(parts) - 1):
-            r = rank.get((parts[i], parts[i + 1]))
+        for i in range(len(ids) - 1):
+            r = rank.get((ids[i], ids[i + 1]))
             if r is not None and (best_rank is None or r < best_rank):
                 best_rank = r
                 best_i = i
         if best_rank is None:
             break
-        parts[best_i : best_i + 2] = [parts[best_i] + parts[best_i + 1]]
-    return [table[p] for p in parts]
+        ids[best_i : best_i + 2] = (merged[best_rank],)
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +685,14 @@ def train_tiny_bpe(
                     del pair_counts[pair]
 
     tokens = [bytes([i]) for i in range(256)] + [a + b for a, b in merges]
+    # every final part is one of these tokens; a special's bytes may repeat one
+    part_ids = {t: i for i, t in enumerate(tokens)}
     special_ids = range(len(tokens), len(tokens) + len(specials))
     tokens.extend(bytes(s) for s in specials)
     vocab = Vocabulary(tokens, merges=merges, specials=special_ids, pretokenize=options)
     # the memo encoding the corpus once would leave (see the docstring)
-    table = vocab._id_by_bytes
     vocab._chunk_ids = {
-        chunk: [table[p] for p in parts]
+        chunk: [part_ids[p] for p in parts]
         for chunk, parts in zip(islice(chunk_counts, _CHUNK_MEMO_ENTRIES), words)
     }
     return vocab

@@ -83,6 +83,24 @@ class TestConstruction:
         with pytest.raises(VocabularyValidationError):
             Vocabulary([b"a", b""])
 
+    @pytest.mark.parametrize(
+        "tokens, specials, message",
+        [
+            ([b"x", b"a", b"a", b""], [], "duplicate byte sequence for tokens 1 and 2: b'a'"),
+            ([b"x", b"", b"a", b"a"], [], "token 1 has empty byte sequence"),
+            # the repeat that sorts last has the lower id
+            ([b"b", b"a", b"b", b"a", b""], [], "duplicate byte sequence for tokens 0 and 2: b'b'"),
+            ([b"c", b"c", b"c", b""], [], "duplicate byte sequence for tokens 0 and 1: b'c'"),
+            # a special never repeats a token, but an empty one is still empty
+            ([b"a", b"a", b"a", b""], [1], "duplicate byte sequence for tokens 0 and 2: b'a'"),
+            ([b"a", b"", b"a"], [1], "token 1 has empty byte sequence"),
+        ],
+    )
+    def test_empty_and_duplicate_tokens_lower_id_reported(self, tokens, specials, message):
+        with pytest.raises(VocabularyValidationError) as caught:
+            Vocabulary(tokens, specials=specials)
+        assert str(caught.value) == message
+
     def test_sparse_ids_rejected(self):
         doc = {"version": 1, "tokens": [{"id": 0, "text": "a"}, {"id": 2, "text": "b"}]}
         with pytest.raises(VocabularyValidationError):
