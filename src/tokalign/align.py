@@ -156,17 +156,21 @@ def aligned_generate(
     """Full pipeline: encode, backtrack, masked decoding, then free decoding.
 
     Every alignment step takes its compatible ids from
-    ``cache.lookup(trie, prefix)``; ``MaskCache(trie, 0)`` stores nothing,
-    so each lookup then queries the index.  A step whose mask holds one id
-    is forced: it takes that id without calling the provider or checking
-    a row, and in nucleus mode still takes the one ``rng.random()`` a
-    draw would, so outputs are those of a loop that asks every step.
+    ``cache.lookup(prefix)``; a cache over another vocabulary's index
+    raises ``ValueError``, and ``MaskCache(trie, 0)`` stores nothing.
+    ``trie`` is unread, kept while callers pass it by position.  A step
+    whose mask holds one id is forced: it takes that id without calling
+    the provider or checking a row, and in nucleus mode still takes the
+    one ``rng.random()`` a draw would, so outputs are those of a loop
+    that asks every step.
     """
     prompt = bytes(prompt)
     if provider.vocab_size != len(vocab):
         raise ValueError(
             f"provider vocab size {provider.vocab_size} != vocabulary size {len(vocab)}"
         )
+    if cache.trie.vocab is not vocab:
+        raise ValueError("the mask cache is built over another vocabulary's index")
     context, prefix = backtrack_split(encode(vocab, prompt), vocab, align_cfg.backtrack_tokens)
     # Loop state: context, prefix and the step count len(mask_sizes).
     # While the loop runs, decode(context) + prefix == prompt, and every
@@ -187,7 +191,7 @@ def aligned_generate(
             raise AlignmentError(
                 f"alignment exceeded {max_steps} steps without consuming the prefix"
             )
-        ids = cache.lookup(trie, prefix)
+        ids = cache.lookup(prefix)
         if len(ids) == 0:
             raise DeadEndError(prefix, context, len(mask_sizes))
         if len(ids) == 1:

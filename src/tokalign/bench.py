@@ -252,8 +252,8 @@ def bench_lookup(
     trie_us = _time_calls(ByteTrie.matching_tokens, trie, prefixes[warmup:])
     naive_us = _time_calls(naive_matching_ids, vocab, prefixes[warmup : warmup + naive_queries])
     cache = MaskCache(trie)
-    cache.lookup(trie, b" ")  # warm: the first lookup stores the mask
-    cached_us = _time_calls(cache.lookup, trie, [b" "] * queries)
+    cache.lookup(b" ")  # warm: the first lookup stores the mask
+    cached_us = _time_calls(MaskCache.lookup, cache, [b" "] * queries)
 
     return {
         "vocab_size": len(vocab),

@@ -45,24 +45,21 @@ class TrieError(ValueError):
 class ByteTrie:
     """Mask queries over a vocabulary's sorted-token index.
 
-    A view of ``vocab``'s index, so building one costs nothing per token.
-    Share freely across threads; queries never mutate.
+    A view of the index of ``self.vocab``, so building one costs nothing
+    per token.  Share freely across threads; queries never mutate.
     """
 
     def __init__(self, vocab: Vocabulary):
         if not vocab._index_tokens:
             raise TrieError("vocabulary has no non-special tokens; matching is impossible")
+        self.vocab = vocab
         self._tokens = vocab._index_tokens
         self._ids = vocab._index_ids
         self._parent = vocab._index_parent
 
     @property
     def node_count(self) -> int:
-        """Number of index entries, one per non-special token.
-
-        Named for the trie this index replaced; ``e2ebench/run.py``
-        still reports it as ``trie.nodes``.
-        """
+        """Index entries, one per non-special token (e2ebench's ``trie.nodes``)."""
         return len(self._tokens)
 
     def matching_tokens(self, prefix: bytes) -> TokenMask:
@@ -103,28 +100,29 @@ class ByteTrie:
 
 
 def build_trie(vocab: Vocabulary) -> ByteTrie:
-    """Build the token index for ``vocab`` (deterministic; excludes specials)."""
+    """``ByteTrie(vocab)``: a view of the index ``vocab`` built, so nothing is built here."""
     return ByteTrie(vocab)
 
 
 class MaskCache:
-    """Bounded LRU cache of compatible-id arrays keyed by prefix bytes.
+    """Bounded LRU cache of the masks of one index, keyed by prefix bytes.
 
-    A new cache is empty; only :meth:`lookup` stores a mask, from the
-    index it is given (``trie`` here is unread).  Hits are bit-identical
-    to fresh index queries, and capacity 0 stores nothing.  Not
-    internally synchronized; concurrent writers must serialize.
+    It serves ``self.trie``, the index it is built over: a new cache is
+    empty, and only :meth:`lookup` stores a mask, from that index.  Hits
+    are bit-identical to fresh index queries; capacity 0 stores nothing.
+    Not internally synchronized; concurrent writers must serialize.
     """
 
     def __init__(self, trie: ByteTrie, capacity: int = 1024):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
+        self.trie = trie
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
         self._store: OrderedDict[bytes, TokenMask] = OrderedDict()
 
-    def lookup(self, trie: ByteTrie, prefix: bytes) -> TokenMask:
+    def lookup(self, prefix: bytes) -> TokenMask:
         if type(prefix) is not bytes:
             prefix = bytes(prefix)
         cached = self._store.get(prefix)
@@ -133,7 +131,7 @@ class MaskCache:
             self._store.move_to_end(prefix)
             return cached
         self.misses += 1
-        mask = trie.matching_tokens(prefix)
+        mask = self.trie.matching_tokens(prefix)
         if self.capacity > 0:
             # the missed key goes in last, so only it can overflow the capacity
             self._store[prefix] = mask

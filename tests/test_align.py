@@ -93,7 +93,7 @@ class TestBacktrackSplit:
 
 def masked(dist, trie, cache, prefix):
     # one alignment step's mask: the compatible ids, then their renormalized probabilities
-    ids = trie.matching_tokens(prefix) if cache is None else cache.lookup(trie, prefix)
+    ids = trie.matching_tokens(prefix) if cache is None else cache.lookup(prefix)
     return ids, mask_distribution(dist, ids)
 
 
@@ -112,7 +112,7 @@ class TestAlignStep:
     def test_cached_mask_transparent(self, trained_vocab, trained_trie):
         dist = np.full(len(trained_vocab), 1.0 / len(trained_vocab))
         cache = MaskCache(trained_trie)
-        cache.lookup(trained_trie, b" ")
+        cache.lookup(b" ")
         warm_ids, warm = masked(dist, trained_trie, cache, b" ")
         cold_ids, cold = masked(dist, trained_trie, MaskCache(trained_trie, capacity=0), b" ")
         assert np.array_equal(warm_ids, cold_ids)
@@ -250,6 +250,32 @@ class TestAlignedGenerate:
         assert caught.value.prefix == b"d"
         assert caught.value.context == [vocab.id_of(b"ac")]
         assert caught.value.steps_taken == 1
+
+    def test_cache_over_another_vocabulary_refused(self):
+        # the cache is keyed by prefix bytes alone, so one filled over another
+        # vocabulary would hand back that vocabulary's ids: "a" is id 2 there
+        # but "ab" here, and the output took [2, 0, 0] instead of [0, 1, 0, 0]
+        vocab = Vocabulary([b"a", b"b", b"ab", b"c"])
+        other = Vocabulary([b"ab", b"c", b"a", b"b"])
+        twin = Vocabulary([b"a", b"b", b"ab", b"c"])
+        cfg = SamplerConfig(mode="greedy", max_new_tokens=2)
+        align_cfg = AlignConfig(backtrack_tokens=1)
+
+        def run(v, trie, cache):
+            provider = ScriptedModel(v, [], np.full(4, 0.25))
+            return aligned_generate(provider, v, trie, cache, b"ab", align_cfg, cfg).token_ids
+
+        trie = build_trie(vocab)
+        assert run(vocab, trie, MaskCache(trie)) == [0, 1, 0, 0]
+        # another view of the same vocabulary's index is the same index
+        assert run(vocab, trie, MaskCache(build_trie(vocab))) == [0, 1, 0, 0]
+        for foreign in (other, twin):
+            foreign_trie = build_trie(foreign)
+            foreign_cache = MaskCache(foreign_trie)
+            run(foreign, foreign_trie, foreign_cache)  # fills the cache with b"ab"
+            assert len(foreign_cache) > 0
+            with pytest.raises(ValueError, match="another vocabulary"):
+                run(vocab, trie, foreign_cache)
 
     def test_no_dead_ends_with_full_byte_coverage(self, trained_vocab, ngram_provider, trained_trie):
         assert trained_vocab.has_all_byte_tokens()

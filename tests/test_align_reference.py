@@ -63,7 +63,7 @@ class ReferenceState:
 def reference_align_step(state, dist, trie, cache):
     if not state.prefix:
         raise ValueError("alignment prefix is already empty")
-    ids = trie.matching_tokens(state.prefix) if cache is None else cache.lookup(trie, state.prefix)
+    ids = trie.matching_tokens(state.prefix) if cache is None else cache.lookup(state.prefix)
     if len(ids) == 0:
         raise EmptyMaskError()
     return ids, mask_distribution(dist, ids)

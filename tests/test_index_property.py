@@ -86,7 +86,7 @@ def check_against_oracle(vocab, queries):
     for capacity in CAPACITIES:
         cache = MaskCache(trie, capacity=capacity)
         for prefix, expected in zip(queries + queries, fresh + fresh):
-            got = cache.lookup(trie, prefix)
+            got = cache.lookup(prefix)
             assert got.dtype == np.int64 and not got.flags.writeable
             assert np.array_equal(got, expected)
             assert len(cache) <= capacity
@@ -120,7 +120,7 @@ def test_cache_holds_only_what_lookups_asked_for(data, vocab):
     for capacity in (0, 1, 8):
         cache = MaskCache(trie, capacity=capacity)
         for prefix in queries:
-            assert np.array_equal(cache.lookup(trie, prefix), trie.matching_tokens(prefix))
+            assert np.array_equal(cache.lookup(prefix), trie.matching_tokens(prefix))
         assert cache.hits + cache.misses == len(queries)
         assert len(cache) == min(capacity, len(set(queries)))
 

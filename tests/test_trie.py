@@ -151,18 +151,18 @@ class TestMatching:
 class TestMaskCache:
     def test_repeat_query_hits(self, trained_trie):
         cache = MaskCache(trained_trie)
-        first = cache.lookup(trained_trie, b"  x")
+        first = cache.lookup(b"  x")
         hits_before = cache.hits
-        second = cache.lookup(trained_trie, b"  x")
+        second = cache.lookup(b"  x")
         assert cache.hits == hits_before + 1
         assert np.array_equal(first, second)
 
     def test_new_cache_is_empty_until_lookup(self, trained_trie):
         cache = MaskCache(trained_trie)
         assert len(cache) == 0
-        first = cache.lookup(trained_trie, b" ")
+        first = cache.lookup(b" ")
         assert cache.hits == 0 and cache.misses == 1 and len(cache) == 1
-        assert cache.lookup(trained_trie, b" ") is first
+        assert cache.lookup(b" ") is first
         assert cache.hits == 1 and cache.misses == 1
 
     def test_cached_equals_fresh_randomized(self, trained_trie):
@@ -171,26 +171,26 @@ class TestMaskCache:
         for _ in range(2000):
             prefix = bytes(rng.integers(0, 256, size=rng.integers(0, 6), dtype="uint8"))
             assert np.array_equal(
-                cache.lookup(trained_trie, prefix),
+                cache.lookup(prefix),
                 trained_trie.matching_tokens(prefix),
             )
 
     def test_lru_eviction(self, trained_trie):
         cache = MaskCache(trained_trie, capacity=2)
-        cache.lookup(trained_trie, b"a")
-        cache.lookup(trained_trie, b"b")  # evicts nothing: "a" + "b"
+        cache.lookup(b"a")
+        cache.lookup(b"b")  # evicts nothing: "a" + "b"
         assert len(cache) == 2
-        cache.lookup(trained_trie, b" ")  # evicts "a", the least recently used
+        cache.lookup(b" ")  # evicts "a", the least recently used
         assert cache.misses == 3
-        cache.lookup(trained_trie, b"b")
+        cache.lookup(b"b")
         assert cache.hits == 1 and len(cache) == 2
-        cache.lookup(trained_trie, b"a")
+        cache.lookup(b"a")
         assert cache.misses == 4  # "a" was evicted
 
     def test_capacity_zero_stores_nothing(self, trained_trie):
         cache = MaskCache(trained_trie, capacity=0)
-        cache.lookup(trained_trie, b" ")
-        cache.lookup(trained_trie, b" ")
+        cache.lookup(b" ")
+        cache.lookup(b" ")
         assert len(cache) == 0
         assert cache.hits == 0 and cache.misses == 2
 
@@ -204,5 +204,5 @@ class TestMaskCache:
         for capacity in (0, 1, 1024):
             cache = MaskCache(trained_trie, capacity=capacity)
             for p, expected in zip(prefixes, baseline):
-                assert np.array_equal(cache.lookup(trained_trie, p), expected)
+                assert np.array_equal(cache.lookup(p), expected)
 
