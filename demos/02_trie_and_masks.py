@@ -3,10 +3,10 @@ The token index and compatibility masks
 =======================================
 
 The vocabulary's sorted-token index (``build_trie`` returns a view of
-it and builds nothing) answers: which tokens are
-compatible with a partial-token prefix?  A token is compatible when it
-starts with the prefix, or when it is itself a prefix of it (a shorter
-token that consumes part of the bytes).  Answers come back as arrays of
+it and builds nothing) answers: which tokens are compatible with a
+partial-token prefix?  A token is compatible when it starts with the
+prefix, or when it is itself a prefix of it (a shorter token that
+consumes part of the bytes).  Answers come back as arrays of
 token ids in the index's bytewise token order (shorter proper prefixes
 first), so masking a probability distribution touches only the
 compatible entries.  A mask cache is built over one index, starts

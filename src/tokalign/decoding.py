@@ -126,10 +126,10 @@ def check_distribution(dist, size: int) -> np.ndarray:
     is and as the float64 copy returned, the values the sampler reads.
     A contiguous float64 row that passes ``min`` with a dot product with
     ones within 1e-6 of 1 less a rounding band skips ``sum``; any other
-    row gets both scans.  A float64 row over immutable ``bytes`` memory that
-    has passed is not checked again: a later call with that same object
-    re-checks only its identity, dtype, strides and shape.  Every other
-    input is checked on every call, and the verdict and message are
+    row gets both scans.  A float64 row over immutable ``bytes`` memory
+    that has passed is not checked again: a later call with that same
+    object re-checks only its identity, dtype, strides and shape.  Every
+    other input is checked on every call, and the verdict and message are
     always the two scans'.
     """
     if not isinstance(dist, np.ndarray):
@@ -201,7 +201,7 @@ def _scan_distribution(dist: np.ndarray, size: int) -> None:
     if type(dist) is np.ndarray and dist.dtype is _FLOAT64 and dist.strides == _ROW_STRIDES:
         ones, limit = _ones_and_limit(size)
         # the dot product first: on 50k-entry rows not yet in cache, that
-        # order measured 20.3-22.5 µs per check against 23-25.6 µs (README)
+        # order took 20.3-22.5 µs per check, min first 23.1-25.6 µs (README)
         near_one = abs(dist.dot(ones) - 1.0) <= limit
     if not dist.min() >= 0.0:
         raise ValueError("distribution has negative or NaN entries")

@@ -254,7 +254,7 @@ class TestAlignedGenerate:
     def test_cache_over_another_vocabulary_refused(self):
         # the cache is keyed by prefix bytes alone, so one filled over another
         # vocabulary would hand back that vocabulary's ids: "a" is id 2 there
-        # but "ab" here, and the output took [2, 0, 0] instead of [0, 1, 0, 0]
+        # but "ab" here, so the output would be [2, 0, 0], not [0, 1, 0, 0]
         vocab = Vocabulary([b"a", b"b", b"ab", b"c"])
         other = Vocabulary([b"ab", b"c", b"a", b"b"])
         twin = Vocabulary([b"a", b"b", b"ab", b"c"])
