@@ -16,25 +16,22 @@ forward to them: the same C kernels with the same arguments, so draws
 are bit-identical, without the 1 to 1.6 µs a wrapper adds to each call.
 
 A nucleus draw never sorts ids; :func:`sample` alone reads its cut,
-and no function returns the kept set.  Each of its three size regimes
-keeps the ids a stable descending argsort over every id keeps, and
-draws in that order: one sort of the values, one descending running
-sum, and the cut and the drawn rank both read off that sum.  The drawn
-rank's value, counted among its ties in position order, gives the id.
+and no function returns the kept set.  Each of its two regimes keeps
+the ids a stable descending argsort over every id keeps, and draws in
+that order: one sort of the values, one descending running sum, and the
+cut and the drawn rank both read off that sum.  The drawn rank's value,
+counted among its ties in position order, gives the id.
 
-- up to 32 weights (most alignment steps): plain Python floats, because
-  NumPy's ``cumsum`` adds float64 values left to right, as Python does;
-- up to 4096 weights, or ``top_p`` 1: one sort of the values;
+- up to 4096 weights, or ``top_p`` 1: one sort of every value;
 - more: a sort of only the values at or above a threshold read off
   every 64th value.  Summed from the bottom, that sorted sample
   estimates the mass below each sampled value; the threshold is the
   largest one that leaves less than 95% of ``1 - top_p`` below it.  The
   values at or above it are the largest values with all their ties, so
   their running sums are the first running sums of the full descending
-  order.  When they hold less than ``top_p``, a lower threshold selects
-  once more.  When they are most of the vector (a flat one at a high
-  ``top_p``, or a long run of equal values at the threshold) or still
-  hold less than ``top_p``, every value is sorted.
+  order.  When they are most of the vector (a flat one at a high
+  ``top_p``, or a long run of equal values at the threshold) or hold
+  less than ``top_p``, every value is sorted.
 """
 
 from __future__ import annotations
@@ -44,10 +41,8 @@ import math
 import time
 import weakref
 from array import array
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
@@ -259,19 +254,11 @@ _SAMPLE_STRIDE = 64
 # The estimated mass left below the candidates stays under this share of
 # 1 - top_p, so that on unmasked 50k vectors the candidates hold top_p.
 # Masked rows fall short more often: on the benchmark's 24,931-id mask of
-# b" " under 256 Zipf provider rows (FixedCostProvider seeds 0-7), the first
+# b" " under 256 Zipf provider rows (FixedCostProvider seeds 0-7), the
 # selection fell short in 195 rows at top_p 0.9, 71 at 0.8 and 8 at 0.95.
+# Those draws then sort every value: about 310 µs a draw at 0.9, against
+# 95 µs where the selection holds (2 vCPU host, NumPy 2.4.6).
 _TAIL_MARGIN = 0.95
-# Those are selected once more, with the threshold this many sample values
-# below the shortfall's estimate, as the gaps between sorted sample values
-# vary: a slack of 0 left 69 of the 274 short, 1 left 15, 2 left 1, 3 none.
-_RETRY_SLACK = 3
-# Up to this many weights a nucleus draw runs on Python floats.  Its
-# sequential adds equal NumPy's cumsum at any length
-# (tests/test_dense_reference.py checks it), so the bound only picks the
-# faster path: timed at 8 to 64 weights, the interpreter draw wins up to
-# about 48.
-_LEFT_FOLD_MAX = 32
 
 
 def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -281,42 +268,27 @@ def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | 
     estimated mass below it, ``_SAMPLE_STRIDE`` times the sum of the
     sample values under it, stays below ``_TAIL_MARGIN * (1 - top_p)``.
     That takes the vector's total to be 1, as the provider contract and
-    :func:`_apply_temperature` give.  Candidates holding less than
-    ``top_p`` (a sample that missed the mass) are selected once more,
-    with the threshold lowered past the sample values whose estimated
-    mass covers the shortfall and ``_RETRY_SLACK`` more.  Exactness never
-    rests on the estimate: candidates that still fall short are refused,
-    and a cut that runs past them sorts every value.
+    :func:`_apply_temperature` give.  Exactness never rests on the
+    estimate: candidates that fall short are refused, and a cut that
+    runs past them sorts every value.
 
     None when sorting every value is as cheap or the candidates cannot
     hold the cut: a small vector; ``top_p`` 1, whose cut falls near the
     last positive value; candidates that are most of the vector (a flat
     vector, or a long run of equal values at the threshold); candidates
-    holding less than ``top_p`` of the mass after the second selection.
+    holding less than ``top_p`` of the mass.
     """
     n = len(w)
     if n <= _FULL_SORT_MAX or top_p >= 1.0:
         return None
     sample = w[::_SAMPLE_STRIDE].copy()
     sample.sort()
-    below = sample.cumsum()
-    under = int(below.searchsorted((1.0 - top_p) * _TAIL_MARGIN / _SAMPLE_STRIDE))
-    under = min(under, len(sample) - 1)
-    for retry in (False, True):
-        ids = (w >= sample[under]).nonzero()[0]
-        if len(ids) > n // 2:
-            return None
-        vals = w[ids]
-        short = top_p - vals.sum()
-        if short <= 0.0:
-            return ids, vals
-        if retry or under == 0:
-            break
-        # lower the threshold past the sample values whose estimated mass
-        # covers the shortfall, and a few more
-        under = int(below.searchsorted(below[under - 1] - short / _SAMPLE_STRIDE, side="right"))
-        under = max(under - _RETRY_SLACK, 0)
-    return None
+    under = int(sample.cumsum().searchsorted((1.0 - top_p) * _TAIL_MARGIN / _SAMPLE_STRIDE))
+    ids = (w >= sample[min(under, len(sample) - 1)]).nonzero()[0]
+    if len(ids) > n // 2:
+        return None
+    vals = w[ids]
+    return (ids, vals) if vals.sum() >= top_p else None
 
 
 def _fold_among(ids: np.ndarray | None, vals: np.ndarray, top_p: float) -> tuple | None:
@@ -339,29 +311,6 @@ def _fold_among(ids: np.ndarray | None, vals: np.ndarray, top_p: float) -> tuple
             return None
         cut -= 1
     return ids, vals, top, fold, cut
-
-
-def _draw_small(w: list[float], top_p: float, rng: np.random.Generator) -> int:
-    """The nucleus draw of :func:`sample` for at most ``_LEFT_FOLD_MAX`` weights.
-
-    The same IEEE operations in the same order as the NumPy path: one
-    descending running sum, the cut and the drawn rank read off it, and
-    the rank's value found among its ties in position order.
-    """
-    if not w:
-        raise ValueError("cannot sample from an empty distribution")
-    desc = sorted(w, reverse=True)
-    fold = list(accumulate(desc))
-    cut = min(bisect_left(fold, top_p), len(fold) - 1)
-    total = fold[cut]
-    if not total > 0.0:
-        raise ValueError("cannot sample from an all-zero distribution")
-    k = min(bisect_right(fold, rng.random() * total), cut)
-    v = desc[k]
-    pos = w.index(v)
-    for _ in range(k - desc.index(v)):  # skip the earlier ties
-        pos = w.index(v, pos + 1)
-    return pos
 
 
 def _apply_temperature(dist: np.ndarray, temperature: float) -> np.ndarray:
@@ -411,9 +360,9 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
         if not dist.item(best) > 0.0:
             raise ValueError("cannot sample from an all-zero distribution")
         return best
+    if dist.size == 0:
+        raise ValueError("cannot sample from an empty distribution")
     w = _apply_temperature(dist, cfg.temperature)
-    if len(w) <= _LEFT_FOLD_MAX:
-        return _draw_small(w.tolist(), cfg.top_p, rng)
     found = _candidates(w, cfg.top_p)
     folded = None if found is None else _fold_among(*found, cfg.top_p)
     ids, vals, top, fold, cut = _fold_among(None, w, cfg.top_p) if folded is None else folded

@@ -5,15 +5,13 @@ boolean mask applied with ``np.where``, and a nucleus keep set and draw
 built from a stable descending argsort over every id, the draw walking
 the kept ids in that order.  The sparse path must make exactly the same
 draws, at chosen values of ``u`` and seeded ones, and leave the
-generator in the same state, for tiny vectors (the interpreter path),
-small ones (a full value sort) and large ones (a sort of the values at
-or above a threshold whose estimated tail mass, from every 64th value,
-leaves ``top_p`` above it).  A draw at ``u`` just below 1 lands on the
+generator in the same state, for small vectors (a full value sort) and
+large ones (a sort of the values at or above a threshold whose estimated
+tail mass, from every 64th value, leaves ``top_p`` above it).  A draw at ``u`` just below 1 lands on the
 last kept id of positive weight, so it pins the kept mass.
 """
 
 import functools
-import itertools
 import operator
 
 import numpy as np
@@ -24,13 +22,7 @@ from hypothesis import strategies as st
 from tokalign import EmptyMaskError, SamplerConfig, make_rng, mask_distribution, sample
 from tokalign import decoding
 from tokalign.align import _ORDERED_SUM_MAX
-from tokalign.decoding import (
-    _LEFT_FOLD_MAX,
-    _SAMPLE_STRIDE,
-    _TAIL_MARGIN,
-    _apply_temperature,
-    _candidates,
-)
+from tokalign.decoding import _SAMPLE_STRIDE, _TAIL_MARGIN, _apply_temperature, _candidates
 
 from conftest import EDGE_DRAWS, FixedDraw
 
@@ -284,18 +276,17 @@ def test_candidates_whose_running_sum_falls_short(monkeypatch):
     assert_edge_draws_like_reference(dist, top_p)
 
 
-def test_candidates_that_fall_short_are_selected_once_more(monkeypatch):
-    # the first threshold of this Zipf vector selects 1,775 values holding
-    # less than top_p; the lowered one holds it with under half the values
+def test_candidates_that_fall_short_sort_every_value(monkeypatch):
+    # the threshold of this Zipf vector selects 1,775 values holding less
+    # than top_p, so the draw sorts every value, once
     dist = zipf(8192, 1.1, np.random.default_rng(5))
     top_p = 0.9
     stride = np.sort(dist[::_SAMPLE_STRIDE])
     under = int(stride.cumsum().searchsorted((1 - top_p) * _TAIL_MARGIN / _SAMPLE_STRIDE))
     first = dist >= stride[under]
     assert dist[first].sum() < top_p
-    ids, vals = _candidates(dist, top_p)
-    assert vals.sum() >= top_p
-    assert np.count_nonzero(first) < len(ids) < len(dist) // 2
+    assert np.count_nonzero(first) < len(dist) // 2
+    assert _candidates(dist, top_p) is None
     sorted_sets = []
     fold_among = decoding._fold_among
 
@@ -306,7 +297,7 @@ def test_candidates_that_fall_short_are_selected_once_more(monkeypatch):
     monkeypatch.setattr(decoding, "_fold_among", spy)
     cfg = sampler("nucleus", top_p, 1.0, 0)
     assert sample(dist, cfg, FixedDraw(0.5)) == reference_sample(dist, cfg, FixedDraw(0.5))
-    assert sorted_sets == [len(ids)]
+    assert sorted_sets == [len(dist)]
     assert_edge_draws_like_reference(dist, top_p)
     for s in range(20):
         rng_dense, rng_sparse = make_rng(s), make_rng(s)
@@ -335,17 +326,7 @@ def test_numpy_adds_few_values_left_to_right(values):
     assert np.cumsum(values)[-1] == fold
 
 
-def test_numpy_running_sum_is_a_left_fold():
-    # the interpreter path of `sample` reproduces NumPy's running sums with
-    # `itertools.accumulate`, at any length; its bound only picks the faster path
-    g = np.random.default_rng(0)
-    for n in range(1, 2 * _LEFT_FOLD_MAX + 1):
-        for _ in range(20):
-            values = np.where(g.random(n) < 0.5, g.choice(POOL, n), g.random(n)).tolist()
-            assert np.cumsum(values).tolist() == list(itertools.accumulate(values))
-
-
-@pytest.mark.parametrize("n", [2, 8, _LEFT_FOLD_MAX, _LEFT_FOLD_MAX + 1, 5000])
+@pytest.mark.parametrize("n", [2, 8, 32, 33, 5000])
 def test_draw_exactly_on_a_cumulative_boundary(n):
     # u equal to a running sum selects the next id, as searchsorted(side="right") does
     dist = np.full(n, 1.0 / n)
@@ -357,7 +338,7 @@ def test_draw_exactly_on_a_cumulative_boundary(n):
 def test_top_p_one_round_off_reaches_zero_probability_ids():
     # ten 0.1s sum to 0.9999999999999999 < 1.0, so the cut runs past the
     # last positive entry into the zero-probability ids, which are still
-    # never drawn (13 weights take the interpreter path, 40 the NumPy one)
+    # never drawn
     short = np.array([0.0, 0.1, 0.0] + [0.1] * 9 + [0.0])
     long = np.zeros(40)
     long[3::4] = 0.1
@@ -389,7 +370,7 @@ def test_each_kept_id_gets_its_share_of_the_unit_interval(size):
     # outside the keep set is never drawn (ties and zeros in each vector;
     # 6,000 weights sort only the candidates)
     g = np.random.default_rng(size)
-    if size <= _LEFT_FOLD_MAX:
+    if size == 7:
         w = np.array([0.25, 0.0, 0.1, 0.25, 0.0, 0.3, 0.1])
     else:
         w = g.choice([0.0, 0.0, 0.001, 0.001, 0.002], size)
