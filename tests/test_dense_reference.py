@@ -7,8 +7,9 @@ the kept ids in that order.  The sparse path must make exactly the same
 draws, at chosen values of ``u`` and seeded ones, and leave the
 generator in the same state, for small vectors (a full value sort) and
 large ones (a sort of the values at or above a threshold whose estimated
-tail mass, from every 64th value, leaves ``top_p`` above it).  A draw at ``u`` just below 1 lands on the
-last kept id of positive weight, so it pins the kept mass.
+tail mass, from every 64th value, leaves ``top_p`` above it).  A draw at
+``u`` just below 1 lands on the last kept id of positive weight, so it
+pins the kept mass.
 """
 
 import functools
