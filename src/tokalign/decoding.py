@@ -25,13 +25,14 @@ counted among its ties in position order, gives the id.
 - up to 4096 weights, or ``top_p`` 1: one sort of every value;
 - more: a sort of only the values at or above a threshold read off
   every 64th value.  Summed from the bottom, that sorted sample
-  estimates the mass below each sampled value; the threshold is the
-  largest one that leaves less than 95% of ``1 - top_p`` below it.  The
-  values at or above it are the largest values with all their ties, so
-  their running sums are the first running sums of the full descending
-  order.  When they are most of the vector (a flat one at a high
-  ``top_p``, or a long run of equal values at the threshold) or hold
-  less than ``top_p``, every value is sorted.
+  estimates the mass below each sampled value; the threshold steps 12
+  sampled values back from the largest one that leaves less than
+  ``1 - top_p`` below it, never onto a zero.  The values at or above it
+  are the largest values with all their ties, so their running sums are
+  the first running sums of the full descending order.  When they are
+  most of the vector (a flat one at a high ``top_p``, or a long run of
+  equal values at the threshold) or their running sum misses ``top_p``,
+  every value is sorted.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .vocab import ConfigError, Vocabulary, decode, encode, json_field, json_is, parse_json
+from .vocab import (
+    ConfigError, Vocabulary, _refuse_unknown_fields, decode, encode, json_field, json_is, parse_json
+)
 
 DIST_SUM_TOLERANCE = 1e-6
 
@@ -251,66 +254,43 @@ _FULL_SORT_MAX = 4096
 # Every this-many-th value is sorted and summed from the bottom to
 # estimate the mass below each sampled value.
 _SAMPLE_STRIDE = 64
-# The estimated mass left below the candidates stays under this share of
-# 1 - top_p, so that on unmasked 50k vectors the candidates hold top_p.
-# Masked rows fall short more often: on the benchmark's 24,931-id mask of
-# b" " under 256 Zipf provider rows (FixedCostProvider seeds 0-7), the
-# selection fell short in 195 rows at top_p 0.9, 71 at 0.8 and 8 at 0.95.
-# Those draws then sort every value: about 310 µs a draw at 0.9, against
-# 95 µs where the selection holds (2 vCPU host, NumPy 2.4.6).
-_TAIL_MARGIN = 0.95
+# The threshold steps back this many sampled values from the estimate, so
+# that the selection holds top_p on masked rows too (README "Sparse masks").
+_BACK_OFF = 12
 
 
-def _candidates(w: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Ascending positions, and their values, of those at or above a tail-mass threshold.
+def _nucleus_cut(w: np.ndarray, top_p: float) -> tuple:
+    """The sort, running sum and cut a nucleus draw of ``w`` reads: ``(ids, vals, top, fold, cut)``.
 
-    The threshold is the largest value of the sorted stride sample whose
-    estimated mass below it, ``_SAMPLE_STRIDE`` times the sum of the
-    sample values under it, stays below ``_TAIL_MARGIN * (1 - top_p)``.
-    That takes the vector's total to be 1, as the provider contract and
-    :func:`_apply_temperature` give.  Exactness never rests on the
-    estimate: candidates that fall short are refused, and a cut that
-    runs past them sorts every value.
-
-    None when sorting every value is as cheap or the candidates cannot
-    hold the cut: a small vector; ``top_p`` 1, whose cut falls near the
-    last positive value; candidates that are most of the vector (a flat
-    vector, or a long run of equal values at the threshold); candidates
-    holding less than ``top_p`` of the mass.
+    ``vals`` is ``w[ids]``, or ``w`` when ``ids`` is None; ``top`` is
+    ``vals`` ascending, ``fold`` its running sum from the largest value,
+    and ``cut`` the first index of ``fold`` at or above ``top_p`` (the
+    last index when none is).  ``ids`` first holds the ascending positions
+    at or above the module docstring's threshold, whose estimate takes the
+    total to be 1, as the provider contract and :func:`_apply_temperature`
+    give.  Exactness never rests on that estimate: when those positions
+    are more than half of ``w``, or their running sum misses ``top_p``,
+    every value is sorted.
     """
     n = len(w)
-    if n <= _FULL_SORT_MAX or top_p >= 1.0:
-        return None
-    sample = w[::_SAMPLE_STRIDE].copy()
-    sample.sort()
-    under = int(sample.cumsum().searchsorted((1.0 - top_p) * _TAIL_MARGIN / _SAMPLE_STRIDE))
-    ids = (w >= sample[min(under, len(sample) - 1)]).nonzero()[0]
-    if len(ids) > n // 2:
-        return None
-    vals = w[ids]
-    return (ids, vals) if vals.sum() >= top_p else None
-
-
-def _fold_among(ids: np.ndarray | None, vals: np.ndarray, top_p: float) -> tuple | None:
-    """The sort, running sum and cut of ``vals = w[ids]``, or None if ``ids`` cannot hold the cut.
-
-    Returns ``(ids, vals, top, fold, cut)``: ``top`` is ``vals``
-    ascending, ``fold`` its running sum from the largest value, and
-    ``cut`` the first index of ``fold`` at or above ``top_p`` (the last
-    index when none is).  ``ids`` None means all of ``w``; otherwise it
-    holds every position at or above some threshold, so the running sums
-    are the whole vector's first ones, and a cut among them is a full
-    sort's.  None means they never reach ``top_p``.
-    """
-    top = vals.copy()
-    top.sort()
-    fold = top[::-1].cumsum()
-    cut = int(fold.searchsorted(top_p, side="left"))
-    if cut == len(top):
-        if ids is not None:
-            return None
-        cut -= 1
-    return ids, vals, top, fold, cut
+    ids = None
+    if n > _FULL_SORT_MAX and top_p < 1.0:
+        sample = w[::_SAMPLE_STRIDE].copy()
+        sample.sort()
+        under = int(sample.cumsum().searchsorted((1.0 - top_p) / _SAMPLE_STRIDE))
+        at = max(under - _BACK_OFF, int(sample.searchsorted(0.0, side="right")))
+        ids = (w >= sample[min(at, len(sample) - 1)]).nonzero()[0]
+        if len(ids) > n // 2:
+            ids = None
+    while True:
+        vals = w if ids is None else w[ids]
+        top = vals.copy()
+        top.sort()
+        fold = top[::-1].cumsum()
+        cut = int(fold.searchsorted(top_p, side="left"))
+        if cut < len(top) or ids is None:
+            return ids, vals, top, fold, min(cut, len(top) - 1)
+        ids = None
 
 
 def _apply_temperature(dist: np.ndarray, temperature: float) -> np.ndarray:
@@ -363,9 +343,7 @@ def sample(dist: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> in
     if dist.size == 0:
         raise ValueError("cannot sample from an empty distribution")
     w = _apply_temperature(dist, cfg.temperature)
-    found = _candidates(w, cfg.top_p)
-    folded = None if found is None else _fold_among(*found, cfg.top_p)
-    ids, vals, top, fold, cut = _fold_among(None, w, cfg.top_p) if folded is None else folded
+    ids, vals, top, fold, cut = _nucleus_cut(w, cfg.top_p)
     # the fold starts at a maximum, so zero kept mass means an all-zero vector
     total = fold.item(cut)
     if not total > 0.0:
@@ -647,12 +625,14 @@ class ScriptedModel:
     def from_json_dict(cls, vocab: Vocabulary, doc: dict) -> "ScriptedModel":
         if not isinstance(doc, dict):
             raise ValueError(f"expected an object, got {type(doc).__name__}")
+        _refuse_unknown_fields(doc, ("rows", "default"))
         if "default" not in doc:
             raise ValueError("scripted model file is missing the default row")
         rows = []
         for n, row in enumerate(json_field(doc, "rows", list) if "rows" in doc else []):
             if not isinstance(row, dict):
                 raise ValueError(f"rows[{n}]: expected an object, got {type(row).__name__}")
+            _refuse_unknown_fields(row, ("suffix_b64", "probs"), f"rows[{n}]")
             suffix = base64.b64decode(json_field(row, "suffix_b64", str), validate=True)
             rows.append((suffix, _float_row(json_field(row, "probs", list), f"rows[{n}]")))
         return cls(vocab, rows, _float_row(json_field(doc, "default", list), "default"))

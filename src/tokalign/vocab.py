@@ -324,9 +324,10 @@ def _bpe_chunk(vocab: Vocabulary, text: bytes, base_offset: int) -> list[int]:
 # File format
 
 
-def _entry_to_bytes(entry: object, where: str) -> bytes:
+def _entry_to_bytes(entry: object, where: str, known=("text", "bytes_b64")) -> bytes:
     if not isinstance(entry, dict):
         raise VocabularyFormatError(f"{where}: expected an object, got {type(entry).__name__}")
+    _refuse_unknown_fields(entry, known, where, VocabularyFormatError)
     has_text = "text" in entry
     has_b64 = "bytes_b64" in entry
     if has_text == has_b64:
@@ -379,9 +380,13 @@ def json_is(value: object, kind: type | tuple[type, ...]) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+_VOCAB_FIELDS = ("version", "tokens", "merges", "pretokenize", "specials")
+
+
 def vocabulary_from_dict(doc: object, where: str = "<vocabulary>") -> Vocabulary:
     if not isinstance(doc, dict):
         raise VocabularyFormatError(f"{where}: top level must be an object")
+    _refuse_unknown_fields(doc, _VOCAB_FIELDS, where, VocabularyFormatError)
     if not json_is(doc.get("version"), int) or doc["version"] != VOCAB_FILE_VERSION:
         raise VocabularyFormatError(f"{where}: field 'version' must be {VOCAB_FILE_VERSION}")
     raw_tokens = doc.get("tokens")
@@ -390,7 +395,7 @@ def vocabulary_from_dict(doc: object, where: str = "<vocabulary>") -> Vocabulary
     by_id: dict[int, bytes] = {}
     for n, entry in enumerate(raw_tokens):
         field = f"{where}: tokens[{n}]"
-        data = _entry_to_bytes(entry, field)
+        data = _entry_to_bytes(entry, field, ("id", "text", "bytes_b64"))
         token_id = entry.get("id")
         if not json_is(token_id, int):
             raise VocabularyFormatError(f"{field}: integer 'id' required")
@@ -516,6 +521,18 @@ def json_field(doc: dict, key: str, kind: type | tuple[type, ...]):
     if not json_is(value, kind):
         raise ValueError(f"field {key!r} has the wrong type {type(value).__name__}")
     return value
+
+
+def _refuse_unknown_fields(
+    doc: dict, known: tuple[str, ...], where: str = "", error: type[ValueError] = ValueError
+) -> None:
+    """Refuse a key of ``doc`` outside ``known``: a misspelled field would load as if absent.
+
+    Raises ``error`` naming the first such key, after ``where`` when given.
+    """
+    for key in doc:
+        if key not in known:
+            raise error(f"{where}: unknown field {key!r}" if where else f"unknown field {key!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from tokalign import (
     make_rng,
     sample,
 )
-from tokalign.decoding import ConfigError, check_distribution, first_stop_index, run_free_phase
+from tokalign.decoding import ConfigError, check_distribution, first_stop_index, load_scripted_model
+from tokalign.decoding import run_free_phase
 
 from conftest import EDGE_DRAWS, FixedDraw, byte_vocab
 
@@ -276,6 +277,23 @@ class TestScripted:
         vocab = byte_vocab()
         with pytest.raises(ValueError, match="default"):
             ScriptedModel.from_json_dict(vocab, {"rows": []})
+
+    def test_unknown_field_refused(self, tmp_path):
+        # a misspelled "rows" would otherwise leave only the default row
+        vocab = byte_vocab()
+        uniform = [1.0 / len(vocab)] * len(vocab)
+        row = {"suffix_b64": "YQ==", "probs": uniform}
+        for doc, message in [
+            ({"row": [row], "default": uniform}, "unknown field 'row'"),
+            ({"rows": [dict(row, weight=1)], "default": uniform}, "rows[0]: unknown field 'weight'"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                ScriptedModel.from_json_dict(vocab, doc)
+            assert str(caught.value) == message
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"row": [row], "default": uniform}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unknown field 'row'$"):
+            load_scripted_model(str(path), vocab)
 
     def test_longest_suffix_wins(self):
         vocab = byte_vocab()

@@ -14,16 +14,18 @@ pins the kept mass.
 
 import functools
 import operator
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from tokalign import EmptyMaskError, SamplerConfig, make_rng, mask_distribution, sample
-from tokalign import decoding
+from tokalign import EmptyMaskError, MaskCache, SamplerConfig, build_trie, make_rng
+from tokalign import mask_distribution, sample
+from tokalign.bench import make_synthetic_vocabulary
 from tokalign.align import _ORDERED_SUM_MAX
-from tokalign.decoding import _SAMPLE_STRIDE, _TAIL_MARGIN, _apply_temperature, _candidates
+from tokalign.decoding import _SAMPLE_STRIDE, _apply_temperature, _nucleus_cut
 
 from conftest import EDGE_DRAWS, FixedDraw
 
@@ -96,6 +98,24 @@ def masks(draw, size):
 
 def sampler(mode, top_p, temperature, seed_):
     return SamplerConfig(mode=mode, top_p=top_p, temperature=temperature, seed=seed_)
+
+
+def draw_and_sorts(dist, cfg, rng):
+    """``sample(dist, cfg, rng)``, and the size of each array ``ndarray.sort`` sorted in it."""
+    sizes = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None), np.ndarray):
+            if arg.__name__ == "sort":
+                sizes.append(arg.__self__.size)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        drawn = sample(dist, cfg, rng)
+    finally:
+        sys.setprofile(previous)
+    return drawn, sizes
 
 
 def assert_edge_draws_like_reference(dist, top_p, temperature=1.0):
@@ -228,77 +248,101 @@ def vector_50k(kind):
         ("sparse", 0.9, True),
     ],
 )
-def test_candidate_selection_only_where_it_pays(kind, top_p, selects, monkeypatch):
+def test_candidate_selection_only_where_it_pays(kind, top_p, selects):
     # at top_p 0.99 the Zipf vector's threshold leaves most ids above it,
     # top_p 1 cuts near the last positive value, a flat vector needs most
     # ids to hold 0.9, and a run of equal values at the threshold selects
     # every id: each sorts every value, and sorts it once; the sparse
-    # vector's 500 nonzero values hold the mass, so only they are sorted
+    # vector's 500 nonzero values hold the mass, so only nonzero values are
+    # sorted (below top_p 1 the stride sample is sorted first)
     dist = vector_50k(kind)
-    assert (_candidates(dist, top_p) is not None) == selects
-    sorted_sets = []
-    fold_among = decoding._fold_among
-
-    def spy(ids, vals, p):
-        sorted_sets.append(len(vals))
-        return fold_among(ids, vals, p)
-
-    monkeypatch.setattr(decoding, "_fold_among", spy)
+    assert (_nucleus_cut(dist, top_p)[0] is not None) == selects
     cfg = sampler("nucleus", top_p, 1.0, 11)
     rng_dense, rng_sparse = make_rng(11), make_rng(11)
-    assert sample(dist, cfg, rng_sparse) == reference_sample(dist, cfg, rng_dense)
-    assert len(sorted_sets) == 1 and (sorted_sets[0] < len(dist)) == selects
+    drawn, sorts = draw_and_sorts(dist, cfg, rng_sparse)
+    assert drawn == reference_sample(dist, cfg, rng_dense)
+    assert sorts[:-1] == ([len(dist[::_SAMPLE_STRIDE])] if top_p < 1.0 else [])
+    assert (sorts[-1] < len(dist)) == selects
     assert rng_sparse.random() == rng_dense.random()
     assert_edge_draws_like_reference(dist, top_p)
 
 
-def test_candidates_whose_running_sum_falls_short(monkeypatch):
-    # top_p equal to the candidates' pairwise sum, which exceeds their
-    # running sum in the last bit: that top_p selects the same candidates,
-    # the cut lies past them, so every value is sorted
-    dist = zipf(8192, 1.5, np.random.default_rng(0))
-    ids, vals = _candidates(dist, 0.5)
+def test_candidates_whose_running_sum_falls_short():
+    # few of this sparse vector's nonzero values are sampled, so at any
+    # top_p below 1 the threshold is the smallest of them; top_p equal to
+    # the selection's pairwise sum, which exceeds its running sum in the
+    # last bit, selects the same values, the cut lies past them, so the
+    # draw sorts the selection and then every value
+    g = np.random.default_rng(3)
+    w = np.zeros(8192)
+    w[g.choice(len(w), 300, replace=False)] = g.random(300) + 1e-3
+    dist = w / w.sum()
+    ids, vals = _nucleus_cut(dist, 0.5)[:2]
     top_p = float(vals.sum())
-    assert np.cumsum(np.sort(vals)[::-1])[-1] < top_p
-    found = _candidates(dist, top_p)
-    assert found is not None and np.array_equal(found[0], ids)
-    calls = []
-    fold_among = decoding._fold_among
-
-    def spy(ids, vals, p):
-        kept = fold_among(ids, vals, p)
-        calls.append((ids is None, len(vals), kept is None))
-        return kept
-
-    monkeypatch.setattr(decoding, "_fold_among", spy)
+    assert ids is not None and np.cumsum(np.sort(vals)[::-1])[-1] < top_p
     cfg = sampler("nucleus", top_p, 1.0, 0)
-    assert sample(dist, cfg, FixedDraw(0.5)) == reference_sample(dist, cfg, FixedDraw(0.5))
-    assert calls == [(False, len(ids), True), (True, len(dist), False)]
+    drawn, sorts = draw_and_sorts(dist, cfg, FixedDraw(0.5))
+    assert drawn == reference_sample(dist, cfg, FixedDraw(0.5))
+    assert sorts == [len(dist[::_SAMPLE_STRIDE]), len(ids), len(dist)]
     assert_edge_draws_like_reference(dist, top_p)
 
 
-def test_candidates_that_fall_short_sort_every_value(monkeypatch):
-    # the threshold of this Zipf vector selects 1,775 values holding less
-    # than top_p, so the draw sorts every value, once
-    dist = zipf(8192, 1.1, np.random.default_rng(5))
+def test_candidates_that_fall_short_sort_every_value():
+    # every 64th value sits just above a band of the others that holds most
+    # of the mass, so the threshold is the smallest sampled value, and the
+    # values at or above it (the sampled ones and 40 spikes) hold less than
+    # top_p: the draw sorts them and then every value
+    g = np.random.default_rng(5)
+    w = g.uniform(0.5, 0.9, 8192)
+    w[::_SAMPLE_STRIDE] = g.uniform(1.0, 1.1, len(w[::_SAMPLE_STRIDE]))
+    w[g.choice(len(w), 40, replace=False)] += 50.0
+    dist = w / w.sum()
     top_p = 0.9
-    stride = np.sort(dist[::_SAMPLE_STRIDE])
-    under = int(stride.cumsum().searchsorted((1 - top_p) * _TAIL_MARGIN / _SAMPLE_STRIDE))
-    first = dist >= stride[under]
+    first = dist >= dist[::_SAMPLE_STRIDE].min()
     assert dist[first].sum() < top_p
     assert np.count_nonzero(first) < len(dist) // 2
-    assert _candidates(dist, top_p) is None
-    sorted_sets = []
-    fold_among = decoding._fold_among
-
-    def spy(ids, vals, p):
-        sorted_sets.append(len(vals))
-        return fold_among(ids, vals, p)
-
-    monkeypatch.setattr(decoding, "_fold_among", spy)
+    assert _nucleus_cut(dist, top_p)[0] is None
     cfg = sampler("nucleus", top_p, 1.0, 0)
-    assert sample(dist, cfg, FixedDraw(0.5)) == reference_sample(dist, cfg, FixedDraw(0.5))
-    assert sorted_sets == [len(dist)]
+    drawn, sorts = draw_and_sorts(dist, cfg, FixedDraw(0.5))
+    assert drawn == reference_sample(dist, cfg, FixedDraw(0.5))
+    assert sorts == [len(dist[::_SAMPLE_STRIDE]), np.count_nonzero(first), len(dist)]
+    assert_edge_draws_like_reference(dist, top_p)
+    for s in range(20):
+        rng_dense, rng_sparse = make_rng(s), make_rng(s)
+        assert sample(dist, cfg, rng_sparse) == reference_sample(dist, cfg, rng_dense)
+        assert rng_sparse.random() == rng_dense.random()
+
+
+@pytest.fixture(scope="module")
+def ranked_rows():
+    """A Zipf-1.1 row over a 50k synthetic vocabulary, ranked longest token
+    first in a seeded order within a length, as e2ebench's FixedCostProvider
+    ranks its rows: unmasked, and gathered by the mask of b" " and renormalised."""
+    vocab = make_synthetic_vocabulary(50_000)
+    lengths = np.array([len(t) for t in vocab.tokens])
+    zipf_ranks = np.arange(1, len(vocab) + 1, dtype=np.float64) ** -1.1
+    row = np.empty(len(vocab))
+    row[np.lexsort((np.random.default_rng(10).random(len(vocab)), -lengths))] = zipf_ranks
+    row /= row.sum()
+    mask = MaskCache(build_trie(vocab), 1).lookup(b" ")
+    assert 20_000 < len(mask) < 30_000
+    return {"masked": mask_distribution(row, mask), "unmasked": row}
+
+
+@pytest.mark.parametrize("top_p", [0.8, 0.9, 0.95])
+@pytest.mark.parametrize("kind", ["masked", "unmasked"])
+def test_selection_holds_on_heavy_tailed_rows(ranked_rows, kind, top_p):
+    # the mask of b" " holds every longest token and about half of each
+    # shorter length, so the masked row keeps a heavy tail; a threshold at
+    # 95% of 1 - top_p with no back-off selected too few values here (the
+    # masked row at 0.8 and 0.9, the unmasked one at 0.8), and such a draw
+    # sorted every value; the draw sorts only the selection, once
+    dist = ranked_rows[kind]
+    cfg = sampler("nucleus", top_p, 1.0, 0)
+    drawn, sorts = draw_and_sorts(dist, cfg, FixedDraw(0.5))
+    assert drawn == reference_sample(dist, cfg, FixedDraw(0.5))
+    assert len(sorts) == 2 and sorts[0] == len(dist[::_SAMPLE_STRIDE])
+    assert sorts[1] <= len(dist) // 2
     assert_edge_draws_like_reference(dist, top_p)
     for s in range(20):
         rng_dense, rng_sparse = make_rng(s), make_rng(s)
@@ -310,7 +354,7 @@ def test_candidates_stay_near_the_keep_set():
     # the tail-mass threshold selects at most 1.25 times the keep set of a
     # 50k Zipf-1.1 vector at top_p 0.9 (an upper quartile would select 1.80 times)
     dist = vector_50k("zipf")
-    ids, _ = _candidates(dist, 0.9)
+    ids = _nucleus_cut(dist, 0.9)[0]
     kept = reference_keep_set(dist, 0.9)
     assert len(kept) <= len(ids) <= 1.25 * len(kept)
 
@@ -378,7 +422,7 @@ def test_each_kept_id_gets_its_share_of_the_unit_interval(size):
         w[g.choice(size, 40, replace=False)] = g.choice([0.5, 0.5, 1.0, 1.0, 2.0], 40)
     dist = w / w.sum()
     top_p = 0.9
-    assert (_candidates(dist, top_p) is not None) == (size > 4096)
+    assert (_nucleus_cut(dist, top_p)[0] is not None) == (size > 4096)
     kept = reference_keep_set(dist, top_p)
     steps = 1 << 15
     cfg = sampler("nucleus", top_p, 1.0, 0)

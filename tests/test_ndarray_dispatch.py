@@ -61,15 +61,15 @@ def test_nucleus_on_large_synthetic_vocabulary(monkeypatch):
     assert len(vocab) > decoding_module._FULL_SORT_MAX
     trie = build_trie(vocab)
     provider = PeakedAndFlatRows(len(vocab))
-    candidates = decoding_module._candidates
+    nucleus_cut = decoding_module._nucleus_cut
     found = []
 
     def recording(w, top_p):
-        result = candidates(w, top_p)
-        found.append(result is not None)
+        result = nucleus_cut(w, top_p)
+        found.append(result[0] is not None)
         return result
 
-    monkeypatch.setattr(decoding_module, "_candidates", recording)
+    monkeypatch.setattr(decoding_module, "_nucleus_cut", recording)
     for seed in range(4):
         cfg = SamplerConfig(mode="nucleus", top_p=0.9, seed=seed, max_new_tokens=8)
         run = lambda: _both_arms(provider, vocab, trie, b"the quick brown fo", cfg)

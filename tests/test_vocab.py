@@ -134,6 +134,27 @@ class TestFileFormat:
         with pytest.raises(VocabularyFormatError, match="exactly one"):
             vocabulary_from_dict(doc)
 
+    def test_unknown_field_refused(self):
+        # a misspelled "merges" would otherwise load a BPE vocabulary as a greedy one
+        tokens = [{"id": 0, "text": "a"}, {"id": 1, "text": "b"}, {"id": 2, "text": "ab"}]
+        pair = [{"text": "a"}, {"text": "b"}]
+        vocab = vocabulary_from_dict({"version": 1, "tokens": tokens, "merges": [pair]})
+        assert vocab.merges == ((b"a", b"b"),)
+        for doc, message in [
+            ({"version": 1, "tokens": tokens, "merge": [pair]}, "<vocabulary>: unknown field 'merge'"),
+            (
+                {"version": 1, "tokens": tokens[:2] + [{"id": 2, "text": "ab", "rank": 0}]},
+                "<vocabulary>: tokens[2]: unknown field 'rank'",
+            ),
+            (
+                {"version": 1, "tokens": tokens, "merges": [[{"text": "a", "id": 0}, {"text": "b"}]]},
+                "<vocabulary>: merges[0]: unknown field 'id'",
+            ),
+        ]:
+            with pytest.raises(VocabularyFormatError) as caught:
+                vocabulary_from_dict(doc)
+            assert str(caught.value) == message
+
     def test_save_load_round_trip(self, tmp_path, trained_vocab):
         path = tmp_path / "v.json"
         save_vocabulary(trained_vocab, str(path))
