@@ -19,6 +19,7 @@ import numpy as np
 from .vocab import (
     ConfigError,
     Vocabulary,
+    _refuse_unknown_fields,
     encode,
     json_field,
     read_json_lines,
@@ -175,6 +176,7 @@ class EvalRecord:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EvalRecord":
+        _refuse_unknown_fields(doc, ("example_id", "generated_b64", "references_b64", "arm"))
         references = json_field(doc, "references_b64", list)
         if not all(isinstance(r, str) for r in references):
             raise ValueError("field 'references_b64' must hold strings")

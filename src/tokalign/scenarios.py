@@ -1,64 +1,42 @@
-"""Partial-token evaluation datasets.
+r"""Partial-token evaluation datasets.
 
 Five cut procedures turn a document into a (prompt, ground-truth) pair
-whose boundary lands in a deliberately awkward spot: inside a word,
-inside a punctuation run, right after a separator space, right after a
-line's indentation, or inside a whitespace run.  Every example also
-carries a baseline prompt, the control arm where no partial token is
-present: the prompt minus the run of the cut unit's byte class that
-ends at the cut, then minus trailing whitespace.  The cut unit is a
-word (subword), punctuation (punctuation) or whitespace (the others).
-One table, ``_SCENARIOS``, holds each scenario's cut finder and unit
-class; generation and :func:`validate_example` both read it, so an
-example validates exactly when ``generate_dataset`` could have written
-it: the scenario's finder picks its cut and its baseline follows the
-rule.
+whose boundary lands in a deliberately awkward spot.  Each is one pattern
+whose match ends are its cuts, over the tokenizer's byte classes (W is
+:data:`vocab.WORD_BYTES`, S :data:`vocab.WHITESPACE_BYTES`, P the
+printable ASCII outside W), plus the class of the unit it cuts:
 
-Byte classes: "word" is alphanumerics plus underscore (and any byte
->= 0x80, so multi-byte characters stay whole), "whitespace" is exactly
-space, newline, and tab, and "punctuation" is the remaining printable
-ASCII.
+    subword           (?<=[W])(?=[W])    W  inside a word
+    punctuation       (?<=[P])(?=[P])    P  inside a punctuation run
+    prefix_sep        [^S] +(?=[^S])     S  after a separator space
+    prefix_indent     \n[ \t]+(?=[^S])   S  after a line's indentation
+    contiguous_space  (?<=[S])(?=[S])    S  inside a whitespace run
+
+Every example also carries a baseline prompt, the control arm where no
+partial token is present: the prompt minus the run of the unit's class
+that ends at the cut, then minus trailing whitespace.  One table,
+``_SCENARIOS``, holds the patterns and units; generation and
+:func:`validate_example` both read it, so an example validates exactly
+when ``generate_dataset`` could have written it.
 """
 
 from __future__ import annotations
 
 import base64
 import os
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .decoding import _check_seed, make_rng
-from .vocab import ConfigError, json_field, read_json_lines, write_json, write_json_lines
-
-_SPACE = 0x20
-_NEWLINE = 0x0A
-_TAB = 0x09
+from .vocab import (
+    WHITESPACE_BYTES, WORD_BYTES, ConfigError, _refuse_unknown_fields, byte_class, json_field,
+    read_json_lines, write_json, write_json_lines,
+)
 
 
 class DatasetError(ValueError):
     """Dataset generation produced nothing usable."""
-
-
-def _is_word(b: int) -> bool:
-    return (
-        b == 0x5F
-        or 0x30 <= b <= 0x39
-        or 0x41 <= b <= 0x5A
-        or 0x61 <= b <= 0x7A
-        or b >= 0x80
-    )
-
-
-def _is_ws(b: int) -> bool:
-    return b in (_SPACE, _NEWLINE, _TAB)
-
-
-def _is_punct(b: int) -> bool:
-    return 0x21 <= b <= 0x7E and not _is_word(b)
-
-
-def _rstrip_ws(data: bytes) -> bytes:
-    return data.rstrip(b" \n\t")
 
 
 @dataclass
@@ -86,6 +64,8 @@ class ScenarioExample:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScenarioExample":
+        _refuse_unknown_fields(doc, ("scenario", "source_id", "prompt_b64", "baseline_prompt_b64",
+                                     "ground_truth_b64", "cut_offset"))
         return cls(
             scenario=json_field(doc, "scenario", str),
             source_id=json_field(doc, "source_id", str),
@@ -97,73 +77,43 @@ class ScenarioExample:
 
 
 # ---------------------------------------------------------------------------
-# Scenarios: each one's cut finder and the byte class of the unit it cuts
+# Scenarios: each one's cut pattern and the byte class of the unit it cuts
+
+_PUNCT_BYTES = bytes(b for b in range(0x21, 0x7F) if b not in WORD_BYTES)
+_NOT_WS = byte_class(WHITESPACE_BYTES, negate=True)
+_INDENT = byte_class(WHITESPACE_BYTES.replace(b"\n", b""))
 
 
-def _inside_run(is_unit: Callable[[int], bool]) -> Callable[[bytes], list[int]]:
-    """Finder for the cuts strictly inside a run of ``is_unit`` bytes."""
-    return lambda source: [
-        i for i in range(1, len(source)) if is_unit(source[i - 1]) and is_unit(source[i])
-    ]
+def _inside(unit: bytes) -> re.Pattern:
+    """The cuts strictly inside a run of ``unit`` bytes."""
+    return re.compile(b"(?<=%s)(?=%s)" % (byte_class(unit), byte_class(unit)))
 
 
-def _prefix_sep_positions(source: bytes) -> list[int]:
-    # Cut after the full run of separator spaces: prompt ends with the
-    # space(s) between two mid-line words, never with indentation.
-    positions = []
-    for i in range(1, len(source)):
-        if _is_ws(source[i]) or source[i - 1] != _SPACE:
-            continue
-        j = i - 1
-        while j >= 0 and source[j] == _SPACE:
-            j -= 1
-        # run must be preceded by a non-whitespace byte on the same line
-        if j >= 0 and not _is_ws(source[j]):
-            positions.append(i)
-    return positions
-
-
-def _prefix_indent_positions(source: bytes) -> list[int]:
-    positions = []
-    for i in range(len(source)):
-        if source[i] != _NEWLINE:
-            continue
-        j = i + 1
-        while j < len(source) and source[j] in (_SPACE, _TAB):
-            j += 1
-        # needs real indentation and real content after it
-        if j > i + 1 and j < len(source) and not _is_ws(source[j]):
-            positions.append(j)
-    return positions
-
-
-# scenario -> (cut-position finder, byte class of the unit the cut leaves
-# incomplete).  SCENARIOS keeps this order: `gen-dataset --scenario all`
-# and the benchmark's prompts are built in it.
+# scenario -> (pattern whose match ends are the cut points, bytes of the
+# unit the cut leaves incomplete).  SCENARIOS keeps this order:
+# `gen-dataset --scenario all` and the benchmark's prompts are built in it.
 _SCENARIOS = {
-    "subword": (_inside_run(_is_word), _is_word),
-    "punctuation": (_inside_run(_is_punct), _is_punct),
-    "prefix_sep": (_prefix_sep_positions, _is_ws),
-    "prefix_indent": (_prefix_indent_positions, _is_ws),
-    "contiguous_space": (_inside_run(_is_ws), _is_ws),
+    "subword": (_inside(WORD_BYTES), WORD_BYTES),
+    "punctuation": (_inside(_PUNCT_BYTES), _PUNCT_BYTES),
+    # the full run of spaces after a line's content, never its indentation
+    "prefix_sep": (re.compile(b"%s +(?=%s)" % (_NOT_WS, _NOT_WS)), WHITESPACE_BYTES),
+    # non-empty indentation with content after it
+    "prefix_indent": (re.compile(b"\n%s+(?=%s)" % (_INDENT, _NOT_WS)), WHITESPACE_BYTES),
+    "contiguous_space": (_inside(WHITESPACE_BYTES), WHITESPACE_BYTES),
 }
 SCENARIOS = tuple(_SCENARIOS)
 
 
 def eligible_positions(scenario: str, source: bytes) -> list[int]:
     try:
-        finder, _ = _SCENARIOS[scenario]
+        pattern, _ = _SCENARIOS[scenario]
     except KeyError:
         raise ValueError(f"unknown scenario {scenario!r}") from None
-    return finder(bytes(source))
+    return [m.end() for m in pattern.finditer(bytes(source))]
 
 
 def _baseline_for(scenario: str, source: bytes, cut: int) -> bytes:
-    _, is_unit = _SCENARIOS[scenario]
-    start = cut
-    while start > 0 and is_unit(source[start - 1]):
-        start -= 1
-    return _rstrip_ws(source[:start])
+    return source[:cut].rstrip(_SCENARIOS[scenario][1]).rstrip(WHITESPACE_BYTES)
 
 
 def _make_example(scenario: str, source: bytes, source_id: str, cut: int) -> ScenarioExample:
@@ -196,7 +146,7 @@ def validate_example(ex: ScenarioExample) -> list[str]:
         return [f"unknown scenario {ex.scenario!r}"]
 
     source, cut = ex.source, ex.cut_offset
-    # Every finder decides a cut from the bytes between the last newline
+    # Every pattern decides a cut from the bytes between the last newline
     # before it and the byte at it, so only that window is scanned.
     start = max(source.rfind(b"\n", 0, cut), 0)
     if cut - start not in eligible_positions(ex.scenario, source[start : cut + 1]):
@@ -277,16 +227,18 @@ def read_text_docs(
 ) -> Iterator[tuple[str, bytes]]:
     """Yield ``(id, bytes)`` for each ``{id?, text | <b64_key>}`` JSON line of ``fh``.
 
-    The base64 field wins when both are present; a line without an ``id``
-    takes its line index.  Lines of bytes are UTF-8.  Errors are
+    The base64 field wins when both are present.  An ``id`` is a JSON
+    string or integer; a line without one takes its line index.  Any other
+    key is refused.  Lines of bytes are UTF-8.  Errors are
     :func:`read_json_lines` errors.
     """
     def convert(doc: dict, index: int) -> tuple[str, bytes]:
+        _refuse_unknown_fields(doc, ("id", "text", b64_key))
         if b64_key in doc:
             data = base64.b64decode(json_field(doc, b64_key, str), validate=True)
         else:
             data = json_field(doc, "text", str).encode("utf-8")
-        return str(doc.get("id", index)), data
+        return str(json_field(doc, "id", (str, int)) if "id" in doc else index), data
 
     return read_json_lines(fh, name, convert)
 

@@ -29,7 +29,16 @@ import numpy as np
 
 VOCAB_FILE_VERSION = 1
 
-WHITESPACE_BYTES = frozenset(b" \n\t")
+# Byte classes: whitespace, word (ASCII letters, digits and underscore, and
+# every byte >= 0x80, so a multi-byte character stays whole) and other.
+# Pretokenizing and the scenario cut patterns are both built from them.
+WHITESPACE_BYTES = b" \n\t"
+WORD_BYTES = bytes(b for b in range(256) if bytes((b,)).isalnum() or b == 0x5F or b >= 0x80)
+
+
+def byte_class(members: bytes, negate: bool = False) -> bytes:
+    """A regex class that matches one byte of ``members``, or with ``negate`` one byte outside it."""
+    return (b"[^" if negate else b"[") + re.escape(members) + b"]"
 
 
 class VocabularyError(ValueError):
@@ -558,14 +567,16 @@ class PretokenizeOptions:
     group_whitespace: bool = False
 
 
-# Byte classes: whitespace (space, newline, tab), word (ASCII letters and
-# digits, underscore, every byte >= 0x80) and other.  A chunk is a run of
-# one class.  With space_prefix the lookahead leaves a whitespace run's
-# last space, when a non-whitespace byte follows it, to the next chunk.
+# A chunk is a run of one byte class.  With space_prefix the lookahead
+# leaves a whitespace run's last space, when a non-whitespace byte follows
+# it, to the next chunk.
+_WORD, _WS = byte_class(WORD_BYTES), byte_class(WHITESPACE_BYTES)
+_OTHER = byte_class(WORD_BYTES + WHITESPACE_BYTES, negate=True)
 _CHUNK_PATTERNS = {
-    False: re.compile(rb"[_0-9A-Za-z\x80-\xff]+|[^ \n\t_0-9A-Za-z\x80-\xff]+|[ \n\t]+"),
+    False: re.compile(b"%s+|%s+|%s+" % (_WORD, _OTHER, _WS)),
     True: re.compile(
-        rb"[ \n\t]+(?= [^ \n\t])| ?[_0-9A-Za-z\x80-\xff]+| ?[^ \n\t_0-9A-Za-z\x80-\xff]+|[ \n\t]+"
+        b"%s+(?= %s)| ?%s+| ?%s+|%s+"
+        % (_WS, byte_class(WHITESPACE_BYTES, negate=True), _WORD, _OTHER, _WS)
     ),
 }
 

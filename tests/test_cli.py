@@ -500,6 +500,11 @@ class TestExitCodes:
                         '"arm": "aligned"}'),
             ("corpus", "[1]"),
             ("corpus", '{"text": 5}'),
+            # an unknown key, and an id that is neither a string nor an integer
+            ("prompts", '{"prompt_b46": "eg==", "text": "w"}'),
+            ("prompts", '{"id": {"k": 1}, "text": "y"}'),
+            ("corpus", '{"prompt_b46": "eg==", "text": "w"}'),
+            ("corpus", '{"id": {"k": 1}, "text": "y"}'),
             # JSON true/false are not integers or probabilities
             pytest.param("dataset", json.dumps({**VALID_EXAMPLE, "cut_offset": True}),
                          id="dataset-boolean cut_offset"),

@@ -3,12 +3,13 @@
 Each example writes a valid file for one reader and breaks it in one
 way: bytes put into it that do not decode (never valid UTF-8, and not
 ASCII where the reader wants ASCII), a line cut short, a required field
-dropped or given a wrong type, bad base64, a line that is not an object,
-or JSON nested past the parser's depth.  ``validate`` reads datasets,
+dropped or given a wrong type, an unknown key added (dataset and
+eval-record lines only), bad base64, a line that is not an object, or
+JSON nested past the parser's depth.  ``validate`` reads datasets,
 ``score`` eval records and ``align --provider scripted:`` tables.  Every
 run must exit 2 with one ``tokalign: error:`` line on stderr that names
 the file, and nothing on stdout; a JSONL file's error must also name the
-line that was broken.
+line that was broken, and for an unknown key the key.
 """
 
 import base64
@@ -46,6 +47,8 @@ BASE64_FIELDS = {
 # not strict base64: bad characters, padding or length
 BAD_BASE64 = ["!!", "cmV0!dXJu", "abc", "a", "====", "cmV0\ndXJu", "cmV0 dXJu"]
 NOT_OBJECTS = ["[1]", "5", '"x"', "null", "true"]
+# misspelled or foreign keys: a reader that ignored them would load the line
+UNKNOWN_KEYS = ["id", "text", "Arm", "prompt_b46", "cut-offset"]
 TOO_DEEP = "[" * 10_000
 
 
@@ -91,11 +94,15 @@ def break_text(text, how, draw):
 
 
 def break_line(kind, doc, draw):
-    """One JSON line of ``kind``, broken by one drawn mutation, as bytes."""
-    how = draw(st.sampled_from(WHOLE + FIELD))
+    """One JSON line of ``kind``, broken by one drawn mutation, as bytes, and text its error holds."""
+    how = draw(st.sampled_from(WHOLE + FIELD + ["unknown"]))
     if how in WHOLE:
-        return break_text(json.dumps(doc), how, draw)
+        return break_text(json.dumps(doc), how, draw), ""
     doc = dict(doc)
+    if how == "unknown":
+        key = draw(st.sampled_from(UNKNOWN_KEYS))
+        doc[key] = draw(st.sampled_from(["eg==", 1, None]))
+        return json.dumps(doc).encode(), f"unknown field {key!r}"
     if how == "base64":
         doc[draw(st.sampled_from(BASE64_FIELDS[kind]))] = draw(st.sampled_from(BAD_BASE64))
     else:
@@ -104,7 +111,7 @@ def break_line(kind, doc, draw):
             del doc[field]
         else:
             doc[field] = draw(st.sampled_from(WRONG[FIELDS[kind][field]]))
-    return json.dumps(doc).encode()
+    return json.dumps(doc).encode(), ""
 
 
 def break_table(doc, draw):
@@ -169,13 +176,14 @@ def test_valid_files_load(capsys, tmp_path, valid_lines, table_doc):
 def test_corrupt_jsonl_line_is_a_data_error(capsys, tmp_path, valid_lines, kind, data):
     lines = [json.dumps(doc).encode() for doc in valid_lines[kind]]
     k = data.draw(st.integers(0, len(lines) - 1))
-    lines[k] = break_line(kind, valid_lines[kind][k], data.draw)
+    lines[k], holds = break_line(kind, valid_lines[kind][k], data.draw)
     path = tmp_path / f"{kind}.jsonl"
     path.write_bytes(b"".join(line + b"\n" for line in lines))
     code, out, err = run(capsys, reader_argv(kind, path))
     assert code == 2
     assert out == ""
     assert len(err) == 1 and err[0].startswith(f"tokalign: error: {path}: line {k + 1}: "), err
+    assert holds in err[0]
 
 
 @seed(240308688)

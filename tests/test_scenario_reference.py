@@ -3,7 +3,8 @@
 The reference below states each scenario's cut rule as its own predicate
 on the bytes before and after the cut (the rules ``validate_example``
 once restated one branch each), and builds the baseline prompt with a
-branch per scenario.  On random byte sources weighted toward the bytes
+branch per scenario.  Its byte classes are its own predicates, written
+from the documented classes, not the package's.  On random byte sources weighted toward the bytes
 where the classes meet (carriage return, DEL, NUL, a UTF-8 lead byte,
 0xff, tabs, newlines, runs of spaces and an indented line start):
 
@@ -20,15 +21,37 @@ where the classes meet (carriage return, DEL, NUL, a UTF-8 lead byte,
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from tokalign import SCENARIOS, ScenarioExample, validate_example
-from tokalign.scenarios import (
-    _is_punct,
-    _is_word,
-    _is_ws,
-    _make_example,
-    _rstrip_ws,
-    eligible_positions,
-)
+from tokalign import SCENARIOS, PretokenizeOptions, ScenarioExample, validate_example
+from tokalign.scenarios import _make_example, eligible_positions
+from tokalign.vocab import pretokenize
+
+
+# The documented byte classes, written out here rather than imported, so
+# that a wrong class in the code under test cannot pass on both sides.
+
+
+def _is_word(b: int) -> bool:
+    # ASCII letters, digits and underscore, and every byte >= 0x80
+    return (
+        b == 0x5F
+        or 0x30 <= b <= 0x39
+        or 0x41 <= b <= 0x5A
+        or 0x61 <= b <= 0x7A
+        or b >= 0x80
+    )
+
+
+def _is_ws(b: int) -> bool:
+    return b in (0x20, 0x0A, 0x09)  # space, newline, tab
+
+
+def _is_punct(b: int) -> bool:
+    # the printable ASCII that is not a word byte
+    return 0x21 <= b <= 0x7E and not _is_word(b)
+
+
+def _rstrip_ws(data: bytes) -> bytes:
+    return data.rstrip(b" \n\t")
 
 
 def _prefix_sep_cut(prompt: bytes, truth: bytes) -> bool:
@@ -142,3 +165,28 @@ def test_validator_flags_exactly_what_the_reference_rejects(source, data):
         assert (f"the cut is not a {scenario} cut point" in problems) == bad_cut
         assert any(p.startswith("the baseline is not") for p in problems) == bad_baseline
         assert len(problems) == bad_cut + bad_baseline
+
+
+@seed(240308688)
+@settings(max_examples=300, deadline=None, database=None)
+@given(source=sources)
+def test_inside_run_cuts_fall_inside_one_chunk(source):
+    """A cut inside a run of one class falls strictly inside one tokenizer chunk.
+
+    The scenarios and the pretokenizer share their byte classes, so a
+    subword, punctuation or contiguous_space cut never lands on a chunk
+    boundary of whitespace-grouping pretokenization: the chunk it splits
+    can hold a token that the cut leaves partial.  Without space_prefix
+    only: with it, a whitespace run's last space joins the next chunk, so
+    a contiguous_space cut before that space lands on a chunk boundary,
+    and that split is the space-prefix artifact itself.
+    """
+    chunks = pretokenize(source, PretokenizeOptions(space_prefix=False, group_whitespace=True))
+    boundaries, end = {0}, 0
+    for chunk in chunks:
+        end += len(chunk)
+        boundaries.add(end)
+    assert end == len(source)
+    for scenario in ("subword", "punctuation", "contiguous_space"):
+        for cut in eligible_positions(scenario, source):
+            assert 0 < cut < len(source) and cut not in boundaries, (scenario, cut, chunks)
