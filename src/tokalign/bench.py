@@ -61,37 +61,35 @@ def make_synthetic_vocabulary(size: int, seed: int = 0) -> Vocabulary:
     A word is the draws of ``rng = make_rng(seed)``: its length
     ``rng.integers(2, 13)``, its letters ``rng.integers(0, 26,
     size=length)``, and a leading space when ``rng.random() < 0.5``.
-    They are read straight off the generator's raw 64-bit outputs by the
-    rule NumPy applies to them:
-
-    - a 32-bit draw takes the low half of the next output and leaves its
-      high half pending; the next 32-bit draw takes the pending half;
-    - ``random()`` takes one whole output, and a pending half stays
-      pending across it; it is below 0.5 when the output is below 2**63;
-    - a draw in [0, n) from a 32-bit ``x`` is ``(x * n) >> 32``, redrawn
-      while ``(x * n) mod 2**32 < 2**32 mod n`` (below 4 for n = 11,
-      below 22 for n = 26).
-
-    So the tokens equal those of the ``integers``/``random`` calls, as
-    ``tests/test_synthetic_vocabulary.py`` checks.
+    :func:`_words` reads them straight off the generator's raw outputs
+    and ends at the first chunk that holds a draw NumPy would redraw
+    (about one build in 300 at 50k tokens); the tokens are then built
+    again from the start by :func:`_called_words`, which makes the calls.
     """
     check_synthetic_size(size)
-    words = _words(make_rng(seed).bit_generator.random_raw)
-    tokens: list[bytes] = [bytes([i]) for i in range(256)]
-    seen = set(tokens)
-    for ws in _WHITESPACE_TOKENS:
-        if len(tokens) >= size:
-            break
-        if ws not in seen:
-            tokens.append(ws)
-            seen.add(ws)
-    while len(tokens) < size:
-        word = next(words)
-        if word not in seen:
-            tokens.append(word)
-            seen.add(word)
-    words.close()  # free the last chunk before the index arrays are built
+    head = [bytes([i]) for i in range(256)]
+    head += [ws for ws in _WHITESPACE_TOKENS if ws not in head][: size - 256]
+    tokens = _fill(head, size, _words(make_rng(seed).bit_generator.random_raw))
+    if tokens is None:  # the raw reader met a redraw
+        tokens = _fill(head, size, _called_words(make_rng(seed)))
     return Vocabulary(tokens)
+
+
+def _fill(head: list[bytes], size: int, words) -> list[bytes] | None:
+    """``head`` and then each new word until ``size`` tokens, or None if ``words`` ends first."""
+    tokens = dict.fromkeys(head)  # in insertion order; a repeated word keeps its place
+    for word in words:
+        if len(tokens) == size:
+            return list(tokens)
+        tokens[word] = None
+    return None
+
+
+def _called_words(rng):
+    """The synthetic words, endlessly, by the three ``rng`` calls that define each."""
+    while True:
+        word = _LETTERS[rng.integers(0, 26, size=int(rng.integers(2, 13)))].tobytes()
+        yield b" " + word if rng.random() < 0.5 else word
 
 
 # Raw outputs read per chunk: small, so the per-half temporaries stay small.
@@ -107,14 +105,25 @@ def _bounded(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _words(random_raw, chunk: int = _CHUNK):
-    """The synthetic words, endlessly, from ``random_raw(count)``'s 64-bit outputs.
+    """The synthetic words from ``random_raw(count)``'s 64-bit outputs, until a redraw.
 
-    Each chunk of outputs is split into halves in draw order, and every
-    half's length draw and letter are computed once.  Without a redraw a
-    word's letters are then one run of halves, right after its length
-    half or, when that was the pending half, from the next output on,
-    so the loop over words only moves the cursor.  A word that touches a
-    half some draw would redraw goes through :func:`_drawn_word`.
+    NumPy's rule for the draws, per raw output:
+
+    - a 32-bit draw takes the low half of the next output and leaves its
+      high half pending; the next 32-bit draw takes the pending half;
+    - ``random()`` takes one whole output, and a pending half stays
+      pending across it; it is below 0.5 when the output is below 2**63;
+    - a draw in [0, n) from a 32-bit ``x`` is ``(x * n) >> 32``, redrawn
+      while ``(x * n) mod 2**32 < 2**32 mod n`` (below 4 for n = 11,
+      below 22 for n = 26).
+
+    Each chunk of outputs, the carried tail included, is split into
+    halves in draw order, and every half's length draw and letter are
+    computed once.  Without a redraw a word's letters are one run of
+    halves, right after its length half or, when that was the pending
+    half, from the next output on, so the loop over words only moves the
+    cursor.  The reader ends, before it yields any word of the chunk,
+    when some half of the chunk is one NumPy would redraw.
     """
     raw = np.empty(0, dtype=np.uint64)
     p, pend = 0, -1  # the next whole output; the pending half's index, or -1
@@ -128,12 +137,11 @@ def _words(random_raw, chunk: int = _CHUNK):
         halves = np.stack((raw & _LOW, raw >> np.uint64(32)), axis=1).ravel()
         length_draws, length_redrawn = _bounded(halves, 11)
         letter_draws, letter_redrawn = _bounded(halves, 26)
+        if (length_redrawn | letter_redrawn).any():
+            return
         lengths = length_draws.tolist()
         letters = _LETTERS[letter_draws].tobytes()
-        flagged = np.flatnonzero(length_redrawn | letter_redrawn).tolist()
-        flagged.append(len(halves))
         spaced = (raw < np.uint64(1 << 63)).tolist()
-        f = 0
         n = len(raw)
         while p < n:
             if pend < 0:
@@ -145,13 +153,6 @@ def _words(random_raw, chunk: int = _CHUNK):
             e = s + 2 + lengths[first]  # one past the last letter half
             if (e + 1) >> 1 >= n:
                 break  # the word runs past the chunk
-            while flagged[f] < first:
-                f += 1
-            if flagged[f] < e:
-                word, p, pend, tail = _drawn_word(raw.tolist(), p, pend, random_raw, chunk)
-                raw = np.asarray(tail, dtype=np.uint64)
-                yield word
-                break
             word = letters[s:e]
             p = (e + 1) >> 1
             pend = e if e & 1 else -1
@@ -159,39 +160,6 @@ def _words(random_raw, chunk: int = _CHUNK):
                 word = b" " + word
             p += 1
             yield word
-
-
-def _drawn_word(raw: list[int], p: int, pend: int, random_raw, chunk: int):
-    """One word by NumPy's per-draw rule, from the cursor ``p``, ``pend`` of :func:`_words`.
-
-    Returns the word, the cursor after it and ``raw``, extended by more
-    ``random_raw(chunk)`` outputs when the redraws run past its end.
-    """
-
-    def output() -> int:
-        if p == len(raw):
-            raw.extend(random_raw(chunk).tolist())
-        return raw[p]
-
-    def draw(n: int) -> int:
-        nonlocal p, pend
-        while True:
-            if pend < 0:
-                x = output() & 0xFFFFFFFF
-                pend = 2 * p + 1
-                p += 1
-            else:
-                x = raw[pend >> 1] >> 32
-                pend = -1
-            m = x * n
-            if m & 0xFFFFFFFF >= (1 << 32) % n:
-                return m >> 32
-
-    length = 2 + draw(11)
-    word = bytes(_WORD_BYTES[draw(26)] for _ in range(length))
-    if output() < 1 << 63:
-        word = b" " + word
-    return word, p + 1, pend, raw
 
 
 def naive_matching_ids(vocab: Vocabulary, prefix: bytes) -> list[int]:

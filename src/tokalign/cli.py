@@ -83,12 +83,7 @@ def _load_provider(args, vocab: Vocabulary):
     if spec.startswith("scripted:"):
         return load_scripted_model(_resolve(spec[len("scripted:"):]), vocab)
     if spec.startswith("ngram:"):
-        path = _resolve(spec[len("ngram:"):])
-        if path.endswith(".jsonl"):
-            docs = [text for _, text in scenarios.load_corpus(path)]
-        else:
-            with open(path, "rb") as fh:
-                docs = [fh.read()]
+        docs = [text for _, text in scenarios.load_corpus(_resolve(spec[len("ngram:"):]))]
         return build_ngram_model(docs, vocab, args.ngram_order, args.ngram_alpha)
     raise ValueError(f"unknown provider spec {spec!r}")
 
@@ -317,8 +312,6 @@ def cmd_bench(args) -> int:
         )
         try:
             prompts = bench_mod.boundary_prompts(corpus, train_vocab, args.prompts, args.seed)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ValueError(f"{args.corpus}: {exc}") from exc
     if not args.skip_lookup:
@@ -386,7 +379,7 @@ def _add_sampler_flags(p: _Parser) -> None:
 
 def _add_provider_flags(p: _Parser) -> None:
     p.add_argument("--provider", required=True,
-                   help="scripted:<table.json> or ngram:<corpus file>")
+                   help="scripted:<table.json> or ngram:<corpus>")
     p.add_argument("--ngram-order", type=int, default=3)
     p.add_argument("--ngram-alpha", type=float, default=0.1)
 
@@ -453,8 +446,9 @@ def build_parser() -> _Parser:
     p.add_argument("--queries", type=int, default=10_000)
     p.add_argument("--warmup", type=int, default=1_000)
     p.add_argument("--naive-queries", type=int, default=200)
-    p.add_argument("--skip-lookup", action="store_true")
-    p.add_argument("--skip-steps", action="store_true")
+    skip = p.add_mutually_exclusive_group()
+    skip.add_argument("--skip-lookup", action="store_true")
+    skip.add_argument("--skip-steps", action="store_true")
     p.add_argument("--corpus", default="bundled:code")
     p.add_argument("--train-size", type=int, default=512)
     p.add_argument("--ngram-order", type=int, default=3)

@@ -209,17 +209,24 @@ def generate_dataset(
 
 
 def load_corpus(path: str) -> list[tuple[str, bytes]]:
-    """Load documents from a JSONL file ({id, text}) or a directory of text files."""
-    docs: list[tuple[str, bytes]] = []
+    """The ``(id, bytes)`` documents of a corpus path, the rule of every corpus flag.
+
+    A directory gives one document per file, a ``.jsonl`` file its
+    ``{id?, text | text_b64}`` lines, and any other file one document;
+    a whole file's id is its name.
+    """
     if os.path.isdir(path):
-        for name in sorted(os.listdir(path)):
-            full = os.path.join(path, name)
-            if os.path.isfile(full):
-                with open(full, "rb") as fh:
-                    docs.append((name, fh.read()))
-        return docs
+        files = [os.path.join(path, name) for name in sorted(os.listdir(path))]
+        return [_whole_file(full) for full in files if os.path.isfile(full)]
+    if path.endswith(".jsonl"):
+        with open(path, "rb") as fh:
+            return list(read_text_docs(fh, path, "text_b64"))
+    return [_whole_file(path)]
+
+
+def _whole_file(path: str) -> tuple[str, bytes]:
     with open(path, "rb") as fh:
-        return list(read_text_docs(fh, path, "text_b64"))
+        return os.path.basename(path), fh.read()
 
 
 def read_text_docs(

@@ -673,8 +673,45 @@ class TestLoadProvider:
         assert want.output == b"    return sum(items)\n\n"
         assert base64.b64decode(read_results(out)[0]["output_b64"]) == want.output
 
+    def test_ngram_over_a_corpus_directory(self, capsys, tmp_path, demo_paths):
+        # the rule of vocab train --corpus: each file of a directory is one document
+        texts = [b"def total(items):\n    return sum(items)\n", b"\nreturn total\n"]
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, text in zip(["a.py", "b.txt"], texts):
+            (corpus / name).write_bytes(text)
+        prompt = b"    return sum(it"
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text(json.dumps({"prompt_b64": base64.b64encode(prompt).decode()}) + "\n")
+        out = tmp_path / "aligned.jsonl"
+        code, _, _ = run(
+            capsys, "align", "--vocab", demo_paths["vocab"], "--provider", f"ngram:{corpus}",
+            "--prompt-file", str(prompts), "--max-new-tokens", "6", "--out", str(out),
+        )
+        assert code == 0
+        vocab = load_vocabulary(demo_paths["vocab"])
+        trie = build_trie(vocab)
+        want = aligned_generate(
+            build_ngram_model(texts, vocab, 3, 0.1), vocab, trie, MaskCache(trie),
+            prompt, AlignConfig(), SamplerConfig(max_new_tokens=6),
+        )
+        assert base64.b64decode(read_results(out)[0]["output_b64"]) == want.output
+
 
 class TestGenDataset:
+    def test_raw_corpus_file_is_one_document(self, capsys, tmp_path):
+        # the rule of --provider ngram:<file>: a file not named .jsonl is read whole
+        text = b"def total(items):\n    return sum(items)\n"
+        corpus = tmp_path / "code.py"
+        corpus.write_bytes(text)
+        out = tmp_path / "s.jsonl"
+        code, _, _ = run(capsys, "gen-dataset", "--corpus", str(corpus), "--scenario", "subword",
+                         "--seed", "7", "--out", str(out))
+        assert code == 0
+        want, _ = scenarios.generate_dataset([("code.py", text)], "subword", 7, 1)
+        assert want
+        assert scenarios.read_dataset(str(out)) == want
+
     def test_deterministic_across_runs(self, capsys, tmp_path):
         for sub in ("r1", "r2"):
             d = tmp_path / sub
@@ -1074,6 +1111,13 @@ class TestBench:
         )
         assert code == 0
         assert "lookup" not in json.loads(out)
+
+    def test_both_skip_flags_are_one(self, capsys):
+        # a run that skips both parts would measure nothing
+        code, out, err = run(capsys, "bench", "--skip-lookup", "--skip-steps")
+        assert code == 1
+        assert out == ""
+        assert "argument --skip-steps: not allowed with argument --skip-lookup" in err
 
 
 class TestVocabTools:

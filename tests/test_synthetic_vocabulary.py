@@ -1,19 +1,23 @@
 """The synthetic vocabulary read off raw generator outputs, against the per-call loop.
 
 ``make_synthetic_vocabulary`` reads its words straight off PCG64's raw
-64-bit outputs.  The reference below is the loop it replaced, which makes
-three ``Generator`` calls per word; both must give the same tokens.  The
-redraw branch is reached only about once in 10**8 halves, so crafted raw
-outputs place redrawn halves where the chunked build must notice them,
-and a per-draw model of NumPy's rule says what each word must be.
+64-bit outputs until a chunk of them holds a draw NumPy would redraw;
+it then builds the tokens again with the per-call loop.  The reference
+below is that loop, written out here, which makes three ``Generator``
+calls per word; both must give the same tokens.  A redraw comes only
+about once in 10**8 halves, so crafted raw outputs place redrawn halves
+where the chunked reader must notice them, a per-draw model of NumPy's
+rule says which words read them and what each word must be, and a
+reader cut short stands in for one that met a redraw.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
-from tokalign import Vocabulary
+from tokalign import Vocabulary, bench
 from tokalign.bench import (
     _WHITESPACE_TOKENS,
     _WORD_BYTES,
@@ -133,13 +137,25 @@ def serve(raw):
 
 
 def fast_words(raw, count, chunk):
-    words = _words(serve(raw), chunk)
-    return [next(words) for _ in range(count)]
+    """The raw reader's first ``count`` words, or all it yields when it ends first."""
+    return list(itertools.islice(_words(serve(raw), chunk), count))
 
 
 def rule_words(raw, count):
     rule = PerDrawRule(raw)
     return [rule.word() for _ in range(count)], rule.uses
+
+
+def assert_stops_before_the_redraw(raw, want):
+    """The reader yields the rule's words, and none from the first that reads a redrawn half."""
+    rule = PerDrawRule(raw)
+    first = -1  # the index of the first word that reads a redrawn half
+    while not any(role == "redrawn" for role, _ in rule.uses.values()):
+        rule.word()
+        first += 1
+    got = fast_words(raw, len(want), CHUNK)
+    assert len(got) <= first
+    assert got == want[:len(got)]
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**40])
@@ -195,7 +211,7 @@ def test_redrawn_half(kind):
     raw = zero_half(STREAM, h)
     want, uses = rule_words(raw, 100)
     assert uses[h][0] == "redrawn"
-    assert fast_words(raw, 100, CHUNK) == want
+    assert_stops_before_the_redraw(raw, want)
 
 
 @pytest.mark.parametrize("run", [4, 40])
@@ -207,4 +223,15 @@ def test_zero_outputs_in_a_row(run):
     raw[h // 2 - 1:h // 2 - 1 + run] = [0] * run
     want, uses = rule_words(raw, 100)
     assert sum(role == "redrawn" for role, _ in uses.values()) >= 2 * run
-    assert fast_words(raw, 100, CHUNK) == want
+    assert_stops_before_the_redraw(raw, want)
+
+
+@pytest.mark.parametrize("words", [0, 1, 300])
+def test_rebuilt_by_the_calls_when_the_reader_ends(monkeypatch, words):
+    # the raw reader ends where it meets a redraw; here it ends after `words`
+    reader = bench._words
+    monkeypatch.setattr(bench, "_words", lambda raw: itertools.islice(reader(raw), words))
+    for size, seed in [(300, 0), (5_000, 7)]:
+        assert make_synthetic_vocabulary(size, seed).tokens == (
+            reference_make_synthetic_vocabulary(size, seed).tokens
+        )
