@@ -41,7 +41,7 @@ from .trie import MaskCache, build_trie
 from .vocab import (
     PretokenizeOptions,
     Vocabulary,
-    check_target_size,
+    check_training,
     load_vocabulary,
     save_vocabulary,
     train_tiny_bpe,
@@ -121,7 +121,7 @@ def _attach_configs(args) -> None:
     if hasattr(args, "provider"):
         check_ngram_config(args.ngram_order, args.ngram_alpha)
     if hasattr(args, "target_size"):
-        check_target_size(args.target_size, len(args.special or ()))
+        check_training(args.target_size, args.special or ())
 
 
 def _open_or(path: str | None, std, mode: str, encoding: str | None):
@@ -295,7 +295,7 @@ def cmd_bench(args) -> int:
     _check_seed(args.seed)
     if not args.skip_steps:
         bench_mod.check_prompt_count(args.prompts)
-        check_target_size(args.train_size)
+        check_training(args.train_size)
         check_ngram_config(args.ngram_order, args.ngram_alpha)
     if not args.skip_lookup:
         bench_mod.check_lookup_counts(args.queries, args.warmup, args.naive_queries)
@@ -495,7 +495,7 @@ def main(argv=None) -> int:
     except align_mod.AlignmentError as exc:
         print(f"tokalign: alignment failed: {exc}", file=sys.stderr)
         return EXIT_ALIGNMENT
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"tokalign: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -38,6 +38,7 @@ counted among its ties in position order, gives the id.
 from __future__ import annotations
 
 import base64
+import functools
 import math
 import time
 import weakref
@@ -157,31 +158,24 @@ def check_distribution(dist, size: int) -> np.ndarray:
 # Twice the float64 unit roundoff 2**-53: an over-estimate with room for
 # the rounding of the band itself.
 _UNIT_ROUNDOFF = 2.0**-52
-# The ones vector of the last row size the fast acceptance saw, and the
-# distance from 1 its dot product must stay within.
-_sum_ones: tuple[np.ndarray, float] = (np.ones(0), 0.0)
 
 
+@functools.lru_cache(maxsize=1)
 def _ones_and_limit(size: int) -> tuple[np.ndarray, float]:
     """A read-only ones vector of ``size`` entries, and the fast acceptance limit.
 
-    Summed in any order, ``size`` non-negative terms with exact total S
-    come out within ``(size - 1) * 2**-53 * S`` of it, to first order
-    (Higham, 2002, §4.2).  Two such sums of one row, the dot product and
-    ``sum``'s pairwise sum, therefore differ by less than ``band = 2 *
-    size * _UNIT_ROUNDOFF * (1 + 1e-6)`` wherever S is within 1e-6 of 1,
-    so a dot product within ``1e-6 - band`` of 1 means ``sum`` is within
-    1e-6 of 1.
+    Only the last size is kept: a 50k-entry vector takes 400 kB.  Summed
+    in any order, ``size`` non-negative terms with exact total S come out
+    within ``(size - 1) * 2**-53 * S`` of it, to first order (Higham,
+    2002, §4.2).  Two such sums of one row, the dot product and ``sum``'s
+    pairwise sum, therefore differ by less than ``band = 2 * size *
+    _UNIT_ROUNDOFF * (1 + 1e-6)`` wherever S is within 1e-6 of 1, so a dot
+    product within ``1e-6 - band`` of 1 means ``sum`` is within 1e-6 of 1.
     """
-    global _sum_ones
-    ones, limit = _sum_ones
-    if len(ones) != size:
-        ones = np.ones(size)
-        ones.setflags(write=False)
-        band = 2.0 * size * _UNIT_ROUNDOFF * (1.0 + DIST_SUM_TOLERANCE)
-        limit = DIST_SUM_TOLERANCE - band
-        _sum_ones = ones, limit
-    return ones, limit
+    ones = np.ones(size)
+    ones.setflags(write=False)
+    band = 2.0 * size * _UNIT_ROUNDOFF * (1.0 + DIST_SUM_TOLERANCE)
+    return ones, DIST_SUM_TOLERANCE - band
 
 
 def _scan_distribution(dist: np.ndarray, size: int) -> None:

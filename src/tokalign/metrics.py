@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import csv
 from dataclasses import dataclass, field
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -127,18 +128,13 @@ def _first_words(data: bytes, n: int) -> bytes:
 def pass_at_k(n: int, c: int, k: int) -> float:
     """Unbiased pass@k from n samples with c correct: 1 - C(n-c,k)/C(n,k).
 
-    Computed in product form for numerical stability.
+    The ratio of the exact integers is rounded once, then subtracted.
     """
     if not 0 <= c <= n:
         raise ValueError(f"need 0 <= c <= n, got c={c}, n={n}")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n - c < k:
-        return 1.0
-    product = 1.0
-    for i in range(n - c + 1, n + 1):
-        product *= 1.0 - k / i
-    return 1.0 - product
+    return 1.0 - comb(n - c, k) / comb(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +196,12 @@ def read_eval_records(path: str) -> list[EvalRecord]:
 
 
 def check_metrics(names: Sequence[str]) -> None:
-    """A ConfigError naming the first of ``names`` that is not in ``ALL_METRICS``."""
-    for name in names:
+    """A ConfigError naming the first of ``names`` not in ``ALL_METRICS`` or listed twice."""
+    for i, name in enumerate(names):
         if name not in ALL_METRICS:
             raise ConfigError("metrics", f"unknown metric {name!r} (have {', '.join(ALL_METRICS)})")
+        if name in names[:i]:
+            raise ConfigError("metrics", f"metric {name!r} is listed twice")
 
 
 def score_record(record: EvalRecord, metrics: Sequence[str], vocab: Vocabulary | None) -> dict:

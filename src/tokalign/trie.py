@@ -25,8 +25,8 @@ keep their trie names.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
-from collections import OrderedDict
 
 import numpy as np
 
@@ -108,39 +108,31 @@ class MaskCache:
     """Bounded LRU cache of the masks of one index, keyed by prefix bytes.
 
     It serves ``self.trie``, the index it is built over: a new cache is
-    empty, and only :meth:`lookup` stores a mask, from that index.  Hits
-    are bit-identical to fresh index queries; capacity 0 stores nothing.
-    Not internally synchronized; concurrent writers must serialize.
+    empty, and only :meth:`lookup` stores a mask, from that index.  A hit
+    returns the very array its miss did; capacity 0 stores nothing.  The
+    store is a ``functools.lru_cache``, consistent under concurrent lookups,
+    though two threads that miss one prefix at once may both query the index.
     """
 
     def __init__(self, trie: ByteTrie, capacity: int = 1024):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.trie = trie
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._store: OrderedDict[bytes, TokenMask] = OrderedDict()
+        # matching_tokens is looked up at each miss, not bound here, so a
+        # wrapper installed on ByteTrie after the cache is built sees every miss
+        self._masks = functools.lru_cache(capacity)(lambda prefix: trie.matching_tokens(prefix))
 
     def lookup(self, prefix: bytes) -> TokenMask:
         if type(prefix) is not bytes:
             prefix = bytes(prefix)
-        cached = self._store.get(prefix)
-        if cached is not None:
-            self.hits += 1
-            self._store.move_to_end(prefix)
-            return cached
-        self.misses += 1
-        mask = self.trie.matching_tokens(prefix)
-        if self.capacity > 0:
-            # the missed key goes in last, so only it can overflow the capacity
-            self._store[prefix] = mask
-            if len(self._store) > self.capacity:
-                self._store.popitem(last=False)
-        return mask
+        return self._masks(prefix)
+
+    hits = property(lambda self: self._masks.cache_info().hits)
+    misses = property(lambda self: self._masks.cache_info().misses)
 
     def __len__(self) -> int:
-        return len(self._store)
+        return self._masks.cache_info().currsize
 
     def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self._store)}
+        info = self._masks.cache_info()
+        return {"hits": info.hits, "misses": info.misses, "entries": info.currsize}

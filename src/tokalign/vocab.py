@@ -601,12 +601,14 @@ def pretokenize(text: bytes, options: PretokenizeOptions) -> list[bytes]:
     return out
 
 
-def check_target_size(target_size: int, special_count: int = 0) -> None:
-    """The size rule of :func:`train_tiny_bpe`, for callers that fail before any work."""
-    if target_size < 256 + special_count:
+def check_training(target_size: int, specials: Sequence[bytes] = ()) -> None:
+    """The argument rules of :func:`train_tiny_bpe`, for callers that fail before any work."""
+    if any(len(s) == 0 for s in specials):
+        raise ConfigError("special", "a special token cannot be empty")
+    if target_size < 256 + len(specials):
         raise ConfigError(
             "target_size",
-            f"{target_size} tokens cannot hold the 256 single bytes plus {special_count} specials",
+            f"{target_size} tokens cannot hold the 256 single bytes plus {len(specials)} specials",
         )
 
 
@@ -648,7 +650,7 @@ def train_tiny_bpe(
     training corpus again, as building an n-gram provider from it does,
     runs no BPE merging.
     """
-    check_target_size(target_size, len(specials))
+    check_training(target_size, specials)
     documents = [bytes(d) for d in corpus]
     if not documents or all(len(d) == 0 for d in documents):
         raise VocabularyError("training corpus is empty")

@@ -401,6 +401,9 @@ class TestExitCodes:
             (command, ["--mode", "nucleus", "--temperature", value])
             for command in ("align", "eval")
             for value in ("nan", "inf")
+        ] + [
+            ("vocab train", ["--target-size", "300", "--special", ""]),
+            ("eval", ["--metrics", "em,em"]),
         ],
     )
     def test_flag_value_out_of_range_is_one(
@@ -440,9 +443,10 @@ class TestExitCodes:
             ("eval", ["--ngram-alpha", "-1"]),
             ("vocab train", ["--target-size", "100"]),
             ("align", ["--temperature", "nan", "--mode", "nucleus"]),
+            ("vocab train", ["--special", "", "--target-size", "300"]),
         ],
         ids=["align-order", "align-alpha", "eval-order", "eval-alpha", "vocab-train-size",
-             "align-temperature"],
+             "align-temperature", "vocab-train-special"],
     )
     def test_bad_value_fails_before_any_file_is_read(self, capsys, monkeypatch, command, flags):
         import tokalign.cli as cli_module
@@ -929,6 +933,27 @@ class TestEval:
         assert out == ""
         errors = [line for line in err.splitlines() if "error:" in line]
         assert errors == [f"tokalign eval: error: the following arguments are required: {missing}"]
+
+    def test_repeated_metric_is_a_usage_error(self, capsys, tmp_path):
+        # checked before the records are read: the file does not exist
+        code, out, err = run(
+            capsys, "score", "--records", str(tmp_path / "missing.jsonl"), "--metrics", "em,es,em"
+        )
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["tokalign score: error: argument --metrics: metric 'em' is listed twice"]
+
+    def test_internal_key_error_is_not_a_data_error(self, monkeypatch, tmp_path):
+        # every reader checks its fields, so a KeyError out of a command is a bug
+        import tokalign.cli as cli_module
+
+        def broken(path):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli_module.scenarios, "read_dataset", broken)
+        with pytest.raises(KeyError):
+            main(["validate", "--dataset", str(tmp_path / "d.jsonl")])
 
     def test_records_scored_for_fta_need_vocab(self, capsys, tmp_path):
         # the default metrics include fta; checked before the records are read

@@ -1,5 +1,8 @@
 import gc
+import importlib.util
 import tracemalloc
+from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,30 @@ def oracle_ids(vocab, prefix):
 
 def mask_ids(ids):
     return set(ids.tolist())
+
+
+class ReferenceLRU:
+    """The mask cache as an ``OrderedDict`` LRU with its own counters."""
+
+    def __init__(self, trie, capacity):
+        self.trie = trie
+        self.capacity = capacity
+        self.hits = 0
+        self.misses = 0
+        self.store = OrderedDict()
+
+    def lookup(self, prefix):
+        if prefix in self.store:
+            self.hits += 1
+            self.store.move_to_end(prefix)
+            return self.store[prefix]
+        self.misses += 1
+        mask = self.trie.matching_tokens(prefix)
+        if self.capacity > 0:
+            self.store[prefix] = mask
+            if len(self.store) > self.capacity:
+                self.store.popitem(last=False)
+        return mask
 
 
 def random_vocab(rng, size):
@@ -206,3 +233,42 @@ class TestMaskCache:
             for p, expected in zip(prefixes, baseline):
                 assert np.array_equal(cache.lookup(p), expected)
 
+    @pytest.mark.parametrize("capacity", [0, 1, 2, 7, 64])
+    def test_matches_the_reference_lru(self, trained_trie, capacity):
+        rng = make_rng(capacity)
+        pool = [b"", b" ", b"  ", b"a", b"ab", b"de", b"x", b"\n", b"(", b"re", b" r", b"\xff"]
+        cache, reference = MaskCache(trained_trie, capacity), ReferenceLRU(trained_trie, capacity)
+        missed = {}
+        for step in range(600):
+            # one lookup in three is two random bytes, mostly a new key
+            if step % 3:
+                prefix = pool[rng.integers(0, len(pool))]
+            else:
+                prefix = bytes(rng.integers(0, 256, 2, "uint8"))
+            hits = reference.hits
+            want, got = reference.lookup(prefix), cache.lookup(prefix)
+            assert np.array_equal(got, want)
+            if reference.hits > hits:
+                assert got is missed[prefix]  # a hit returns the array its miss did
+            else:
+                missed[prefix] = got
+            assert (cache.hits, cache.misses, len(cache)) == (
+                reference.hits, reference.misses, len(reference.store)
+            )
+        assert cache.stats() == {
+            "hits": reference.hits, "misses": reference.misses, "entries": len(reference.store)
+        }
+
+    def test_a_cache_built_before_tracing_records_index_misses(self, trained_trie):
+        path = Path(__file__).resolve().parent.parent / "e2ebench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("e2ebench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        cache = MaskCache(trained_trie)
+        cache.lookup(b" ")
+        tracer = spans.Tracer()
+        with spans.installed(tracer):
+            cache.lookup(b" ")  # a hit: the index is not queried
+            cache.lookup(b"de")
+        assert tracer.names == ["trie.lookup", "trie.lookup", "trie.matching_tokens"]
+        assert tracer.parents == [-1, -1, 1]
