@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import base64
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 from typing import Sequence
 
@@ -28,23 +28,29 @@ from .vocab import (
 )
 
 
-def levenshtein(a: bytes, b: bytes) -> int:
-    """Single-character edit distance (insert/delete/substitute), two-row DP."""
+def _edit_distance(a: Sequence, b: Sequence, substitution: int) -> int:
+    """Edit distance with unit inserts and deletes and the given substitution cost, two-row DP.
+
+    Neighbouring cells differ by at most 1, so a matching pair takes the
+    diagonal without the three-way minimum.
+    """
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return len(a)
     previous = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
-        current = [i] + [0] * len(b)
-        for j, cb in enumerate(b, start=1):
-            current[j] = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (ca != cb),
-            )
+        current = [i]
+        for j, cb in enumerate(b):
+            if ca == cb:
+                current.append(previous[j])
+            else:
+                current.append(min(previous[j + 1] + 1, current[j] + 1, previous[j] + substitution))
         previous = current
-    return previous[len(b)]
+    return previous[-1]
+
+
+def levenshtein(a: bytes, b: bytes) -> int:
+    """Single-character edit distance (insert/delete/substitute)."""
+    return _edit_distance(a, b, 1)
 
 
 def _as_ref_list(refs: bytes | Sequence[bytes]) -> list[bytes]:
@@ -88,18 +94,8 @@ def _words(data: bytes) -> list[bytes]:
 
 
 def _lcs_length(a: list[bytes], b: list[bytes]) -> int:
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    for wa in a:
-        current = [0] * (len(b) + 1)
-        for j, wb in enumerate(b, start=1):
-            if wa == wb:
-                current[j] = previous[j - 1] + 1
-            else:
-                current[j] = max(previous[j], current[j - 1])
-        previous = current
-    return previous[len(b)]
+    # a substitution costs a delete plus an insert, so the distance is |a| + |b| - 2 LCS
+    return (len(a) + len(b) - _edit_distance(a, b, 2)) // 2
 
 
 def rouge_l(gen: bytes, refs: bytes | Sequence[bytes]) -> float:
@@ -206,6 +202,11 @@ def check_metrics(names: Sequence[str]) -> None:
 
 def score_record(record: EvalRecord, metrics: Sequence[str], vocab: Vocabulary | None) -> dict:
     check_metrics(metrics)
+    return _score_checked(record, metrics, vocab)
+
+
+def _score_checked(record: EvalRecord, metrics: Sequence[str], vocab: Vocabulary | None) -> dict:
+    """:func:`score_record` for a metric list that :func:`check_metrics` has passed."""
     scores: dict[str, float] = {}
     for metric in metrics:
         if metric == "em":
@@ -241,14 +242,7 @@ class ScoreReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "metrics": list(self.metrics),
-            "aggregates": self.aggregates,
-            "deltas": self.deltas,
-            "metadata": self.metadata,
-            "per_example": self.per_example,
-        }
+        return asdict(self)
 
 
 def score_records(
@@ -258,6 +252,7 @@ def score_records(
     scenario: str = "",
 ) -> ScoreReport:
     """Score every record and aggregate per arm (arithmetic means)."""
+    check_metrics(metrics)
     report = ScoreReport(
         scenario=scenario,
         metrics=tuple(metrics),
@@ -269,7 +264,7 @@ def score_records(
     )
     by_arm: dict[str, dict[str, list[float]]] = {}
     for record in records:
-        scores = score_record(record, metrics, vocab)
+        scores = _score_checked(record, metrics, vocab)
         report.per_example.append(
             {"example_id": record.example_id, "arm": record.arm, **scores}
         )

@@ -605,6 +605,9 @@ def check_training(target_size: int, specials: Sequence[bytes] = ()) -> None:
     """The argument rules of :func:`train_tiny_bpe`, for callers that fail before any work."""
     if any(len(s) == 0 for s in specials):
         raise ConfigError("special", "a special token cannot be empty")
+    for i, special in enumerate(specials):
+        if special in specials[:i]:
+            raise ConfigError("special", f"special token {special!r} is listed twice")
     if target_size < 256 + len(specials):
         raise ConfigError(
             "target_size",

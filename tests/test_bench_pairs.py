@@ -1,6 +1,7 @@
 """The pair runner's summary: medians, wins, bounds and the claimed-gain rule."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -146,3 +147,49 @@ def test_added_ms_is_per_run_difference_then_quartiles():
         "w added ms (req_ms_p50 - plain_req_ms_p50, median [q1, q3]): "
         "parent 0.032 [0.031, 0.033] change 0.026 [0.025, 0.027]"
     )
+
+
+def test_runs_go_seed_major_with_traced_pairs_last(monkeypatch, tmp_path, capsys):
+    declared = {
+        "command": ["python3", "e2ebench/run.py"],
+        "run_seconds": 15,
+        "workloads": [{"name": "w1"}, {"name": "w2"}],
+        "end_to_end": [LOWER],
+    }
+
+    def checkout(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps(declared))
+        return rev
+
+    order = []
+
+    def run_once(copy, declared, workload, seed, trace):
+        order.append((seed, workload, copy.name, trace))
+        parts = dict.fromkeys(bench_pairs.SETUP_PARTS, 0.1)
+        return {
+            "metrics": {name: {"value": 1.0} for name in ("req_ms_p50", "plain_req_ms_p50")},
+            "correct": True,
+            "failed": 0,
+            "record": {"digests": {"aligned": "a", "plain": "p"}, "raw": {"setup_s": 0.5},
+                       "setup_parts_s": [parts]},
+        }
+
+    monkeypatch.setattr(bench_pairs, "checkout", checkout)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "B.json"
+    assert bench_pairs.main(["--parent", "p", "--change", "c", "--seeds", "7-9", "--name", "B",
+                             "--workdir", str(tmp_path / "copies"), "--out", str(out)]) == 0
+    untraced = [
+        (seed, workload, arm, False)
+        for k, seed in enumerate((7, 8, 9))
+        for workload in ("w1", "w2")
+        for arm in (("parent", "change") if k % 2 == 0 else ("change", "parent"))
+    ]
+    traced = [(7, workload, arm, True) for workload in ("w1", "w2")
+              for arm in ("parent", "change")]
+    assert order == untraced + traced
+    result = json.loads(out.read_text())
+    assert [p["seed"] for p in result["workloads"]["w2"]["end_to_end"]["req_ms_p50"]["per_pair"]] \
+        == [7, 8, 9]
+    assert result["method"]["pairs"].startswith("seed-major")

@@ -404,6 +404,7 @@ class TestExitCodes:
         ] + [
             ("vocab train", ["--target-size", "300", "--special", ""]),
             ("eval", ["--metrics", "em,em"]),
+            ("vocab train", ["--target-size", "300", "--special", "<a>", "--special", "<a>"]),
         ],
     )
     def test_flag_value_out_of_range_is_one(
@@ -444,9 +445,10 @@ class TestExitCodes:
             ("vocab train", ["--target-size", "100"]),
             ("align", ["--temperature", "nan", "--mode", "nucleus"]),
             ("vocab train", ["--special", "", "--target-size", "300"]),
+            ("vocab train", ["--special", "<a>", "--special", "<a>", "--target-size", "300"]),
         ],
         ids=["align-order", "align-alpha", "eval-order", "eval-alpha", "vocab-train-size",
-             "align-temperature", "vocab-train-special"],
+             "align-temperature", "vocab-train-special", "vocab-train-repeated-special"],
     )
     def test_bad_value_fails_before_any_file_is_read(self, capsys, monkeypatch, command, flags):
         import tokalign.cli as cli_module

@@ -106,7 +106,7 @@ def corpora(draw):
 @given(
     docs=corpora(),
     options=st.sampled_from(ALL_OPTIONS),
-    specials=st.lists(st.sampled_from(SPECIALS), max_size=2),
+    specials=st.lists(st.sampled_from(SPECIALS), max_size=2, unique=True),
     extra=st.integers(min_value=0, max_value=60),
 )
 @example(docs=[b"aaaa aaa aaaaa"], options=ALL_OPTIONS[0], specials=[], extra=60)

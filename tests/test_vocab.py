@@ -343,6 +343,15 @@ class TestTraining:
             train_tiny_bpe([b"ab"], 300, specials=[b"<a>", b""])
         assert empty.value.field == "special"
 
+    def test_repeated_special_rejected_before_pretokenizing(self, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("pretokenized before the specials were checked")
+
+        monkeypatch.setattr("tokalign.vocab.pretokenize", not_reached)
+        with pytest.raises(ConfigError, match="listed twice") as repeated:
+            train_tiny_bpe([b"ab"], 300, specials=[b"<a>", b"<b>", b"<a>"])
+        assert repeated.value.field == "special"
+
     def test_specials_appended_with_ids_at_end(self, code_texts):
         vocab = train_tiny_bpe(code_texts[:5], 300, TRAIN_OPTIONS, specials=[b"<eos>"])
         assert vocab.is_special(len(vocab) - 1)

@@ -7,12 +7,14 @@
 
 Each commit is copied once with ``git archive`` into its own fresh
 directory under ``--workdir`` (a new temporary directory by default), so
-neither run sees the working tree or the other's files.  For every
-workload the change's ``BENCHMARK.json`` declares, and every seed, both
-copies run its ``command`` with ``--trace 0`` for its ``run_seconds``,
-one after the other: the parent goes first on even pair indexes and the
-change on odd ones.  One extra traced pair (``--trace 1``, parent first)
-runs at the first seed.  The output keeps the layout of the earlier
+neither run sees the working tree or the other's files.  The runs go
+seed-major: for each seed in turn, and for every workload the change's
+``BENCHMARK.json`` declares, both copies run its ``command`` with
+``--trace 0`` for its ``run_seconds``, one after the other, so a slow
+spell of the host falls on every workload and on both sides.  The parent
+goes first on even pair indexes and the change on odd ones.  After all
+untraced runs, one extra traced pair per workload (``--trace 1``, parent
+first) runs at the first seed.  The output keeps the layout of the earlier
 ``BENCH_*.json`` files: the method and environment; per end-to-end
 metric the parent's and change's median and quartiles, wins, losses and
 the per-pair values; the digests of both arms with ``equal_to_parent``;
@@ -25,18 +27,18 @@ failed-request counts; the quartiles of each run's additive overhead
 the benchmark's gate applies to a claimed gain: the change wins at least
 9 of 10 pairs, and the medians differ by more than the parent's IQR.
 
-After each workload it prints one line per end-to-end metric (both
-medians, ``change_rel``, wins, losses and ``within_bound``), one line
-with both arms' additive overhead (median and quartiles), then one line
-per timed part of the build (both unscaled medians and ``change_rel``),
-then how many pairs' output digests equal the parent's for each
-benchmark arm (aligned and plain), and at the end the claim's verdict,
-so a breached bound or a changed output shows without the JSON.  The
-additive overhead is a report, not a gate: a saving in work both arms
-share raises ``overhead_x`` while the aligned arm's added cost holds.
-The benchmark scales ``setup_s`` by a reference build timed around it,
-so the scaled figure can move against the raw build; the part lines
-show which raw part moved.
+After each workload's traced pair it prints one line per end-to-end
+metric (both medians, ``change_rel``, wins, losses and
+``within_bound``), one line with both arms' additive overhead (median
+and quartiles), then one line per timed part of the build (both
+unscaled medians and ``change_rel``), then how many pairs' output
+digests equal the parent's for each benchmark arm (aligned and plain),
+and at the end the claim's verdict, so a breached bound or a changed
+output shows without the JSON.  The additive overhead is a report, not
+a gate: a saving in work both arms share raises ``overhead_x`` while the
+aligned arm's added cost holds.  The benchmark scales ``setup_s`` by a
+reference build timed around it, so the scaled figure can move against
+the raw build; the part lines show which raw part moved.
 """
 
 from __future__ import annotations
@@ -268,13 +270,15 @@ def main(argv=None) -> int:
             "command": " ".join(declared["command"])
                        + f" --workload W --seed N --seconds {declared['run_seconds']:g} --trace 0",
             "seeds": args.seeds,
-            "pairs": "each seed runs the parent commit and the change once, each from its own "
-                     "fresh copy of the files (git archive of the commit); the parent goes first "
-                     "on even pair indexes, the change on odd ones",
+            "pairs": "seed-major: each seed runs every workload's pair before the next seed "
+                     "starts; a pair runs the parent commit and the change once, each from its "
+                     "own fresh copy of the files (git archive of the commit); the parent goes "
+                     "first on even pair indexes, the change on odd ones",
             "quartiles": "numpy.percentile, linear interpolation",
             "wins": "pairs in which the change's value is better than the parent's in the "
                     "metric's direction; ties count for neither",
-            "traced": "one extra pair per workload with --trace 1 at the first seed, parent first",
+            "traced": "one extra pair per workload with --trace 1 at the first seed, parent "
+                      "first, after every untraced run",
             "added_ms": "per run, req_ms_p50 - plain_req_ms_p50 in ms (the aligned arm's "
                         "additive overhead), then the quartiles over runs; a report, not a gate",
             "raw_setup_s": "the unscaled build time the benchmark records under raw.setup_s, "
@@ -292,22 +296,24 @@ def main(argv=None) -> int:
         },
         "workloads": {},
     }
-    for workload in (w["name"] for w in declared["workloads"]):
-        runs = {arm: [] for arm in ARMS}
-        for k, seed in enumerate(args.seeds):
+    workloads = [w["name"] for w in declared["workloads"]]
+    runs = {workload: {arm: [] for arm in ARMS} for workload in workloads}
+    for k, seed in enumerate(args.seeds):
+        for workload in workloads:
             for arm in (ARMS if k % 2 == 0 else ARMS[::-1]):
-                runs[arm].append(run_once(copies[arm], declared, workload, seed, False))
-                value = runs[arm][-1]["metrics"]["req_ms_p50"]["value"]
+                runs[workload][arm].append(run_once(copies[arm], declared, workload, seed, False))
+                value = runs[workload][arm][-1]["metrics"]["req_ms_p50"]["value"]
                 print(f"{workload} seed {seed} {arm}: req_ms_p50 {value:.4f}", flush=True)
+    for workload in workloads:
         traced = {arm: run_once(copies[arm], declared, workload, args.seeds[0], True)
                   for arm in ARMS}
         result["workloads"][workload] = summarise_workload(
-            declared["end_to_end"], args.seeds, runs, traced
+            declared["end_to_end"], args.seeds, runs[workload], traced
         )
         summary = result["workloads"][workload]
         lines = [*gate_lines(workload, summary), added_ms_line(workload, summary),
                  *setup_part_lines(workload, summary)]
-        print("\n".join([*lines, digest_line(workload, runs)]), flush=True)
+        print("\n".join([*lines, digest_line(workload, runs[workload])]), flush=True)
     if args.claim:
         workload, _, metric = args.claim.partition("/")
         entry = result["workloads"][workload]["end_to_end"][metric]
