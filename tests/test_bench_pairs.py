@@ -190,6 +190,6 @@ def test_runs_go_seed_major_with_traced_pairs_last(monkeypatch, tmp_path, capsys
               for arm in ("parent", "change")]
     assert order == untraced + traced
     result = json.loads(out.read_text())
-    assert [p["seed"] for p in result["workloads"]["w2"]["end_to_end"]["req_ms_p50"]["per_pair"]] \
-        == [7, 8, 9]
+    per_pair = result["workloads"]["w2"]["end_to_end"]["req_ms_p50"]["per_pair"]
+    assert [p["seed"] for p in per_pair] == [7, 8, 9]
     assert result["method"]["pairs"].startswith("seed-major")

@@ -27,18 +27,18 @@ failed-request counts; the quartiles of each run's additive overhead
 the benchmark's gate applies to a claimed gain: the change wins at least
 9 of 10 pairs, and the medians differ by more than the parent's IQR.
 
-After each workload's traced pair it prints one line per end-to-end
-metric (both medians, ``change_rel``, wins, losses and
-``within_bound``), one line with both arms' additive overhead (median
-and quartiles), then one line per timed part of the build (both
-unscaled medians and ``change_rel``), then how many pairs' output
-digests equal the parent's for each benchmark arm (aligned and plain),
-and at the end the claim's verdict, so a breached bound or a changed
-output shows without the JSON.  The additive overhead is a report, not
-a gate: a saving in work both arms share raises ``overhead_x`` while the
-aligned arm's added cost holds.  The benchmark scales ``setup_s`` by a
-reference build timed around it, so the scaled figure can move against
-the raw build; the part lines show which raw part moved.
+After each workload it prints one line per end-to-end metric (both
+medians, ``change_rel``, wins, losses and ``within_bound``), one line
+with both arms' additive overhead (median and quartiles), then one line
+per timed part of the build (both unscaled medians and ``change_rel``),
+then how many pairs' output digests equal the parent's for each
+benchmark arm (aligned and plain), and at the end the claim's verdict,
+so a breached bound or a changed output shows without the JSON.  The
+additive overhead is a report, not a gate: a saving in work both arms
+share raises ``overhead_x`` while the aligned arm's added cost holds.
+The benchmark scales ``setup_s`` by a reference build timed around it,
+so the scaled figure can move against the raw build; the part lines
+show which raw part moved.
 """
 
 from __future__ import annotations
