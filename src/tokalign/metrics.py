@@ -31,19 +31,26 @@ from .vocab import (
 def _edit_distance(a: Sequence, b: Sequence, substitution: int) -> int:
     """Edit distance with unit inserts and deletes and the given substitution cost, two-row DP.
 
-    Neighbouring cells differ by at most 1, so a matching pair takes the
-    diagonal without the three-way minimum.
+    Neighbouring cells differ by at most 1, so a match takes the diagonal, a
+    substitution costing 2 or more never beats a delete plus an insert, and
+    plain comparisons do the work of min() without the cost of its call.
     """
     if len(a) < len(b):
         a, b = b, a
     previous = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b):
+        left = i
+        current = [left]
+        for cb, diag, up in zip(b, previous, previous[1:]):
             if ca == cb:
-                current.append(previous[j])
+                left = diag
             else:
-                current.append(min(previous[j + 1] + 1, current[j] + 1, previous[j] + substitution))
+                if up < left:
+                    left = up
+                if substitution < 2 and diag < left:
+                    left = diag
+                left += 1
+            current.append(left)
         previous = current
     return previous[-1]
 
@@ -202,11 +209,6 @@ def check_metrics(names: Sequence[str]) -> None:
 
 def score_record(record: EvalRecord, metrics: Sequence[str], vocab: Vocabulary | None) -> dict:
     check_metrics(metrics)
-    return _score_checked(record, metrics, vocab)
-
-
-def _score_checked(record: EvalRecord, metrics: Sequence[str], vocab: Vocabulary | None) -> dict:
-    """:func:`score_record` for a metric list that :func:`check_metrics` has passed."""
     scores: dict[str, float] = {}
     for metric in metrics:
         if metric == "em":
@@ -252,7 +254,6 @@ def score_records(
     scenario: str = "",
 ) -> ScoreReport:
     """Score every record and aggregate per arm (arithmetic means)."""
-    check_metrics(metrics)
     report = ScoreReport(
         scenario=scenario,
         metrics=tuple(metrics),
@@ -264,7 +265,7 @@ def score_records(
     )
     by_arm: dict[str, dict[str, list[float]]] = {}
     for record in records:
-        scores = _score_checked(record, metrics, vocab)
+        scores = score_record(record, metrics, vocab)
         report.per_example.append(
             {"example_id": record.example_id, "arm": record.arm, **scores}
         )
